@@ -23,6 +23,7 @@ from __future__ import annotations
 import statistics
 from time import perf_counter
 
+from repro.analyze.race import fingerprint_result
 from repro.core.experiments import table1
 from repro.obs.campaign import CampaignTelemetry
 from repro.parallel import parallel_sweep
@@ -106,7 +107,7 @@ def test_telemetered_pooled_tables_byte_identical_to_serial(tmp_path):
             a = serial.results[app][n_proc]
             b = pooled.results[app][n_proc]
             assert b.ct_ns == a.ct_ns
-            assert b.schedule_hash == a.schedule_hash
+            assert fingerprint_result(b).digest == fingerprint_result(a).digest
     # The campaign saw exactly the simulated cells, none cached.
     report = telemetry.report()
     assert report["cells"]["total"] == len(APPS) * len(CONFIGS)

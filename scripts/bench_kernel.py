@@ -58,6 +58,7 @@ import platform
 import statistics
 import sys
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from time import perf_counter
 
@@ -378,11 +379,7 @@ def run_cells(quick: bool) -> dict:
         # Timed run: sink-free, every fast path and the compiled loop
         # (when built) hot -- the configuration sweeps actually run in.
         timed_spec = CellSpec(
-            app=app,
-            n_processors=n_processors,
-            scale=scale,
-            seed=1994,
-            fingerprint_schedule=False,
+            app=app, n_processors=n_processors, scale=scale, seed=1994
         )
         run_cell(timed_spec)  # warm-up: lazy imports, allocator, caches
         repeats = REPEATS_CELLS_QUICK if quick else REPEATS_CELLS
@@ -395,7 +392,7 @@ def run_cells(quick: bool) -> dict:
         # Hash run: exact path with the determinism sink attached (the
         # sink forces the Python loops, so recorded hashes are
         # interpreter- and fast-path-independent by construction).
-        hash_spec = CellSpec(app=app, n_processors=n_processors, scale=scale, seed=1994)
+        hash_spec = replace(timed_spec, fingerprint_schedule=True)
         hashed = run_cell(hash_spec)
         if hashed.ct_ns != result.ct_ns:
             raise _ExactMismatch(

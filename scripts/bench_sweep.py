@@ -49,6 +49,7 @@ from time import perf_counter
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from repro.analyze.race import fingerprint_result  # noqa: E402
 from repro.obs.campaign import CampaignTelemetry  # noqa: E402
 from repro.parallel.cache import ResultCache  # noqa: E402
 from repro.parallel.executor import CellSpec, execute_cells  # noqa: E402
@@ -94,7 +95,7 @@ def _specs() -> list[CellSpec]:
 
 
 def _one_pass(specs: list[CellSpec], jobs: int, cache: ResultCache) -> dict:
-    """Run the sweep once; return wall time, report figures and hashes."""
+    """Run the sweep once; return wall time, report figures and fingerprints."""
     telemetry = CampaignTelemetry(progress=False, label=f"bench jobs={jobs}")
     begin = perf_counter()
     results, failures = execute_cells(
@@ -104,14 +105,14 @@ def _one_pass(specs: list[CellSpec], jobs: int, cache: ResultCache) -> dict:
     if failures:
         raise RuntimeError(f"benchmark sweep failed: {failures[0].message}")
     report = telemetry.report()
-    hashes = {
-        f"{spec.app}_P{spec.n_processors}": results[spec].schedule_hash
+    fingerprints = {
+        f"{spec.app}_P{spec.n_processors}": fingerprint_result(results[spec]).digest
         for spec in specs
     }
     return {
         "wall_s": wall,
         "report": report,
-        "hashes": hashes,
+        "fingerprints": fingerprints,
         "cache_hits": report["cache"]["hits"],
     }
 
@@ -138,7 +139,7 @@ def run_sweeps(quick: bool) -> dict:
     pool_sizes = POOL_SIZES_QUICK if quick else POOL_SIZES_FULL
     repeats = REPEATS_QUICK if quick else REPEATS_FULL
     out: dict = {"cells_per_pass": len(specs)}
-    reference_hashes: dict | None = None
+    reference: dict | None = None
     cals: list[float] = []
     for jobs in pool_sizes:
         cold_passes: list[dict] = []
@@ -156,11 +157,11 @@ def run_sweeps(quick: bool) -> dict:
                         f"warm pass missed the cache: "
                         f"{warm['cache_hits']}/{len(specs)} hits"
                     )
-                if warm["hashes"] != cold["hashes"]:
+                if warm["fingerprints"] != cold["fingerprints"]:
                     raise RuntimeError("warm results diverge from cold")
-                if reference_hashes is None:
-                    reference_hashes = cold["hashes"]
-                elif cold["hashes"] != reference_hashes:
+                if reference is None:
+                    reference = cold["fingerprints"]
+                elif cold["fingerprints"] != reference:
                     raise RuntimeError(
                         f"jobs={jobs} results diverge from jobs="
                         f"{pool_sizes[0]}"
@@ -177,7 +178,7 @@ def run_sweeps(quick: bool) -> dict:
                 warm_fig["cells_per_cal"] / cold_fig["cells_per_cal"], 2
             ),
         }
-    out["schedule_hashes"] = reference_hashes
+    out["result_fingerprints"] = reference
     return out
 
 

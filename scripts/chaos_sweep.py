@@ -14,8 +14,9 @@ legs, one fixed seeded grid:
    baseline for the overhead gate.
 3. **chaos durable** -- the same grid under a seeded
    :class:`~repro.faults.host.HostChaosPlan` that SIGKILLs one worker
-   mid-cell, hangs another (caught by the cell deadline), and injects
-   a slow-start straggler.  The campaign must complete by itself
+   after its cell simulates but before the result is returned, hangs
+   another (caught by the cell deadline), and injects a slow-start
+   straggler.  The campaign must complete by itself
    (deaths retried on a respawned pool, the hang killed and retried),
    the tables must match the reference, and the *recovery overhead* --
    wall minus everything the faults themselves destroyed (lost partial
@@ -85,18 +86,19 @@ MAX_RECOVERY_OVERHEAD_PCT = 15.0
 MAX_RAW_WALL_FACTOR = 6.0
 
 SEED = 1994
+#: Grids sized so the clean leg outlasts the fixed hang dwell (the cell
+#: deadline) by a margin: the raw-wall gate compares the two.
 APPS_QUICK = ("FLO52", "OCEAN")
-CONFIGS_QUICK = (1, 4)
-SCALE_QUICK = 0.006
+CONFIGS_QUICK = (1, 4, 8, 16, 32)
+SCALE_QUICK = 0.05
 DEADLINE_QUICK = 2.5
 
 APPS_FULL = ("FLO52", "OCEAN")
-CONFIGS_FULL = (1, 4, 8)
-SCALE_FULL = 0.008
+CONFIGS_FULL = (1, 4, 8, 16, 32)
+SCALE_FULL = 0.1
 DEADLINE_FULL = 5.0
 
 #: Injected fault knobs (host seconds).
-KILL_DELAY_S = 0.05
 SLOW_START_S = 0.5
 BACKOFF_BASE_S = 0.1
 BACKOFF_CAP_S = 0.4
@@ -144,7 +146,6 @@ def _chaos_plan(apps, configs) -> HostChaosPlan:
                 app=apps[0],
                 n_processors=configs[1],
                 attempt=1,
-                delay_s=KILL_DELAY_S,
             ),
             HostFault(
                 kind="worker_hang",

@@ -7,18 +7,17 @@ directory:
 1. serial (``--jobs 1``, no cache) -- the reference output,
 2. cold parallel (``--jobs 4 --cache-dir ...``) -- must be
    byte-identical to serial while populating the cache,
-3. warm parallel (same command again) -- must be byte-identical *and*
-   at least 5x faster than the cold pass, proving the cache skipped
-   the simulations,
-4. telemetered parallel (``--log campaign.jsonl``) -- the tables must
-   still open the output byte-identically (telemetry appends its
-   summary after them, never perturbs them) and the campaign log must
-   be a valid ``cedar-repro/campaign-log/v1`` document whose header is
-   tagged with the code fingerprint and whose cache-hit events cover
-   every cell.
+3. warm parallel (same command again, with ``--log campaign.jsonl``)
+   -- the tables must open the output byte-identically (telemetry
+   appends its summary after them, never perturbs them) and the
+   campaign log must be a valid ``cedar-repro/campaign-log/v1``
+   document, tagged with the code fingerprint, whose events show every
+   cell answered from the cache and none simulated.
 
-Exits non-zero on any mismatch.  The scale is kept small so the cold
-pass stays in CI-friendly territory.
+The cache is judged by what the program logged, not by wall time, so
+the gate holds however fast the simulation gets.  Exits non-zero on any
+mismatch.  The scale is kept small so the cold pass stays in
+CI-friendly territory.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ from repro.obs.hostclock import WallTimer
 
 SCALE = "0.01"
 SEED = "1994"
-MIN_SPEEDUP = 5.0
 
 
 def run_tables(extra: list[str]) -> tuple[str, float]:
@@ -59,31 +57,29 @@ def main() -> int:
         serial, serial_s = run_tables([])
         parallel_flags = ["--jobs", "4", "--cache-dir", cache_dir]
         cold, cold_s = run_tables(parallel_flags)
-        warm, warm_s = run_tables(parallel_flags)
         log_path = Path(cache_dir) / "campaign.jsonl"
-        telemetered, _ = run_tables([*parallel_flags, "--log", str(log_path)])
+        warm, warm_s = run_tables([*parallel_flags, "--log", str(log_path)])
         header, events = load_campaign_log(log_path)
 
-    speedup = cold_s / warm_s if warm_s > 0 else float("inf")
+    cache_hits = sum(1 for e in events if e.get("ev") == "cache_hit")
+    simulated = sum(1 for e in events if e.get("ev") == "finish")
     print(
         f"parallel-smoke: serial {serial_s:.2f}s, cold --jobs 4 {cold_s:.2f}s, "
-        f"warm {warm_s:.2f}s (speedup {speedup:.1f}x)"
+        f"warm {warm_s:.2f}s ({cache_hits} cache hits, {simulated} simulated)"
     )
-    cache_hit_events = sum(1 for e in events if e.get("ev") == "cache_hit")
     checks = [
         ("serial output is non-trivial", "Table 1" in serial),
         ("cold parallel output byte-identical to serial", cold == serial),
-        ("warm cached output byte-identical to serial", warm == serial),
-        (f"warm rerun >= {MIN_SPEEDUP:.0f}x faster than cold", speedup >= MIN_SPEEDUP),
-        ("telemetered tables open byte-identically", telemetered.startswith(serial)),
-        ("campaign summary follows the tables", "campaign" in telemetered),
+        ("warm tables open byte-identically", warm.startswith(serial)),
+        ("campaign summary follows the tables", "campaign" in warm[len(serial):]),
         ("campaign log has the v1 schema", header.get("schema") == CAMPAIGN_LOG_SCHEMA),
         ("campaign log header is fingerprinted", bool(header.get("code_fingerprint"))),
         ("campaign log header carries the seed", header.get("seed") == int(SEED)),
         (
-            "every cell answered from cache in the telemetered pass",
-            cache_hit_events == header.get("n_cells"),
+            "every cell answered from cache in the warm pass",
+            cache_hits == header.get("n_cells"),
         ),
+        ("no cell simulated in the warm pass", simulated == 0),
     ]
     failed = [name for name, ok in checks if not ok]
     for name in failed:

@@ -19,8 +19,7 @@ from pathlib import Path
 
 from repro.core.reference import CONFIGS
 from repro.core.report import render_table
-from repro.core.runner import DEFAULT_SCALE, RunResult, run_application
-from repro.xylem.params import XylemParams
+from repro.core.runner import DEFAULT_SCALE, RunResult
 
 __all__ = [
     "CellFailure",
@@ -89,18 +88,22 @@ def resilient_sweep(
     model is deterministic, so a retry only helps against host-side
     trouble -- but it distinguishes "deterministic failure" from "flaky
     harness" in the report).  *run_cell* overrides how one cell is
-    executed (the seam the fault-campaign CLI and the tests use);
-    the default runs :func:`run_application` with ``XylemParams(seed)``.
+    executed (the seam the fault-campaign CLI and the tests use); by
+    default each cell is a :class:`~repro.parallel.executor.CellSpec`
+    run by :func:`repro.parallel.executor.run_cell` -- the same function
+    every pool worker runs -- so serial results are detached snapshots
+    too.  *run_kwargs* may carry ``max_events``, ``max_sim_time`` and
+    ``statfx_interval_ns`` on every path.
 
     With ``jobs > 1``, a *cache_dir*, or a *campaign* the sweep is
     delegated to :func:`repro.parallel.parallel_sweep`: cells fan out
     across worker processes and/or are served from the content-addressed
-    result cache, with the same per-cell isolation and retry semantics
-    (results are then detached snapshots).  The *run_cell* seam is
-    serial-only -- closures don't cross process boundaries.  Passing a
-    :class:`~repro.obs.campaign.CampaignTelemetry` as *telemetry* also
-    routes through the parallel path, so resilient campaign sweeps log
-    through the same event-log/progress/report seam as pooled ones.
+    result cache, with the same per-cell isolation and retry semantics.
+    The *run_cell* seam is serial-only -- closures don't cross process
+    boundaries.  Passing a :class:`~repro.obs.campaign.CampaignTelemetry`
+    as *telemetry* also routes through the parallel path, so resilient
+    campaign sweeps log through the same event-log/progress/report seam
+    as pooled ones.
 
     A *checkpoint* journal path routes through the crash-safe layer
     (:mod:`repro.parallel.durable`): cells are journaled before
@@ -112,6 +115,9 @@ def resilient_sweep(
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    unknown = set(run_kwargs) - {"max_events", "max_sim_time", "statfx_interval_ns"}
+    if unknown:
+        raise ValueError(f"unsupported sweep options: {sorted(unknown)}")
 
     if (
         jobs != 1
@@ -129,12 +135,6 @@ def resilient_sweep(
             )
         from repro.parallel import parallel_sweep
 
-        supported = {"max_events", "max_sim_time", "statfx_interval_ns"}
-        unknown = set(run_kwargs) - supported
-        if unknown:
-            raise ValueError(
-                f"unsupported sweep options for the parallel path: {sorted(unknown)}"
-            )
         return parallel_sweep(
             apps,
             configs=configs,
@@ -153,12 +153,11 @@ def resilient_sweep(
         )
 
     if run_cell is None:
-        from repro.apps import PAPER_APPS
+        from repro.parallel import executor
 
         def run_cell(app: str, n_proc: int) -> RunResult:
-            kwargs = dict(run_kwargs)
-            kwargs.setdefault("os_params", XylemParams(seed=seed))
-            return run_application(PAPER_APPS[app](), n_proc, scale=scale, **kwargs)
+            spec = executor.CellSpec(app, n_proc, scale=scale, seed=seed, **run_kwargs)
+            return executor.run_cell(spec)
 
     outcome = SweepOutcome(scale=scale, seed=seed)
     for app in apps:

@@ -6,9 +6,9 @@ cache, the coordinator -- so the crash-safe execution layer
 (:mod:`repro.parallel.durable`) can be exercised against the failures
 long-running measurement infrastructure actually hits:
 
-* ``worker_kill`` -- SIGKILL the worker mid-cell (a timer thread fires
-  while the simulation runs, so the coordinator sees a broken pool with
-  the cell genuinely in flight);
+* ``worker_kill`` -- SIGKILL the worker once the cell has simulated but
+  before its result is returned, so the coordinator sees a broken pool
+  with the cell genuinely in flight and its whole attempt lost;
 * ``worker_hang`` -- the worker stops making progress before the cell
   runs (caught by the health monitor's deadline/heartbeat checks);
 * ``slow_start`` -- the worker dawdles before running the cell,
@@ -33,7 +33,6 @@ from __future__ import annotations
 import json
 import os
 import signal
-import threading
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -85,10 +84,8 @@ class HostFault:
         The attempt number the fault strikes on (1-based).  Defaulting
         to 1 means the bounded same-seed retry always recovers.
     delay_s:
-        ``worker_kill``: host seconds into the cell before the SIGKILL
-        timer fires (small, so the kill lands mid-simulation).
         ``slow_start``: how long the worker dawdles before running.
-        Ignored for ``worker_hang``.
+        Ignored for ``worker_kill`` and ``worker_hang``.
     """
 
     kind: str
@@ -206,7 +203,6 @@ def generate_host_chaos(
     kills: int = 1,
     hangs: int = 1,
     stragglers: int = 1,
-    kill_delay_s: float = 0.05,
     straggle_delay_s: float = 1.5,
     name: str | None = None,
 ) -> HostChaosPlan:
@@ -229,9 +225,7 @@ def generate_host_chaos(
     faults: list[HostFault] = []
     for _ in range(kills):
         app, p = victims.pop()
-        faults.append(
-            HostFault(kind="worker_kill", app=app, n_processors=p, delay_s=kill_delay_s)
-        )
+        faults.append(HostFault(kind="worker_kill", app=app, n_processors=p))
     for _ in range(hangs):
         app, p = victims.pop()
         faults.append(HostFault(kind="worker_hang", app=app, n_processors=p))
@@ -252,30 +246,24 @@ def generate_host_chaos(
     )
 
 
-def apply_host_fault(fault: HostFault) -> "threading.Timer | None":
+def apply_host_fault(fault: HostFault) -> None:
     """Execute one act of sabotage inside the worker process.
 
-    * ``slow_start`` sleeps *delay_s* and returns ``None`` -- the cell
-      then runs normally, just late.
+    * ``slow_start`` sleeps *delay_s* -- the cell then runs normally,
+      just late.
     * ``worker_hang`` sleeps effectively forever; the health monitor is
       expected to SIGKILL this process.
-    * ``worker_kill`` arms a timer thread that SIGKILLs this process
-      *delay_s* from now and returns it -- the caller runs the cell so
-      the kill lands mid-simulation.  Cancel the timer if the cell
-      somehow finishes first (the fault then simply missed).
+    * ``worker_kill`` SIGKILLs this process at once.  The durable worker
+      calls it after the cell has simulated, so the kill is
+      event-driven: it lands on every targeted attempt however fast the
+      cell runs.
     """
     if fault.kind == "slow_start":
         time.sleep(fault.delay_s)
-        return None
-    if fault.kind == "worker_hang":
+    elif fault.kind == "worker_hang":
         time.sleep(_HANG_S)
-        return None
-    timer = threading.Timer(
-        fault.delay_s, os.kill, args=(os.getpid(), signal.SIGKILL)
-    )
-    timer.daemon = True
-    timer.start()
-    return timer
+    else:
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def corrupt_cache_entry(

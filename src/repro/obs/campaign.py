@@ -4,9 +4,9 @@ The paper's method is measurement-based characterization; this module
 applies it to our own heaviest path, the ``repro.parallel`` sweep
 executor.  Per-run metrics normally die inside worker processes -- here
 every cell is wrapped in a :class:`CellSpan` (queue wait, attempt, run
-wall, cache hit/miss, failure kind, schedule hash, kernel fast-path
-counters) and ships a picklable snapshot of the worker's whole metric
-registry back with its result.  The coordinator-side
+wall, cache hit/miss, failure kind, result fingerprint, kernel
+fast-path counters) and ships a picklable snapshot of the worker's
+whole metric registry back with its result.  The coordinator-side
 :class:`CampaignTelemetry` then
 
 * merges worker registries into one campaign-level registry
@@ -101,7 +101,11 @@ class CellSpan:
     cache_hit: bool = False
     #: Exception type name for a failed attempt, ``None`` on success.
     failure_kind: str | None = None
+    #: Opt-in schedule hash (``CellSpec(fingerprint_schedule=True)``).
     schedule_hash: str | None = None
+    #: :func:`~repro.analyze.race.fingerprint_result` digest of the
+    #: cell's result, set on every successful worker attempt.
+    result_fingerprint: str | None = None
     #: ``RunResult.kernel_stats``: Timeout-pool + fastpath counters.
     kernel_stats: Mapping[str, float] = field(default_factory=dict)
     #: The worker registry's :meth:`~repro.obs.registry.MetricsRegistry.
@@ -367,6 +371,7 @@ class CampaignTelemetry:
                 "queue_wait_s": span.queue_wait_s,
                 "error": span.failure_kind,
                 "schedule_hash": span.schedule_hash,
+                "result_fingerprint": span.result_fingerprint,
             }
         )
         if will_retry:
@@ -687,6 +692,7 @@ def spans_from_log(events: list[dict]) -> list[CellSpan]:
                         str(e["error"]) if e.get("error") is not None else None
                     ),
                     schedule_hash=e.get("schedule_hash"),
+                    result_fingerprint=e.get("result_fingerprint"),
                 )
             )
         elif e.get("ev") == "cache_hit":
@@ -765,6 +771,7 @@ def campaign_chrome_trace(
                     "run_wall_s": span.run_wall_s,
                     "queue_wait_s": span.queue_wait_s,
                     "schedule_hash": span.schedule_hash,
+                    "result_fingerprint": span.result_fingerprint,
                 },
             }
         )

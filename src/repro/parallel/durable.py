@@ -45,11 +45,13 @@ import threading
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from pathlib import Path
 from types import FrameType
 from typing import TYPE_CHECKING, Mapping
 
+from repro.analyze.race import fingerprint_result
 from repro.core.resilience import CellFailure, SweepOutcome
 from repro.core.runner import DEFAULT_SCALE
 from repro.obs.campaign import CellSpan, percentile
@@ -311,21 +313,23 @@ def _durable_worker(
     """Pool entry point: optionally sabotaged, otherwise `_worker`.
 
     The chaos seam: when the coordinator's plan names this cell
-    attempt, the fault is applied *inside* the worker (a kill timer
-    racing the simulation, a hang, a slow start), so recovery is
-    exercised against real process-level failures, not mocks.
+    attempt, the fault is applied *inside* the worker, so recovery is
+    exercised against real process-level failures, not mocks.  A hang
+    or slow start strikes before the cell runs; a kill strikes after
+    the simulation and before the result is returned, so the whole
+    attempt is lost however fast the cell is.
     """
     spec, attempt, submit_s, ship, fault = payload
-    timer = None
-    if fault is not None:
-        from repro.faults.host import apply_host_fault
-
-        timer = apply_host_fault(fault)
-    try:
+    if fault is None:
         return _worker((spec, attempt, submit_s, ship))
-    finally:
-        if timer is not None:
-            timer.cancel()
+    from repro.faults.host import apply_host_fault
+
+    if fault.kind != "worker_kill":
+        apply_host_fault(fault)
+    outcome = _worker((spec, attempt, submit_s, ship))
+    if fault.kind == "worker_kill":
+        apply_host_fault(fault)
+    return outcome
 
 
 # -- coordinator-side health helpers -----------------------------------------
@@ -450,7 +454,7 @@ def durable_execute_cells(
         hit = cache.get(key)
         if hit is not None:
             results[spec] = hit
-            journal.record_done(spec, hit)
+            journal.record_done(spec, hit, fingerprint_result(hit).digest)
             if key in resumed_keys:
                 ledger.resumed_cells += 1
                 _recover_event("resumed_cell", app=spec.app, p=spec.n_processors)
@@ -499,7 +503,8 @@ def durable_execute_cells(
             except (OSError, ProcessLookupError):
                 continue
 
-    def _submit(entry: _Pending, speculative: bool = False) -> None:
+    def _submit(entry: _Pending, speculative: bool = False) -> bool:
+        """Dispatch one attempt; False if the pool broke since the last poll."""
         assert pool is not None
         fault = (
             chaos.for_cell(entry.spec.app, entry.spec.n_processors, entry.attempt)
@@ -513,9 +518,12 @@ def durable_execute_cells(
         )
         journal.record_dispatch(entry.spec, entry.attempt)
         ship = telemetry is not None
-        future = pool.submit(
-            _durable_worker, (entry.spec, entry.attempt, submit_s, ship, fault)
-        )
+        try:
+            future = pool.submit(
+                _durable_worker, (entry.spec, entry.attempt, submit_s, ship, fault)
+            )
+        except BrokenProcessPool:
+            return False
         inflight[future] = _InFlight(
             spec=entry.spec,
             attempt=entry.attempt,
@@ -523,6 +531,7 @@ def durable_execute_cells(
             speculative=speculative,
         )
         live.setdefault(entry.spec, []).append(future)
+        return True
 
     def _schedule_retry(spec: CellSpec, kind: str, message: str) -> None:
         """One more same-seed attempt after deterministic backoff."""
@@ -647,7 +656,8 @@ def durable_execute_cells(
             results[spec] = result
             errors.pop(spec, None)
             cache.put(spec.key(), result)
-            journal.record_done(spec, result)
+            assert span.result_fingerprint is not None
+            journal.record_done(spec, result, span.result_fingerprint)
             recent_walls.append(span.span_s)
             if rec.speculative:
                 ledger.speculative_wins += 1
@@ -759,7 +769,14 @@ def durable_execute_cells(
                     pending.remove(entry)
                     if entry.spec in results or entry.spec in failed:
                         continue
-                    _submit(entry)
+                    if not _submit(entry):
+                        # A worker died since the last poll.  The next
+                        # wait() reaps its in-flight futures and
+                        # respawns; with none in flight, respawn here.
+                        pending.append(entry)
+                        if not inflight:
+                            _respawn("broken process pool", "BrokenProcessPool")
+                        break
                 _maybe_speculate(now_s)
                 if not inflight:
                     if not pending:

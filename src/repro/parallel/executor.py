@@ -14,9 +14,14 @@ tables and failure reports compose unchanged.
 
 Determinism: every cell is an independent, seeded simulation; results
 are keyed by cell -- never by completion order -- so a ``jobs=4`` sweep
-is byte-identical to the serial one.  Each cell also records its
+is byte-identical to the serial one.  Every cell carries its result
+fingerprint (:func:`~repro.analyze.race.fingerprint_result`, a digest of
+every table the run publishes) on its :class:`~repro.obs.campaign.
+CellSpan`, so equivalence is checkable across serial, pooled, cached
+and resumed runs.  Cells run sink-free, with every fast path armed;
+``CellSpec(fingerprint_schedule=True)`` opts a diagnostic cell into a
 :class:`~repro.analyze.sanitize.DeterminismSink` schedule hash on
-``result.schedule_hash``, making equivalence checkable event-for-event.
+``result.schedule_hash`` (the sink forces the exact paths).
 
 Resilience: a failing cell costs its future, not the pool.  Exceptions
 are caught *inside* the worker and returned as structured
@@ -27,7 +32,7 @@ same-seed attempts the serial path gives it.
 Telemetry: pass a :class:`~repro.obs.campaign.CampaignTelemetry` and
 every attempt comes back wrapped in a
 :class:`~repro.obs.campaign.CellSpan` -- queue wait, run wall, failure
-kind, schedule hash, kernel fast-path counters, plus a picklable
+kind, result fingerprint, kernel fast-path counters, plus a picklable
 snapshot of the worker's whole metric registry -- absorbed in
 *completion order* so the event log, progress line and campaign
 registry track the pool live.  Results stay keyed by spec, so telemetry
@@ -81,8 +86,9 @@ class CellSpec:
     max_events: int | None = None
     max_sim_time: int | None = None
     #: Attach a :class:`~repro.analyze.sanitize.DeterminismSink` and
-    #: record the schedule hash on the result (cheap; on by default).
-    fingerprint_schedule: bool = True
+    #: record the schedule hash on the result.  Diagnostic opt-in: any
+    #: sink disarms the runtime, xylem and statfx fast paths.
+    fingerprint_schedule: bool = False
     #: Canonical scenario JSON (see
     #: :func:`repro.scenario.schema.canonical_scenario_json`) when this
     #: cell runs a compiled scenario instead of a named built-in app;
@@ -110,10 +116,10 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
     pool worker runs; the two therefore cannot diverge.  Pass an
     :class:`~repro.obs.instrument.Observability` to keep hold of the
     run's metric registry (the telemetry seam: workers snapshot it into
-    their :class:`~repro.obs.campaign.CellSpan`); the schedule-order
-    sink is attached to it either way.  With ``obs=None`` *and*
-    ``fingerprint_schedule=False`` no Observability is materialised at
-    all: nobody can see the registry a throwaway instance would have
+    their :class:`~repro.obs.campaign.CellSpan`); an opted-in
+    schedule-order sink is attached to it either way.  With
+    ``obs=None`` and no sink no Observability is materialised at all:
+    nobody can see the registry a throwaway instance would have
     collected, and skipping the per-event metrics harvest keeps the
     sink-free cell on the fast path end to end.
     """
@@ -178,12 +184,13 @@ def _worker(payload: "tuple[CellSpec, int, float, bool]") -> tuple:
     *payload* is ``(spec, attempt, submit_s, ship_metrics)``; returns
     ``("ok", snapshot, span)`` or ``("err", error_type, message, span)``
     where *span* is the attempt's :class:`~repro.obs.campaign.CellSpan`
-    (carrying the worker registry's snapshot when *ship_metrics* is
-    set).  Catching inside the worker keeps exotic exception types
-    (whose constructors don't round-trip through pickle) from wedging
-    the result pipe, and makes a failed cell cost exactly its own
-    future.
+    (carrying the snapshot's result fingerprint, and the worker
+    registry's snapshot when *ship_metrics* is set).  Catching inside
+    the worker keeps exotic exception types (whose constructors don't
+    round-trip through pickle) from wedging the result pipe, and makes
+    a failed cell cost exactly its own future.
     """
+    from repro.analyze.race import fingerprint_result
     from repro.obs.instrument import Observability
 
     spec, attempt, submit_s, ship_metrics = payload
@@ -217,6 +224,7 @@ def _worker(payload: "tuple[CellSpec, int, float, bool]") -> tuple:
         end_s=host_clock_s(),
         run_wall_s=result.wall_s,
         schedule_hash=result.schedule_hash,
+        result_fingerprint=fingerprint_result(result).digest,
         kernel_stats=dict(result.kernel_stats),
         metrics=obs.registry.snapshot() if ship_metrics else None,
     )
@@ -420,10 +428,9 @@ def parallel_sweep(
 
     A drop-in sibling of :func:`~repro.core.resilience.resilient_sweep`
     returning the same :class:`SweepOutcome` (results in input order,
-    per-cell failures isolated), plus per-cell ``schedule_hash`` values
-    on the results, ``parallel.*`` / ``cache.*`` metrics when a
-    registry is passed, and full campaign telemetry (event log,
-    progress, Perfetto spans) when a
+    per-cell failures isolated), plus ``parallel.*`` / ``cache.*``
+    metrics when a registry is passed, and full campaign telemetry
+    (event log, progress, Perfetto spans) when a
     :class:`~repro.obs.campaign.CampaignTelemetry` is passed.
 
     With *checkpoint*, the sweep routes through the crash-safe layer

@@ -11,8 +11,9 @@ is an append-only JSONL file (schema ``cedar-repro/journal/v1``):
 * every cell's spec and BLAKE2 cell key are journaled **before** any
   dispatch (the write-ahead part: the full intent is on disk before any
   work starts);
-* completions append ``done`` records carrying the result's payload
-  digest; exhausted cells append ``failed`` records; recovery events
+* completions append ``done`` records carrying the result fingerprint
+  (:func:`~repro.analyze.race.fingerprint_result`); exhausted cells
+  append ``failed`` records; recovery events
   (respawns, speculation, checkpoints) append breadcrumbs.
 
 Appends are single ``write()`` calls on an ``O_APPEND`` descriptor,
@@ -103,7 +104,7 @@ def spec_from_dict(data: dict) -> CellSpec:
         statfx_interval_ns=int(data.get("statfx_interval_ns", 200_000)),
         max_events=data.get("max_events"),
         max_sim_time=data.get("max_sim_time"),
-        fingerprint_schedule=bool(data.get("fingerprint_schedule", True)),
+        fingerprint_schedule=bool(data.get("fingerprint_schedule", False)),
         scenario=data.get("scenario"),
     )
 
@@ -187,21 +188,22 @@ class CampaignJournal:
         """Breadcrumb: a cell attempt was handed to the pool."""
         self.append({"ev": "dispatch", "key": spec.key(), "attempt": attempt})
 
-    def record_done(self, spec: CellSpec, result: "RunResult") -> None:
-        """A cell completed; its result is in the cache under its key."""
-        import hashlib
-        import pickle
+    def record_done(
+        self, spec: CellSpec, result: "RunResult", result_fingerprint: str
+    ) -> None:
+        """A cell completed; its result is in the cache under its key.
 
-        digest = hashlib.blake2b(
-            pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL), digest_size=16
-        ).hexdigest()
+        *result_fingerprint* is the result's
+        :func:`~repro.analyze.race.fingerprint_result` digest: the same
+        on every path that produces the cell, so two journals of one
+        campaign agree record for record.
+        """
         self.append(
             {
                 "ev": "done",
                 "key": spec.key(),
-                "digest": digest,
+                "result_fingerprint": result_fingerprint,
                 "ct_ns": result.ct_ns,
-                "schedule_hash": result.schedule_hash,
             }
         )
 

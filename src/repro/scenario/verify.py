@@ -195,6 +195,7 @@ def _check_parallel(
         scale=scale,
         seed=seed,
         scenario=canonical_scenario_json(doc),
+        fingerprint_schedule=True,
     )
     serial = published(run_cell(spec))
     cache = ResultCache(cache_dir) if cache_dir is not None else None

@@ -7,9 +7,16 @@ from an executed plan is exercised in
 
 from __future__ import annotations
 
+import os
+import signal
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.faults import (
     HOST_CHAOS_SCHEMA,
@@ -114,11 +121,18 @@ def test_slow_start_sleeps_then_returns_none():
     assert time.perf_counter() - begin >= 0.05
 
 
-def test_worker_kill_arms_a_cancellable_timer():
-    fault = HostFault(kind="worker_kill", app="A", n_processors=1, delay_s=60.0)
-    timer = apply_host_fault(fault)
-    assert timer is not None
-    timer.cancel()  # the cell "finished first": the fault simply missed
+def test_worker_kill_sigkills_the_calling_process():
+    # A stand-in worker process: the kill is immediate, so the exit
+    # after it is never reached.
+    code = (
+        "from repro.faults.host import HostFault, apply_host_fault\n"
+        "apply_host_fault(HostFault(kind='worker_kill', app='A', n_processors=1))\n"
+        "raise SystemExit(0)\n"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=60)
+    assert proc.returncode == -signal.SIGKILL
 
 
 # -- cache sabotage ----------------------------------------------------------

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import os
 import signal
-import threading
 
 import pytest
 
@@ -19,6 +18,7 @@ from repro.core.experiments import table1, table3, table4
 from repro.faults.host import HostChaosPlan, HostFault
 from repro.parallel import (
     CampaignInterrupted,
+    CampaignJournal,
     DurablePolicy,
     JournalMismatchError,
     durable_sweep,
@@ -55,7 +55,7 @@ def test_worker_kill_is_retried_to_byte_identical_tables(
         seed=SEED,
         faults=(
             HostFault(
-                kind="worker_kill", app="FLO52", n_processors=1, delay_s=0.02
+                kind="worker_kill", app="FLO52", n_processors=1
             ),
         ),
     )
@@ -116,27 +116,32 @@ def test_hung_cell_is_rescued_by_speculation(tmp_path, reference_tables):
 
 
 def test_sigint_checkpoints_then_resume_is_byte_identical(
-    tmp_path, reference_tables
+    tmp_path, reference_tables, monkeypatch
 ):
     journal = tmp_path / "interrupted.journal"
-    # Fire a real SIGINT at the coordinator mid-campaign (OCEAN P=1 is
-    # the long pole, so 0.2s lands well inside the sweep).
-    timer = threading.Timer(0.2, os.kill, args=(os.getpid(), signal.SIGINT))
-    timer.daemon = True
-    timer.start()
-    try:
-        with pytest.raises(CampaignInterrupted, match="cedar-repro resume"):
-            durable_sweep(
-                APPS,
-                journal,
-                configs=CONFIGS,
-                scale=SCALE,
-                seed=SEED,
-                jobs=2,
-                policy=FAST,
-            )
-    finally:
-        timer.cancel()
+    # Fire a real SIGINT at the coordinator the moment the first cell is
+    # journaled done: mid-campaign however fast the cells run.
+    record_done = CampaignJournal.record_done
+    fired = []
+
+    def record_then_interrupt(self, *args):
+        record_done(self, *args)
+        if not fired:
+            fired.append(True)
+            os.kill(os.getpid(), signal.SIGINT)
+
+    monkeypatch.setattr(CampaignJournal, "record_done", record_then_interrupt)
+    with pytest.raises(CampaignInterrupted, match="cedar-repro resume"):
+        durable_sweep(
+            APPS,
+            journal,
+            configs=CONFIGS,
+            scale=SCALE,
+            seed=SEED,
+            jobs=2,
+            policy=FAST,
+        )
+    monkeypatch.undo()
 
     state = load_journal(journal)
     assert state.checkpointed

@@ -58,31 +58,26 @@ def test_parallel_sweep_equals_serial_runs():
 
     The full FLO52+OCEAN sweep over every paper configuration, executed
     through the process pool and the result cache, must reproduce the
-    exact completion times, per-cluster breakdowns and schedule hashes
-    of plain serial :func:`run_application` calls -- parallelism and
-    snapshotting must be invisible to the analysis.
+    exact completion times, per-cluster breakdowns and result
+    fingerprints of plain serial :func:`run_application` calls --
+    parallelism and snapshotting must be invisible to the analysis.
     """
     import tempfile
 
+    from repro.analyze.race import fingerprint_result
     from repro.core import reference
     from repro.parallel import parallel_sweep
 
     scale, seed = 0.005, SEED
     builders = {"FLO52": flo52, "OCEAN": ocean}
 
-    serial: dict[str, dict[int, tuple]] = {}
+    serial: dict[str, dict[int, object]] = {}
     for app, builder in builders.items():
         serial[app] = {}
         for n_proc in reference.CONFIGS:
-            sink = DeterminismSink()
-            result = run_application(
-                builder(),
-                n_proc,
-                scale=scale,
-                os_params=XylemParams(seed=seed),
-                obs=Observability(extra_sinks=[sink]),
+            serial[app][n_proc] = run_application(
+                builder(), n_proc, scale=scale, os_params=XylemParams(seed=seed)
             )
-            serial[app][n_proc] = (result, sink.schedule_hash)
 
     with tempfile.TemporaryDirectory() as cache_dir:
         pooled = parallel_sweep(
@@ -97,10 +92,12 @@ def test_parallel_sweep_equals_serial_runs():
 
     for app in builders:
         for n_proc in reference.CONFIGS:
-            live, schedule_hash = serial[app][n_proc]
+            live = serial[app][n_proc]
             snap = pooled.results[app][n_proc]
             assert snap.ct_ns == live.ct_ns, (app, n_proc)
-            assert snap.schedule_hash == schedule_hash, (app, n_proc)
+            assert (
+                fingerprint_result(snap).digest == fingerprint_result(live).digest
+            ), (app, n_proc)
             for cluster in range(live.config.n_clusters):
                 assert ct_breakdown(snap, cluster) == ct_breakdown(live, cluster)
                 assert (

@@ -1,7 +1,7 @@
 """Executor semantics: pool == serial, warm cache == simulation.
 
 The load-bearing guarantees: a ``jobs>1`` sweep is indistinguishable
-from the serial one (same tables, same schedule hashes), a warm cache
+from the serial one (same tables, same result fingerprints), a warm cache
 serves every cell without simulating, metrics report what happened,
 and bad inputs fail loudly.
 """
@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analyze.race import fingerprint_result
 from repro.core.experiments import table1
 from repro.core.resilience import resilient_sweep
 from repro.obs.registry import MetricsRegistry
@@ -18,6 +19,10 @@ from repro.parallel import CellSpec, ResultCache, execute_cells, parallel_sweep
 SCALE = 0.002
 SEED = 1994
 CONFIGS = (1, 4)
+
+
+def _fingerprint(outcome, n_proc: int) -> str:
+    return fingerprint_result(outcome.results["FLO52"][n_proc]).digest
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +46,7 @@ def test_pool_matches_serial(serial_outcome, tmp_path):
         a = serial_outcome.results["FLO52"][n_proc]
         b = pooled.results["FLO52"][n_proc]
         assert b.ct_ns == a.ct_ns
-        assert b.schedule_hash == a.schedule_hash
+        assert fingerprint_result(b).digest == fingerprint_result(a).digest
     assert table1(pooled.results)[1] == table1(serial_outcome.results)[1]
 
     # Cold pass: every cell missed the cache, was simulated, was stored.
@@ -70,10 +75,7 @@ def test_pool_matches_serial(serial_outcome, tmp_path):
     assert warm_metrics.value("cache.puts") == 0
     assert table1(warm.results)[1] == table1(serial_outcome.results)[1]
     for n_proc in CONFIGS:
-        assert (
-            warm.results["FLO52"][n_proc].schedule_hash
-            == serial_outcome.results["FLO52"][n_proc].schedule_hash
-        )
+        assert _fingerprint(warm, n_proc) == _fingerprint(serial_outcome, n_proc)
 
 
 def test_resilient_sweep_delegates_to_parallel(serial_outcome, tmp_path):
@@ -119,6 +121,16 @@ def test_validation_errors():
         resilient_sweep(["FLO52"], jobs=2, os_params=object())
 
 
+def test_default_pooled_cells_run_the_fast_paths():
+    """A default cell carries no sink, so the pool runs it batched."""
+    spec = CellSpec(app="FLO52", n_processors=4, scale=SCALE, seed=SEED)
+    results, failures = execute_cells([spec], jobs=2)
+    assert not failures
+    modes = results[spec].fastpath_modes
+    assert modes["runtime"] == modes["xylem"] == "batched"
+    assert results[spec].schedule_hash is None
+
+
 def test_empty_specs():
     results, failures = execute_cells([], jobs=1)
     assert results == {} and failures == []
@@ -145,16 +157,15 @@ def test_telemetry_observes_without_perturbing(serial_outcome, tmp_path):
     assert pooled.ok
     assert table1(pooled.results)[1] == table1(serial_outcome.results)[1]
     for n_proc in CONFIGS:
-        assert (
-            pooled.results["FLO52"][n_proc].schedule_hash
-            == serial_outcome.results["FLO52"][n_proc].schedule_hash
-        )
+        assert _fingerprint(pooled, n_proc) == _fingerprint(serial_outcome, n_proc)
 
     # Spans: one successful worker-side attempt per cell.
     assert len(telemetry.spans) == len(CONFIGS)
     assert all(s.ok and not s.cache_hit for s in telemetry.spans)
     assert {s.n_processors for s in telemetry.spans} == set(CONFIGS)
-    assert all(s.schedule_hash for s in telemetry.spans)
+    assert {s.n_processors: s.result_fingerprint for s in telemetry.spans} == {
+        n_proc: _fingerprint(serial_outcome, n_proc) for n_proc in CONFIGS
+    }
     assert all(s.run_wall_s > 0 for s in telemetry.spans)
     assert all(s.metrics is not None for s in telemetry.spans)
 

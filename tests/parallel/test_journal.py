@@ -32,9 +32,13 @@ def _specs():
     ]
 
 
-def _result(ct_ns=123_456, schedule_hash="abc123"):
-    """A picklable stand-in for RunResult (record_done only reads these)."""
-    return types.SimpleNamespace(ct_ns=ct_ns, schedule_hash=schedule_hash)
+#: A stand-in ``fingerprint_result`` digest.
+FINGERPRINT = "f" * 32
+
+
+def _result(ct_ns=123_456):
+    """A stand-in for RunResult (record_done only reads ``ct_ns``)."""
+    return types.SimpleNamespace(ct_ns=ct_ns)
 
 
 @pytest.fixture
@@ -53,7 +57,7 @@ def test_roundtrip(journal_path):
         sweep={"apps": ["FLO52", "OCEAN"], "configs": [1, 4]},
     ) as journal:
         journal.record_dispatch(specs[0], attempt=1)
-        journal.record_done(specs[0], _result())
+        journal.record_done(specs[0], _result(), FINGERPRINT)
 
     state = load_journal(journal_path)
     assert state.header["schema"] == JOURNAL_SCHEMA
@@ -63,6 +67,7 @@ def test_roundtrip(journal_path):
     assert state.header["sweep"]["configs"] == [1, 4]
     assert [s.key() for s in state.specs] == [s.key() for s in specs]
     assert set(state.done) == {specs[0].key()}
+    assert state.done[specs[0].key()]["result_fingerprint"] == FINGERPRINT
     assert [s.key() for s in state.incomplete()] == [
         specs[1].key(),
         specs[2].key(),
@@ -91,7 +96,7 @@ def test_failed_then_done_supersedes(journal_path):
                 message="killed",
             ),
         )
-        journal.record_done(specs[1], _result())
+        journal.record_done(specs[1], _result(), FINGERPRINT)
     state = load_journal(journal_path)
     assert specs[1].key() in state.done
     assert specs[1].key() not in state.failed
@@ -100,7 +105,7 @@ def test_failed_then_done_supersedes(journal_path):
 def test_torn_final_line_is_tolerated(journal_path):
     specs = _specs()
     with CampaignJournal.create(journal_path, specs) as journal:
-        journal.record_done(specs[0], _result())
+        journal.record_done(specs[0], _result(), FINGERPRINT)
     with open(journal_path, "a", encoding="utf-8") as fh:
         fh.write('{"ev": "done", "key": "tor')  # crash mid-append
     state = load_journal(journal_path)

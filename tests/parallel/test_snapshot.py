@@ -105,22 +105,19 @@ def test_run_report_identical(live, snap):
 
 
 def test_run_cell_records_schedule_hash():
-    spec = CellSpec(app="FLO52", n_processors=4, scale=SCALE, seed=SEED)
+    default = run_cell(CellSpec(app="FLO52", n_processors=4, scale=SCALE, seed=SEED))
+    assert is_snapshot(default)
+    assert default.schedule_hash is None  # sink-free unless asked
+
+    spec = CellSpec(
+        app="FLO52",
+        n_processors=4,
+        scale=SCALE,
+        seed=SEED,
+        fingerprint_schedule=True,
+    )
     first = run_cell(spec)
-    assert is_snapshot(first)
     assert first.schedule_hash is not None
     second = run_cell(spec)
     assert second.schedule_hash == first.schedule_hash
-    assert second.ct_ns == first.ct_ns
-
-    unhashed = run_cell(
-        CellSpec(
-            app="FLO52",
-            n_processors=4,
-            scale=SCALE,
-            seed=SEED,
-            fingerprint_schedule=False,
-        )
-    )
-    assert unhashed.schedule_hash is None
-    assert unhashed.ct_ns == first.ct_ns
+    assert second.ct_ns == first.ct_ns == default.ct_ns
