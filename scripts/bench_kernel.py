@@ -6,9 +6,6 @@ Measures three layers (the same layers the fast-path work targets):
 1. **Kernel microbenchmarks** -- pure event-loop workloads (a timeout
    chain, a process fan-out, an any-of race with abandoned waits) whose
    event counts are known analytically, so ``events/sec`` is exact.
-   When the compiled ``_corefast`` loop is built it serves these runs;
-   the committed gate figure was recorded pure-Python, so the gate only
-   ever tightens.
 2. **Vector memory traffic** -- packet-level ``vector_access`` streams
    through the :class:`~repro.hardware.memory.GlobalMemorySystem`
    (words/sec; the batched-transaction fast path shows up here).
@@ -20,9 +17,10 @@ Measures three layers (the same layers the fast-path work targets):
    identical -- the bench doubles as an end-to-end exactness check.
 4. **Cold sweep cells** -- ``run_cell`` wall time for FLO52/OCEAN at
    P=8 and P=32 (no cache), the end-to-end quantity users feel.  The
-   timed run is sink-free (fast paths + compiled loop hot); the
-   schedule hash is recorded from a separate exact sink-on run whose
-   ``ct_ns`` must match the timed run's.
+   timed run is sink-free (every fast path hot), and ``loop_wall_s`` is
+   the event-loop time of the same min-wall repeat, so it never exceeds
+   ``wall_s``; the schedule hash is recorded from a separate exact
+   sink-on run whose ``ct_ns`` must match the timed run's.
 
 Contention and sweep cells are timed as the minimum over ``REPEATS``
 runs after one untimed warm-up (the microbenchmark idiom): the minimum
@@ -43,7 +41,10 @@ Usage::
         [--output BENCH_kernel.json] [--baseline FILE] [--check FILE]
 
 ``--baseline FILE`` embeds FILE's ``current`` section as the baseline
-and reports speed-up ratios.  ``--check FILE`` is the CI regression
+and reports speed-up ratios, for one-off comparisons; the committed
+``BENCH_kernel.json`` carries none, because each cell's
+``fastpath_speedup`` is already the like-for-like ratio (same cell,
+same ``ct_ns``, every fast path off).  ``--check FILE`` is the CI regression
 gate: exit non-zero if the current normalised micro events/sec fall
 more than ``MAX_REGRESSION`` below FILE's committed value.
 """
@@ -376,22 +377,26 @@ def run_cells(quick: bool) -> dict:
     out = {}
     for app, n_processors in points:
         cal = _calibration_median_s()
-        # Timed run: sink-free, every fast path and the compiled loop
-        # (when built) hot -- the configuration sweeps actually run in.
+        # Timed run: sink-free, every fast path hot -- the
+        # configuration sweeps actually run in.
         timed_spec = CellSpec(
             app=app, n_processors=n_processors, scale=scale, seed=1994
         )
         run_cell(timed_spec)  # warm-up: lazy imports, allocator, caches
         repeats = REPEATS_CELLS_QUICK if quick else REPEATS_CELLS
-        wall = float("inf")
+        wall = loop_wall = float("inf")
         with _gc_paused():
             for _ in range(repeats):
                 begin = perf_counter()
                 result = run_cell(timed_spec)
-                wall = min(wall, perf_counter() - begin)
+                elapsed = perf_counter() - begin
+                if elapsed < wall:
+                    # The loop time of the min-wall repeat, so that
+                    # loop_wall_s <= wall_s.
+                    wall, loop_wall = elapsed, result.wall_s
         # Hash run: exact path with the determinism sink attached (the
-        # sink forces the Python loops, so recorded hashes are
-        # interpreter- and fast-path-independent by construction).
+        # sink forces the exact paths, so recorded hashes are
+        # fast-path-independent by construction).
         hash_spec = replace(timed_spec, fingerprint_schedule=True)
         hashed = run_cell(hash_spec)
         if hashed.ct_ns != result.ct_ns:
@@ -416,7 +421,7 @@ def run_cells(quick: bool) -> dict:
         out[f"{app}_P{n_processors}"] = {
             "scale": scale,
             "wall_s": round(wall, 4),
-            "loop_wall_s": round(result.wall_s, 4),
+            "loop_wall_s": round(loop_wall, 4),
             "wall_over_cal": round(wall / cal, 3),
             "fastpath_off_wall_s": round(wall_off, 4),
             "fastpath_speedup": round(wall_off / wall, 2),

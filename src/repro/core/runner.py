@@ -79,17 +79,16 @@ class RunResult:
     #: Kernel fast-path counters harvested at end of run: Timeout-pool
     #: reuse (``pool.*``), the batched/exact memory transaction split
     #: (``fastpath.*``), the runtime/OS-layer fast-path activity
-    #: (``runtime.fastpath.*`` / ``xylem.fastpath.*``) and the compiled
-    #: dispatch loop (``pool.compiled_steps``).  Keys match the
+    #: (``runtime.fastpath.*`` / ``xylem.fastpath.*``).  Keys match the
     #: ``kernel.*`` metric suffixes emitted by
     #: :mod:`repro.obs.instrument`.
     kernel_stats: dict = field(default_factory=dict)
     #: Which execution mode each acceleration layer ran in:
     #: ``memory`` / ``runtime`` / ``xylem`` are ``"batched"`` or
-    #: ``"exact"``, ``statfx`` is ``"push"`` or ``"exact"``, and
-    #: ``loop`` is ``"compiled"`` or ``"pure"``.  Every mode produces
-    #: bit-identical results by construction; the record exists so run
-    #: reports and regression triage can see which paths were active.
+    #: ``"exact"``, and ``statfx`` is ``"push"`` or ``"exact"``.  Every
+    #: mode produces bit-identical results by construction; the record
+    #: exists so run reports and regression triage can see which paths
+    #: were active.
     fastpath_modes: dict = field(default_factory=dict)
 
     #: Lazily-filled cache used by the analysis helpers.
@@ -200,7 +199,7 @@ def run_phases(
         hpm=hpm,
         wall_s=wall.elapsed_s,
         kernel_stats=_harvest_kernel_stats(sim, machine, kernel, runtime),
-        fastpath_modes=_fastpath_modes(sim, machine, kernel, runtime, statfx),
+        fastpath_modes=_fastpath_modes(machine, kernel, runtime, statfx),
     )
     if obs is not None:
         obs.collect(result)
@@ -218,7 +217,6 @@ def _harvest_kernel_stats(
         "pool.timeouts_created": sim.timeouts_created,
         "pool.timeouts_reused": sim.timeouts_reused,
         "pool.ticks_rearmed": sim.ticks_rearmed,
-        "pool.compiled_steps": sim.compiled_steps,
     }
     memory = machine._memory
     if memory is not None:
@@ -257,30 +255,18 @@ def _harvest_kernel_stats(
 
 
 def _fastpath_modes(
-    sim: Simulator,
     machine: CedarMachine,
     kernel: XylemKernel,
     runtime: CedarFortranRuntime,
     statfx: Statfx,
 ) -> dict:
     """Which mode each acceleration layer ran in (``RunResult.fastpath_modes``)."""
-    from repro.sim.core import compiled_loop_active
-    from repro.sim.policy import compiled_policy
-
     memory = machine._memory
     return {
         "memory": memory.fastpath.mode if memory is not None else "exact",
         "runtime": runtime.fastpath.mode,
         "xylem": kernel.fastpath.mode,
         "statfx": statfx.mode or "exact",
-        "loop": (
-            "compiled"
-            if compiled_loop_active()
-            and compiled_policy()
-            and not sim.tie_perturbed
-            and sim._sink is None
-            else "pure"
-        ),
     }
 
 

@@ -116,23 +116,6 @@ def code_fingerprint() -> str:
         digest.update(
             f"python/{sys.version_info.major}.{sys.version_info.minor}".encode()
         )
-        # The compiled dispatch loop produces bit-identical results by
-        # construction, but a cache entry must still never cross the
-        # pure/compiled boundary: a stale or miscompiled extension
-        # would otherwise poison results attributed to the pure loop
-        # (and vice versa).  Fold in whether the compiled loop is
-        # active, its version, and the built artifact's bytes.
-        from repro.sim import core as _core
-
-        if _core.compiled_loop_active():
-            digest.update(f"corefast/{_core.compiled_loop_version()}\x00".encode())
-            for ext in sorted(root.glob("sim/_corefast*.so")):
-                digest.update(ext.name.encode())
-                digest.update(b"\x00")
-                digest.update(ext.read_bytes())
-                digest.update(b"\x00")
-        else:
-            digest.update(b"corefast/none\x00")
         _code_fingerprint = digest.hexdigest()
     return _code_fingerprint
 

@@ -29,11 +29,10 @@ identical; see ``docs/architecture.md`` "Kernel fast paths"):
   free-list pool.  An event is only recycled when the run loop holds
   the sole remaining reference (checked via ``sys.getrefcount``), so
   user code that keeps a timeout around never observes reuse.
-* :meth:`Simulator.run` picks one of three specialised loops: a minimal
-  loop when no trace sink and no watchdog is installed, a sink-aware
-  loop that skips every hook the sink does not override (see
-  :meth:`repro.obs.tracing.TraceSink.overrides`), and the watched loop
-  carrying the runaway-simulation counters.
+* :meth:`Simulator.run` picks one of two loops: a minimal loop when no
+  trace sink and no watchdog is installed, and a checked loop that
+  carries the runaway-simulation limits and skips every hook the sink
+  does not override (see :meth:`repro.obs.tracing.TraceSink.overrides`).
 * :class:`Condition` unsubscribes from still-pending child events as
   soon as it triggers, so the losing side of an ``any_of`` race becomes
   a no-waiter event instead of invoking a stale callback.
@@ -71,7 +70,6 @@ from repro.sim.errors import (
     SimulationError,
     StopSimulation,
 )
-from repro.sim.policy import compiled_policy
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.tracing import TraceSink
@@ -641,7 +639,6 @@ class Simulator:
         "timeouts_reused",
         "ticks_rearmed",
         "tie_perturbed",
-        "compiled_steps",
         "_sink",
         "_sched_hook",
         "_sink_cb",
@@ -666,9 +663,6 @@ class Simulator:
         #: source.  The analytic fast paths consult this at construction
         #: so perturbed runs exercise the exact machinery.
         self.tie_perturbed = False
-        #: Events dispatched by the compiled ``_corefast`` loop (0 when
-        #: the pure-Python loops served the whole run).
-        self.compiled_steps = 0
         self._sink: "TraceSink | None" = None
         self._sched_hook: Callable[[Event, int, Process | None], None] | None = None
         self._sink_cb = False
@@ -944,8 +938,9 @@ class Simulator:
             Watchdog: raise :class:`RunawaySimulation` once the next
             event lies beyond this simulated time (nanoseconds).
 
-        With neither watchdog set the event loop runs on the leanest
-        specialised path for the installed sink.
+        With neither watchdog set and no sink installed the event loop
+        runs on the lean :meth:`_run_fast` path; anything else runs the
+        checked loop.
         """
         if max_events is not None and max_events <= 0:
             raise ValueError(f"max_events must be positive, got {max_events}")
@@ -971,27 +966,10 @@ class Simulator:
                 self.schedule(stop_event, priority=URGENT, delay=at - self._now)
 
         try:
-            if max_events is not None or max_sim_time is not None:
-                self._run_watched(max_events, max_sim_time)
-            elif self._sink is None:
-                if (
-                    _COMPILED_LOOP is not None
-                    and not self.tie_perturbed
-                    and compiled_policy()
-                ):
-                    # Compiled dispatch loop (see the module tail): a C
-                    # transliteration of _run_fast without the lookahead
-                    # slot.  Only the sink-free path compiles; sinks and
-                    # watchdogs always run the Python loops, so recorded
-                    # schedule hashes are interpreter-independent.  The
-                    # policy is re-read per run so the CLI's
-                    # ``--no-fastpath`` (which sets the variable after
-                    # import) is honoured.
-                    _COMPILED_LOOP(self)
-                else:
-                    self._run_fast()
+            if max_events is None and max_sim_time is None and self._sink is None:
+                self._run_fast()
             else:
-                self._run_sink()
+                self._run_checked(max_events, max_sim_time)
         except StopSimulation as stop:
             return stop.value
         except EmptySchedule:
@@ -1224,141 +1202,17 @@ class Simulator:
             self.timeouts_reused += reused
             self.timeouts_created += created
 
-    def _run_sink(self) -> None:
-        """Sink-aware event loop (no watchdogs).
+    def _run_checked(self, max_events: int | None, max_sim_time: int | None) -> None:
+        """Checked event loop: trace sink hooks and runaway limits.
 
-        Hooks the sink does not override are skipped entirely; in
-        particular the two ``perf_counter()`` reads per callback are
-        only paid when the sink overrides ``on_callback``.
-        """
-        queue = self._queue
-        pool = self._timeout_pool
-        pop = heapq.heappop
-        push = _heappush
-        eid_next = self._eid_next
-        sink: Any = self._sink
-        want_cb = self._sink_cb
-        want_tie = self._sink_tie
-        want_processed = self._sink_processed
-        no_waiters = _NO_WAITERS
-        timeout_type = Timeout
-        process_type = Process
-        refcount = getrefcount
-        rearmed = reused = created = 0
-        try:
-            while True:
-                try:
-                    key, _eid, event = pop(queue)
-                except IndexError:
-                    raise EmptySchedule("no more events scheduled") from None
-                when = key >> 1
-                if want_tie and queue and queue[0][0] == key:
-                    sink.on_tie_break(when, key & 1, event, queue[0][2])
-                self._now = when
-                cbs = event.callbacks
-                event.callbacks = None
-                if type(cbs) is process_type and event._ok and not want_cb:
-                    # Inlined single-waiter process resume (as in
-                    # ``_run_fast``); with an ``on_callback`` observer
-                    # installed the generic timed dispatch below runs
-                    # instead.
-                    self._active_process = cbs
-                    try:
-                        nxt = cbs._send(event._value)
-                    except StopIteration as stop:
-                        cbs._terminate(True, stop.value)
-                        self._active_process = None
-                    except BaseException as exc:
-                        cbs._terminate(False, exc)
-                        self._active_process = None
-                    else:
-                        if type(nxt) is int:
-                            if nxt >= 0:
-                                # refcount: getrefcount argument +
-                                # `event` + `cbs._target` == 3.
-                                if type(event) is timeout_type and refcount(event) == 3:
-                                    tick = event
-                                    tick._value = None
-                                    rearmed += 1
-                                else:
-                                    if pool:
-                                        tick = pool.pop()
-                                        tick._value = None
-                                        reused += 1
-                                    else:
-                                        tick = Timeout.__new__(Timeout)
-                                        tick.sim = self
-                                        tick._value = None
-                                        tick._ok = True
-                                        tick._defused = False
-                                        created += 1
-                                    cbs._target = tick
-                                tick.delay = nxt
-                                tick.callbacks = cbs
-                                tick_when = when + nxt
-                                push(queue, ((tick_when << 1) | 1, eid_next(), tick))
-                                self._active_process = None
-                                hook = self._sched_hook
-                                if hook is not None:
-                                    hook(tick, tick_when, cbs)
-                                # Stale bindings would inflate the next
-                                # pop's refcount and defeat the re-arm.
-                                del tick
-                                if want_processed:
-                                    sink.on_event_processed(event, when)
-                                continue
-                            cbs._terminate(False, ValueError(f"negative delay {nxt}"))
-                            self._active_process = None
-                        else:
-                            cbs._continue(nxt)
-                            self._active_process = None
-                elif type(cbs) is list:
-                    if want_cb:
-                        for callback in cbs:
-                            if type(callback) is process_type:
-                                owner: Process | None = callback
-                            else:
-                                bound = getattr(callback, "__self__", None)
-                                owner = bound if isinstance(bound, Process) else None
-                            begin = perf_counter()
-                            callback(event)
-                            sink.on_callback(event, owner, perf_counter() - begin)
-                    else:
-                        for callback in cbs:
-                            callback(event)
-                elif cbs is not no_waiters and cbs is not None:
-                    if want_cb:
-                        if type(cbs) is process_type:
-                            owner = cbs
-                        else:
-                            bound = getattr(cbs, "__self__", None)
-                            owner = bound if isinstance(bound, Process) else None
-                        begin = perf_counter()
-                        cbs(event)
-                        sink.on_callback(event, owner, perf_counter() - begin)
-                    else:
-                        cbs(event)
-                if want_processed:
-                    sink.on_event_processed(event, when)
-                if type(event) is timeout_type:
-                    if refcount(event) == 2 and len(pool) < _POOL_LIMIT:
-                        pool.append(event)
-                elif not event._ok and not event._defused:
-                    exc2 = event._value
-                    raise exc2
-        finally:
-            self.ticks_rearmed += rearmed
-            self.timeouts_reused += reused
-            self.timeouts_created += created
-
-    def _run_watched(self, max_events: int | None, max_sim_time: int | None) -> None:
-        """Watched event loop: step until a limit trips.
-
-        Kept out of the unwatched loops so they pay nothing.  The queue
-        head is peeked before each event so the raised
-        :class:`RunawaySimulation` can carry the last event the kernel
-        actually processed.  Sink hooks honour the same per-hook flags
-        as :meth:`_run_sink`.
+        Serves every run with a trace sink or a watchdog, so
+        :meth:`_run_fast` pays for neither.  Sink hooks honour the
+        per-hook flags computed by :meth:`set_trace_sink`; in particular
+        the two ``perf_counter()`` reads per callback are only paid when
+        the sink overrides ``on_callback``.  A limit left at ``None``
+        never trips.  The queue head is peeked before each event so the
+        raised :class:`RunawaySimulation` can carry the last event the
+        kernel actually processed.
         """
         queue = self._queue
         pool = self._timeout_pool
@@ -1405,8 +1259,10 @@ class Simulator:
                 event.callbacks = None
                 if type(cbs) is process_type and event._ok and not want_cb:
                     # Inlined single-waiter process resume (see
-                    # ``_run_fast``); ``last_event`` aliases ``event``
-                    # here, so the carrier re-arm refcount is 4.
+                    # ``_run_fast``); with an ``on_callback`` observer
+                    # installed the generic timed dispatch below runs
+                    # instead.  ``last_event`` aliases ``event`` here,
+                    # so the carrier re-arm refcount is 4.
                     self._active_process = cbs
                     try:
                         nxt = cbs._send(event._value)
@@ -1511,60 +1367,9 @@ class Simulator:
         raise StopSimulation(event._value)
 
 
-#: The compiled dispatch loop (``None`` -> pure Python ``_run_fast``).
-#: Installed at import when the optional ``repro.sim._corefast`` C
-#: extension is importable and the environment allows it (see
-#: :mod:`repro.sim.policy`; ``scripts/build_kernel.py`` builds the
-#: extension).  The compiled loop is a transliteration of ``_run_fast``
-#: without the lookahead slot: same dispatch semantics, same pool
-#: counters, identical results -- only the eid *values* drawn for
-#: sole-pending carriers differ, which is unobservable because eids
-#: only break heap ties and relative draw order is preserved.
-_COMPILED_LOOP: Callable[[Simulator], None] | None = None
-#: Version tag of the installed extension (feeds the code fingerprint
-#: of :mod:`repro.parallel.cache` so cached results never cross the
-#: compiled/pure boundary).
-_COMPILED_VERSION: str | None = None
-
-
 def compiled_loop_active() -> bool:
-    """Whether the compiled kernel loop is installed for this process."""
-    return _COMPILED_LOOP is not None
+    """Always ``False``: the kernel has no compiled event loop.
 
-
-def compiled_loop_version() -> str | None:
-    """Version tag of the installed compiled loop (``None`` if pure)."""
-    return _COMPILED_VERSION
-
-
-def _install_compiled_loop() -> None:
-    """Import, bind and install the ``_corefast`` loop if possible."""
-    global _COMPILED_LOOP, _COMPILED_VERSION
-    if not compiled_policy():
-        return
-    try:
-        from repro.sim import _corefast  # type: ignore[attr-defined]
-    except ImportError:
-        return
-    try:
-        _corefast.bind(
-            {
-                "Simulator": Simulator,
-                "Event": Event,
-                "Timeout": Timeout,
-                "Process": Process,
-                "NO_WAITERS": _NO_WAITERS,
-                "PENDING": PENDING,
-                "EmptySchedule": EmptySchedule,
-                "heappush": heapq.heappush,
-                "heappop": heapq.heappop,
-                "POOL_LIMIT": _POOL_LIMIT,
-            }
-        )
-    except Exception:  # pragma: no cover - defensive: stale binary
-        return
-    _COMPILED_LOOP = _corefast.run_fast
-    _COMPILED_VERSION = getattr(_corefast, "__version__", "unknown")
-
-
-_install_compiled_loop()
+    Kept only because ``bench/run.py`` (``host_info``) imports it.
+    """
+    return False

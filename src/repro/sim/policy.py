@@ -4,24 +4,18 @@ Each layer of the simulator carries an analytic fast path beside its
 exact model: batched vector memory (:mod:`repro.hardware.fastpath`),
 lean runtime locks and fused protocol steps
 (:mod:`repro.runtime.fastpath`), fused OS service paths
-(:mod:`repro.xylem.fastpath`), the push-mode ``statfx`` sampler
-(:mod:`repro.hpm.statfx`), and the compiled kernel loop
-(:mod:`repro.sim.core`).  They are all governed by one environment
+(:mod:`repro.xylem.fastpath`) and the push-mode ``statfx`` sampler
+(:mod:`repro.hpm.statfx`).  They are all governed by one environment
 variable so a single switch reproduces the fully exact tree:
 
 ``CEDAR_REPRO_FASTPATH=off`` (or ``exact``)
     Every fast path is disabled at construction time; all layers run
-    their exact code, including the pure-Python event loop.  The
-    ``cedar-repro --no-fastpath`` CLI flag sets this for one invocation.
+    their exact code.  The ``cedar-repro --no-fastpath`` CLI flag sets
+    this for one invocation.
 
-``CEDAR_REPRO_COMPILED=0``
-    Narrower switch: keep the analytic fast paths but run the
-    pure-Python event loop instead of the compiled ``_corefast``
-    extension (used by CI to compare the two interpreters).
-
-The policy is read at *stack construction* (and at kernel import for
-the compiled loop), not per event, so flipping the variable mid-run has
-no effect -- which is what makes a run's recorded fast-path modes
+The policy is read at *stack construction*, not per event, so flipping
+the variable mid-run has no effect -- which is what makes a run's
+recorded fast-path modes
 (:attr:`repro.core.runner.RunResult.fastpath_modes`) trustworthy.
 """
 
@@ -29,7 +23,7 @@ from __future__ import annotations
 
 import os
 
-__all__ = ["compiled_policy", "fastpath_policy"]
+__all__ = ["fastpath_policy"]
 
 #: Values of ``CEDAR_REPRO_FASTPATH`` that force the exact paths.
 _DISABLED = {"off", "exact", "0"}
@@ -38,14 +32,3 @@ _DISABLED = {"off", "exact", "0"}
 def fastpath_policy() -> bool:
     """Whether the analytic fast paths are allowed by the environment."""
     return os.environ.get("CEDAR_REPRO_FASTPATH", "").strip().lower() not in _DISABLED
-
-
-def compiled_policy() -> bool:
-    """Whether the compiled kernel loop is allowed by the environment.
-
-    Subordinate to :func:`fastpath_policy`: ``CEDAR_REPRO_FASTPATH=off``
-    also forces the pure-Python loop.
-    """
-    if not fastpath_policy():
-        return False
-    return os.environ.get("CEDAR_REPRO_COMPILED", "").strip() != "0"

@@ -1,9 +1,9 @@
 """Property tests: the runtime/OS fast paths match the exact paths.
 
 The batched engines (:mod:`repro.runtime.fastpath`,
-:mod:`repro.xylem.fastpath`, the push-mode statfx sampler and the
-compiled dispatch loop) exist purely for host speed: on a sink-free,
-unperturbed, fault-free run they must reproduce the exact paths'
+:mod:`repro.xylem.fastpath` and the push-mode statfx sampler) exist
+purely for host speed: on a sink-free, unperturbed, fault-free run they
+must reproduce the exact paths'
 observable results bit for bit -- completion time, every
 ``RuntimeStats`` counter, the per-category Xylem time accounting, the
 statfx concurrency integrals and the page-fault statistics.
@@ -25,7 +25,6 @@ from hypothesis import strategies as st
 from repro.core.runner import run_phases
 from repro.runtime.loops import LoopConstruct, ParallelLoop, SerialPhase
 from repro.sim import Simulator
-from repro.sim import core as sim_core
 from repro.xylem.categories import OsActivity
 
 # -- workload strategies ----------------------------------------------------
@@ -148,26 +147,6 @@ def test_batched_matches_exact(phases, n_processors):
     assert _fingerprint(fast) == _fingerprint(slow)
 
 
-@settings(max_examples=15, deadline=None)
-@given(phases=_phase_lists)
-def test_compiled_loop_matches_pure(phases):
-    """With the extension built, compiled and pure runs agree exactly."""
-    if not sim_core.compiled_loop_active():
-        return  # pure-Python environment: nothing to compare
-    compiled = _run(phases, 8, exact=False)
-    with mock.patch.dict(os.environ, {"CEDAR_REPRO_COMPILED": "0"}):
-        pure = _run(phases, 8, exact=False)
-    assert compiled.fastpath_modes["loop"] == "compiled"
-    assert pure.fastpath_modes["loop"] == "pure"
-    assert compiled.kernel_stats["pool.compiled_steps"] > 0
-    assert pure.kernel_stats["pool.compiled_steps"] == 0
-    fp_c, fp_p = _fingerprint(compiled), _fingerprint(pure)
-    assert fp_c == fp_p
-    # The Timeout pool behaves identically too.
-    for key in ("pool.timeouts_created", "pool.timeouts_reused", "pool.ticks_rearmed"):
-        assert compiled.kernel_stats[key] == pure.kernel_stats[key]
-
-
 # -- fallback arming --------------------------------------------------------
 
 
@@ -191,7 +170,6 @@ def test_env_kill_switch_forces_exact(monkeypatch):
         "runtime": "exact",
         "xylem": "exact",
         "statfx": "exact",
-        "loop": "pure",
     }
     stats = result.runtime.fastpath.stats
     assert stats.lean_pickups == 0
@@ -204,7 +182,6 @@ def test_tie_perturbation_forces_exact():
     assert result.fastpath_modes["runtime"] == "exact"
     assert result.fastpath_modes["xylem"] == "exact"
     assert result.fastpath_modes["statfx"] == "exact"
-    assert result.fastpath_modes["loop"] == "pure"
 
 
 def test_trace_sink_forces_exact():
@@ -215,7 +192,6 @@ def test_trace_sink_forces_exact():
     result = run_phases(_barrier_workload(), 32, obs=obs)
     assert result.fastpath_modes["runtime"] == "exact"
     assert result.fastpath_modes["statfx"] == "exact"
-    assert result.fastpath_modes["loop"] == "pure"
 
 
 def test_fault_campaign_sticky_disables_every_layer():

@@ -3,7 +3,7 @@
 The direct-delay yield protocol (``yield n`` for ``sim.timeout(n)``),
 the recycled per-process Timeout carrier, the Timeout free-list pool,
 and the ``timeouts_created`` / ``timeouts_reused`` / ``ticks_rearmed``
-counters -- on both the sink-free and the traced event loops.
+counters -- on both the sink-free and the checked event loops.
 """
 
 from __future__ import annotations
@@ -102,13 +102,14 @@ def test_interrupt_during_direct_delay():
     assert log == [(10, "wakeup"), 15]
 
 
-@pytest.mark.parametrize("traced", [False, True])
+@pytest.mark.parametrize("traced", [False, True, "watched"])
 def test_tick_rearm_counters(traced):
     """A long direct-delay chain re-arms one Timeout, allocating none.
 
-    Holds on the sink-free loop and on the traced (watched) loop.
+    Holds on the sink-free loop and on the checked loop, both with a
+    sink attached (``True``) and with only a watchdog set (``"watched"``).
     """
-    sink = DeterminismSink() if traced else None
+    sink = DeterminismSink() if traced is True else None
     sim = Simulator(trace_sink=sink)
 
     def chain(sim):
@@ -116,12 +117,12 @@ def test_tick_rearm_counters(traced):
             yield 2
 
     sim.process(chain(sim), name="chain")
-    sim.run()
+    sim.run(max_events=10_000 if traced == "watched" else None)
     assert sim.now == 1000
     assert sim.ticks_rearmed >= 499
     # One Initialize-era allocation at most; the chain itself recycles.
     assert sim.timeouts_created <= 1
-    if traced:
+    if traced is True:
         assert sink.events_processed > 0
 
 
