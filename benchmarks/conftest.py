@@ -1,7 +1,7 @@
 """Shared fixtures for the benchmark harness.
 
 The full five-application, five-configuration sweep is expensive, so it
-runs once per session through :func:`repro.parallel.parallel_sweep`:
+runs once per session through :func:`repro.core.resilience.resilient_sweep`:
 cells fan out across worker processes (``CEDAR_REPRO_JOBS``, default:
 the machine's core count, capped at 4) and land in the shared
 content-addressed result cache (``CEDAR_REPRO_CACHE``, default
@@ -19,7 +19,8 @@ import os
 import pytest
 
 from repro.core import reference
-from repro.parallel import default_cache_dir, parallel_sweep
+from repro.core.resilience import resilient_sweep
+from repro.parallel import default_cache_dir
 
 #: Workload scale used by the benchmark sweep: a compromise between
 #: runtime and the statistical weight of rare OS events.
@@ -39,7 +40,7 @@ def _bench_jobs() -> int:
 @pytest.fixture(scope="session")
 def sweep():
     """All five applications on all five configurations (cached)."""
-    outcome = parallel_sweep(
+    outcome = resilient_sweep(
         reference.APPS,
         scale=BENCH_SCALE,
         seed=BENCH_SEED,

@@ -26,7 +26,7 @@ from time import perf_counter
 from repro.analyze.race import fingerprint_result
 from repro.core.experiments import table1
 from repro.obs.campaign import CampaignTelemetry
-from repro.parallel import parallel_sweep
+from repro.core.resilience import resilient_sweep
 
 #: Allowed telemetry-on wall-time regression per pooled sweep.
 TOLERANCE = 0.05
@@ -37,17 +37,18 @@ PAIRS_PER_BATCH = 3
 #: Batches attempted before declaring a regression.
 MAX_BATCHES = 3
 
-#: Workload: long enough (~1 s per sweep) to amortise pool start-up.
-APPS = ["FLO52"]
-CONFIGS = (1, 4)
-SCALE = 0.01
+#: Workload: long enough (~1 s per sweep on 2 workers) to amortise
+#: pool start-up, which a sweep of a few 20 ms cells would not.
+APPS = ["FLO52", "ARC2D"]
+CONFIGS = (1, 4, 8, 16, 32)
+SCALE = 0.02
 SEED = 1994
 JOBS = 2
 
 
 def _sweep_s(telemetry: CampaignTelemetry | None) -> float:
     begin = perf_counter()
-    outcome = parallel_sweep(
+    outcome = resilient_sweep(
         APPS,
         configs=CONFIGS,
         scale=SCALE,
@@ -88,11 +89,11 @@ def test_telemetry_on_pooled_sweep_within_tolerance(tmp_path_factory):
 
 
 def test_telemetered_pooled_tables_byte_identical_to_serial(tmp_path):
-    serial = parallel_sweep(APPS, configs=CONFIGS, scale=SCALE, seed=SEED, jobs=1)
+    serial = resilient_sweep(APPS, configs=CONFIGS, scale=SCALE, seed=SEED, jobs=1)
     telemetry = CampaignTelemetry(
         log_path=tmp_path / "campaign.jsonl", progress=False
     )
-    pooled = parallel_sweep(
+    pooled = resilient_sweep(
         APPS,
         configs=CONFIGS,
         scale=SCALE,

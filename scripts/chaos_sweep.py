@@ -2,16 +2,15 @@
 """Host-level chaos harness: crash a campaign on purpose, prove recovery.
 
 Where ``parallel_smoke.py`` proves the happy path (pool + cache =
-byte-identical tables), this harness proves the *unhappy* paths that
-``repro.parallel.durable`` exists for (``docs/resilience.md``).  Four
-legs, one fixed seeded grid:
+byte-identical tables), this harness proves the *unhappy* paths the
+sweep executor recovers from (``docs/resilience.md``).  Four legs, one
+fixed seeded grid, every leg through ``resilient_sweep``:
 
-1. **reference** -- serial ``parallel_sweep`` (no pool, no cache); its
-   Tables 1/3/4 text is the byte-identity yardstick for everything
-   below.
-2. **clean durable** -- the same grid through ``durable_sweep``
-   (journal + pool, no faults): tables must match, and its wall is the
-   baseline for the overhead gate.
+1. **reference** -- in-process (no pool, no cache); its Tables 1/3/4
+   text is the byte-identity yardstick for everything below.
+2. **clean durable** -- the same grid journaled on a pool
+   (``checkpoint=...``, ``jobs=2``, no faults): tables must match, and
+   its wall is the baseline for the overhead gate.
 3. **chaos durable** -- the same grid under a seeded
    :class:`~repro.faults.host.HostChaosPlan` that SIGKILLs one worker
    after its cell simulates but before the result is returned, hangs
@@ -59,6 +58,7 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core.experiments import table1, table3, table4  # noqa: E402
+from repro.core.resilience import resilient_sweep, resume_sweep  # noqa: E402
 from repro.faults.host import (  # noqa: E402
     HostChaosPlan,
     HostFault,
@@ -67,11 +67,9 @@ from repro.faults.host import (  # noqa: E402
 )
 from repro.parallel import (  # noqa: E402
     DurablePolicy,
+    RecoveryLedger,
     ResultCache,
-    durable_sweep,
     load_journal,
-    parallel_sweep,
-    resume_sweep,
     save_recovery_report,
 )
 
@@ -187,14 +185,15 @@ def _interrupt_subprocess(
     """
     driver = (
         "import sys\n"
-        "from repro.parallel import durable_sweep, DurablePolicy, CampaignInterrupted\n"
+        "from repro.core.resilience import resilient_sweep\n"
+        "from repro.parallel import DurablePolicy, CampaignInterrupted\n"
         f"policy = DurablePolicy(cell_deadline_s={deadline!r}, "
         f"backoff_base_s={BACKOFF_BASE_S!r}, backoff_cap_s={BACKOFF_CAP_S!r}, "
         "poll_interval_s=0.02)\n"
         "try:\n"
-        f"    durable_sweep({list(apps)!r}, {str(journal)!r}, "
-        f"configs={list(configs)!r}, scale={scale!r}, seed={SEED!r}, "
-        "jobs=2, policy=policy)\n"
+        f"    resilient_sweep({list(apps)!r}, configs={list(configs)!r}, "
+        f"scale={scale!r}, seed={SEED!r}, jobs=2, retries=3, "
+        f"checkpoint={str(journal)!r}, durable_policy=policy)\n"
         "except CampaignInterrupted as exc:\n"
         "    print(exc, file=sys.stderr)\n"
         "    sys.exit(130)\n"
@@ -261,21 +260,21 @@ def main() -> int:
         f"deadline {deadline}s, calibration {calibration:.3f}s"
     )
 
-    # Leg 1: serial reference.
-    reference = parallel_sweep(apps, configs=configs, scale=scale, seed=SEED, jobs=1)
+    # Leg 1: in-process reference.
+    reference = resilient_sweep(apps, configs=configs, scale=scale, seed=SEED)
     ref_tables = _tables_text(reference.results)
     print("  leg 1 (serial reference): done")
 
     # Leg 2: clean durable pooled run.
-    clean = durable_sweep(
+    clean = resilient_sweep(
         apps,
-        work / "clean.journal",
         configs=configs,
         scale=scale,
         seed=SEED,
         jobs=2,
-        policy=_policy(deadline),
-        handle_signals=False,
+        retries=3,
+        checkpoint=work / "clean.journal",
+        durable_policy=_policy(deadline),
     )
     clean_wall = clean.recovery["wall"]["wall_s"]
     clean_ok = _tables_text(clean.results) == ref_tables
@@ -285,22 +284,20 @@ def main() -> int:
     plan = _chaos_plan(apps, configs)
     if artifacts is not None:
         save_host_chaos(plan, artifacts / "chaos_plan.json")
-    chaos = durable_sweep(
+    chaos = resilient_sweep(
         apps,
-        work / "chaos.journal",
         configs=configs,
         scale=scale,
         seed=SEED,
         jobs=2,
-        policy=_policy(deadline),
+        retries=3,
+        checkpoint=work / "chaos.journal",
+        durable_policy=_policy(deadline),
         chaos=plan,
-        handle_signals=False,
     )
     injected = sum(f.delay_s for f in plan.faults if f.kind == "slow_start")
     report = chaos.recovery
     # Re-derive the overhead figures against the measured clean wall.
-    from repro.parallel.durable import RecoveryLedger
-
     ledger = RecoveryLedger(**{
         key: report["recovery"].get(key, 0)
         for key in (
@@ -350,7 +347,7 @@ def main() -> int:
     if state.done:
         corrupt_cache_entry(cache, next(iter(state.done)), mode="truncate")
         corrupted = True
-    resumed = resume_sweep(int_journal, jobs=2, handle_signals=False)
+    resumed = resume_sweep(int_journal, jobs=2)
     resume_ok = _tables_text(resumed.results) == ref_tables
     r_cells = resumed.recovery["cells"]
     r_cache = resumed.recovery["cache"]

@@ -1,18 +1,24 @@
 #!/usr/bin/env python
-"""CI smoke test for parallel, cached table generation.
+"""CI smoke test for the sweep executor's routes.
 
-Round-trips ``cedar-repro tables`` three ways against a fresh cache
+Round-trips ``cedar-repro tables`` four ways against a fresh cache
 directory:
 
-1. serial (``--jobs 1``, no cache) -- the reference output,
-2. cold parallel (``--jobs 4 --cache-dir ...``) -- must be
-   byte-identical to serial while populating the cache,
-3. warm parallel (same command again, with ``--log campaign.jsonl``)
-   -- the tables must open the output byte-identically (telemetry
-   appends its summary after them, never perturbs them) and the
-   campaign log must be a valid ``cedar-repro/campaign-log/v1``
-   document, tagged with the code fingerprint, whose events show every
-   cell answered from the cache and none simulated.
+1. in-process (``--jobs 1``, no cache) -- the reference output,
+2. cold pool (``--jobs 4 --cache-dir ...``) -- must be byte-identical
+   to the reference while populating the cache,
+3. warm pool (same command again, with ``--log campaign.jsonl``) -- the
+   tables must open the output byte-identically (telemetry appends its
+   summary after them, never perturbs them) and the campaign log must
+   be a valid ``cedar-repro/campaign-log/v1`` document, tagged with the
+   code fingerprint, whose events show every cell answered from the
+   cache and none simulated,
+4. journaled (``--checkpoint JOURNAL``) -- byte-identical to the
+   reference, with a ``done`` record in the journal for every one of
+   the 25 cells;
+
+then runs the ``examples/campaigns/smoke.json`` fault campaign at
+``--jobs 1`` and ``--jobs 2``, which must print identical output.
 
 The cache is judged by what the program logged, not by wall time, so
 the gate holds however fast the simulation gets.  Exits non-zero on any
@@ -29,26 +35,25 @@ from pathlib import Path
 
 from repro.obs.campaign import CAMPAIGN_LOG_SCHEMA, load_campaign_log
 from repro.obs.hostclock import WallTimer
+from repro.parallel import load_journal
 
 SCALE = "0.01"
 SEED = "1994"
+CELLS = 25
+SMOKE_CAMPAIGN = (
+    Path(__file__).resolve().parents[1] / "examples" / "campaigns" / "smoke.json"
+)
 
 
-def run_tables(extra: list[str]) -> tuple[str, float]:
-    cmd = [
-        sys.executable,
-        "-m",
-        "repro.cli",
-        "tables",
-        "--scale",
-        SCALE,
-        "--seed",
-        SEED,
-        *extra,
-    ]
+def run_cli(args: list[str]) -> tuple[str, float]:
+    cmd = [sys.executable, "-m", "repro.cli", *args]
     with WallTimer() as wall:
         out = subprocess.run(cmd, capture_output=True, text=True, check=True)
     return out.stdout, wall.elapsed_s
+
+
+def run_tables(extra: list[str]) -> tuple[str, float]:
+    return run_cli(["tables", "--scale", SCALE, "--seed", SEED, *extra])
 
 
 def main() -> int:
@@ -60,12 +65,19 @@ def main() -> int:
         log_path = Path(cache_dir) / "campaign.jsonl"
         warm, warm_s = run_tables([*parallel_flags, "--log", str(log_path)])
         header, events = load_campaign_log(log_path)
+        journal_path = Path(cache_dir) / "tables.journal"
+        journaled, journaled_s = run_tables(["--checkpoint", str(journal_path)])
+        journal = load_journal(journal_path)
+    campaign = ["campaign", str(SMOKE_CAMPAIGN), "--scale", SCALE]
+    campaign_1, _ = run_cli([*campaign, "--jobs", "1"])
+    campaign_2, _ = run_cli([*campaign, "--jobs", "2"])
 
     cache_hits = sum(1 for e in events if e.get("ev") == "cache_hit")
     simulated = sum(1 for e in events if e.get("ev") == "finish")
     print(
         f"parallel-smoke: serial {serial_s:.2f}s, cold --jobs 4 {cold_s:.2f}s, "
-        f"warm {warm_s:.2f}s ({cache_hits} cache hits, {simulated} simulated)"
+        f"warm {warm_s:.2f}s ({cache_hits} cache hits, {simulated} simulated), "
+        f"--checkpoint {journaled_s:.2f}s ({len(journal.done)} done records)"
     )
     checks = [
         ("serial output is non-trivial", "Table 1" in serial),
@@ -80,6 +92,13 @@ def main() -> int:
             cache_hits == header.get("n_cells"),
         ),
         ("no cell simulated in the warm pass", simulated == 0),
+        ("journaled output byte-identical to serial", journaled == serial),
+        (f"journal holds {CELLS} done records", len(journal.done) == CELLS),
+        ("fault campaign output is non-trivial", "smoke" in campaign_1),
+        (
+            "fault campaign --jobs 2 output identical to --jobs 1",
+            campaign_2 == campaign_1,
+        ),
     ]
     failed = [name for name, ok in checks if not ok]
     for name in failed:

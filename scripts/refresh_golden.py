@@ -3,7 +3,7 @@
 
 Run this after an *intentional* model change, review the JSON diff to
 confirm every shifted number is expected, and commit the result.  The
-sweep goes through :func:`repro.parallel.parallel_sweep`, so a warm
+sweep goes through :func:`repro.core.resilience.resilient_sweep`, so a warm
 result cache makes a refresh near-instant.
 
 Usage::
@@ -18,7 +18,8 @@ from pathlib import Path
 
 from repro.core import reference
 from repro.core.golden import golden_payload, save_golden
-from repro.parallel import default_cache_dir, parallel_sweep
+from repro.core.resilience import resilient_sweep
+from repro.parallel import default_cache_dir
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "tables_v1.json"
 
@@ -41,7 +42,7 @@ def main() -> int:
     args = parser.parse_args()
 
     cache_dir = args.cache_dir if args.cache_dir is not None else default_cache_dir()
-    outcome = parallel_sweep(
+    outcome = resilient_sweep(
         reference.APPS,
         scale=SCALE,
         seed=SEED,

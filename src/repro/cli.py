@@ -79,6 +79,7 @@ from repro.core import (
     parallel_loop_concurrency,
     render_partial_table,
     resilient_sweep,
+    resume_sweep,
     run_application,
     save_failure_report,
     user_breakdown,
@@ -459,8 +460,6 @@ def _cmd_tables(args: argparse.Namespace) -> None:
 
 
 def _cmd_resume(args: argparse.Namespace) -> None:
-    from repro.parallel import resume_sweep
-
     telemetry = (
         _make_telemetry(args, label=f"resume {Path(args.journal).name}")
         if _telemetry_requested(args)
@@ -737,7 +736,6 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
         CampaignError,
         generate_campaign,
         load_campaign,
-        run_with_campaign,
         save_campaign,
     )
 
@@ -766,30 +764,19 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
         if _telemetry_requested(args)
         else None
     )
-    if _parallel_requested(args) or telemetry is not None or checkpoint is not None:
-        outcome = resilient_sweep(
-            apps,
-            configs=configs,
-            scale=args.scale,
-            seed=seed,
-            campaign=spec,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-            telemetry=telemetry,
-            checkpoint=checkpoint,
-            chaos=chaos,
-            durable_policy=policy,
-        )
-    else:
-
-        def run_cell(app: str, n_proc: int):
-            return run_with_campaign(
-                spec, app, n_proc, scale=args.scale, seed=seed
-            ).result
-
-        outcome = resilient_sweep(
-            apps, configs=configs, scale=args.scale, seed=seed, run_cell=run_cell
-        )
+    outcome = resilient_sweep(
+        apps,
+        configs=configs,
+        scale=args.scale,
+        seed=seed,
+        campaign=spec,
+        jobs=args.jobs,
+        cache_dir=args.cache_dir,
+        telemetry=telemetry,
+        checkpoint=checkpoint,
+        chaos=chaos,
+        durable_policy=policy,
+    )
     print(f"campaign {spec.name!r}: {len(spec.faults)} faults, seed {seed}")
     print(render_partial_table(outcome))
     _finish_telemetry(args, telemetry)

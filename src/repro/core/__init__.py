@@ -36,6 +36,7 @@ from repro.core.resilience import (
     failure_report,
     render_partial_table,
     resilient_sweep,
+    resume_sweep,
     save_failure_report,
 )
 from repro.core.runner import DEFAULT_SCALE, RunResult, run_application, run_phases
@@ -75,6 +76,7 @@ __all__ = [
     "render_table",
     "render_user_bars",
     "resilient_sweep",
+    "resume_sweep",
     "save_failure_report",
     "stacked_bar",
     "run_application",

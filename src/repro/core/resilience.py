@@ -3,9 +3,12 @@
 A paper-scale sweep is many independent ``(app, P)`` cells; one
 misbehaving cell (a runaway simulation, a suspected deadlock, a fault
 campaign that trips a guard) should cost that cell, not the sweep.
-:func:`resilient_sweep` runs every cell under a try/except with one
-bounded same-seed retry, collects structured :class:`CellFailure`
-records, and still renders partial tables with the failed cells marked
+:func:`resilient_sweep` runs the grid through the one sweep executor
+(:func:`repro.parallel.executor.execute_cells`), which isolates every
+cell and retries it with one bounded same-seed retry;
+:func:`resume_sweep` finishes a journaled sweep that was interrupted.
+Failed cells come back as structured :class:`CellFailure` records, and
+the partial tables still render with them marked
 (:func:`render_partial_table`) plus a JSON failure report
 (:func:`failure_report`).
 """
@@ -13,7 +16,7 @@ records, and still renders partial tables with the failed cells marked
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +30,7 @@ __all__ = [
     "failure_report",
     "render_partial_table",
     "resilient_sweep",
+    "resume_sweep",
     "save_failure_report",
 ]
 
@@ -50,9 +54,8 @@ class SweepOutcome:
     seed: int
     results: dict[str, dict[int, RunResult]] = field(default_factory=dict)
     failures: list[CellFailure] = field(default_factory=list)
-    #: ``cedar-repro/recovery-report/v1`` dict when the sweep ran through
-    #: the durable layer (:mod:`repro.parallel.durable`); ``None``
-    #: otherwise.
+    #: ``cedar-repro/recovery-report/v1`` dict when the sweep was
+    #: journaled (see :mod:`repro.parallel.durable`); ``None`` otherwise.
     recovery: dict | None = None
 
     @property
@@ -71,7 +74,6 @@ def resilient_sweep(
     scale: float = DEFAULT_SCALE,
     seed: int = 1994,
     retries: int = 1,
-    run_cell: Callable[[str, int], RunResult] | None = None,
     jobs: int = 1,
     cache_dir: str | Path | None = None,
     campaign=None,
@@ -84,105 +86,188 @@ def resilient_sweep(
 ) -> SweepOutcome:
     """Sweep ``apps x configs``, isolating each cell's failures.
 
-    Each cell gets ``1 + retries`` attempts under the *same* seed (the
-    model is deterministic, so a retry only helps against host-side
-    trouble -- but it distinguishes "deterministic failure" from "flaky
-    harness" in the report).  *run_cell* overrides how one cell is
-    executed (the seam the fault-campaign CLI and the tests use); by
-    default each cell is a :class:`~repro.parallel.executor.CellSpec`
-    run by :func:`repro.parallel.executor.run_cell` -- the same function
-    every pool worker runs -- so serial results are detached snapshots
-    too.  *run_kwargs* may carry ``max_events``, ``max_sim_time`` and
-    ``statfx_interval_ns`` on every path.
+    Builds one :class:`~repro.parallel.executor.CellSpec` per cell and
+    runs the grid through :func:`repro.parallel.executor.execute_cells`,
+    which picks its route from the inputs: in-process for ``jobs=1``, a
+    pool of ``jobs`` workers otherwise (or whenever a host-chaos plan or
+    cell deadline needs a killable worker).  Each cell gets ``1 +
+    retries`` attempts under the *same* seed (the model is
+    deterministic, so a retry only helps against host-side trouble --
+    but it distinguishes "deterministic failure" from "flaky harness"
+    in the report).  *campaign* runs every cell under a fault campaign;
+    *run_kwargs* may carry ``max_events``, ``max_sim_time`` and
+    ``statfx_interval_ns``; *cache_dir* serves and stores results in the
+    content-addressed cache; a
+    :class:`~repro.obs.campaign.CampaignTelemetry` logs the sweep as it
+    runs.
 
-    With ``jobs > 1``, a *cache_dir*, or a *campaign* the sweep is
-    delegated to :func:`repro.parallel.parallel_sweep`: cells fan out
-    across worker processes and/or are served from the content-addressed
-    result cache, with the same per-cell isolation and retry semantics.
-    The *run_cell* seam is serial-only -- closures don't cross process
-    boundaries.  Passing a :class:`~repro.obs.campaign.CampaignTelemetry`
-    as *telemetry* also routes through the parallel path, so resilient
-    campaign sweeps log through the same event-log/progress/report seam
-    as pooled ones.
-
-    A *checkpoint* journal path routes through the crash-safe layer
-    (:mod:`repro.parallel.durable`): cells are journaled before
-    dispatch, an existing journal resumes, and the outcome carries a
-    recovery report; *chaos* (a
-    :class:`~repro.faults.host.HostChaosPlan`) and *durable_policy*
-    (a :class:`~repro.parallel.durable.DurablePolicy`) configure the
-    host-fault harness and health monitor (``docs/resilience.md``).
+    A *checkpoint* journal path makes the sweep crash-safe: a new
+    journal is created (with the cache beside it unless *cache_dir* is
+    given), every cell is journaled before dispatch, and
+    SIGINT/SIGTERM checkpoint the campaign; an existing journal for the
+    same grid resumes, serving its completed cells from the cache.  The
+    outcome then carries the recovery report.  *chaos* (a
+    :class:`~repro.faults.host.HostChaosPlan`) and *durable_policy* (a
+    :class:`~repro.parallel.durable.DurablePolicy`) configure the
+    host-fault harness and the health monitor (``docs/resilience.md``).
     """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
     unknown = set(run_kwargs) - {"max_events", "max_sim_time", "statfx_interval_ns"}
     if unknown:
         raise ValueError(f"unsupported sweep options: {sorted(unknown)}")
+    from repro.parallel.executor import CellSpec
 
-    if (
-        jobs != 1
-        or cache_dir is not None
-        or campaign is not None
-        or telemetry is not None
-        or checkpoint is not None
-        or chaos is not None
-        or durable_policy is not None
-    ):
-        if run_cell is not None:
-            raise ValueError(
-                "run_cell is a serial-only seam; use CellSpec/execute_cells "
-                "for custom parallel cells"
+    apps = list(apps)
+    configs = list(configs)
+    specs = [
+        CellSpec(app, n_proc, scale=scale, seed=seed, campaign=campaign, **run_kwargs)
+        for app in apps
+        for n_proc in configs
+    ]
+    journal = None
+    resumed_keys: frozenset[str] = frozenset()
+    if checkpoint is not None:
+        from repro.parallel.journal import CampaignJournal, JournalError, load_journal
+
+        checkpoint = Path(checkpoint)
+        if cache_dir is None:
+            cache_dir = checkpoint.with_name(checkpoint.name + ".cache")
+        if checkpoint.exists():
+            state = load_journal(checkpoint)
+            state.check_fingerprint()
+            journal_keys = {spec.key() for spec in state.specs}
+            grid_keys = {spec.key() for spec in specs}
+            if journal_keys != grid_keys:
+                raise JournalError(
+                    f"journal {checkpoint} covers a different cell set than this "
+                    f"sweep ({len(journal_keys)} vs {len(grid_keys)} cells); "
+                    f"resume it with `cedar-repro resume` or pick a new "
+                    f"checkpoint path"
+                )
+            resumed_keys = frozenset(state.done)
+            journal = CampaignJournal.append_to(checkpoint)
+        else:
+            journal = CampaignJournal.create(
+                checkpoint,
+                specs,
+                seed=seed,
+                cache_dir=cache_dir,
+                sweep={
+                    "apps": apps,
+                    "configs": configs,
+                    "scale": scale,
+                    "seed": seed,
+                    "campaign": campaign.to_dict() if campaign is not None else None,
+                },
             )
-        from repro.parallel import parallel_sweep
+    return _run_sweep(
+        specs,
+        scale,
+        seed,
+        journal=journal,
+        resumed_keys=resumed_keys,
+        cache_dir=cache_dir,
+        jobs=jobs,
+        retries=retries,
+        metrics=metrics,
+        telemetry=telemetry,
+        chaos=chaos,
+        policy=durable_policy,
+    )
 
-        return parallel_sweep(
-            apps,
-            configs=configs,
-            scale=scale,
-            seed=seed,
-            jobs=jobs,
-            cache_dir=cache_dir,
-            campaign=campaign,
-            retries=retries,
-            metrics=metrics,
-            telemetry=telemetry,
-            checkpoint=checkpoint,
-            chaos=chaos,
-            durable_policy=durable_policy,
-            **run_kwargs,
+
+def resume_sweep(
+    journal_path: str | Path,
+    jobs: int = 2,
+    cache_dir: str | Path | None = None,
+    retries: int = 3,
+    policy=None,
+    metrics=None,
+    telemetry=None,
+) -> SweepOutcome:
+    """Resume an interrupted campaign from its write-ahead journal.
+
+    Loads the journal, refuses a code-fingerprint mismatch
+    (:class:`~repro.parallel.journal.JournalMismatchError`), serves
+    completed cells from the recorded result cache, and re-runs only
+    the incomplete ones.  The final outcome -- and its tables -- are
+    byte-identical to an uninterrupted run of the same campaign.
+    """
+    from repro.parallel.journal import CampaignJournal, JournalError, load_journal
+
+    state = load_journal(journal_path)
+    state.check_fingerprint()
+    if not state.specs:
+        raise JournalError(f"journal {journal_path} carries no cells")
+    cache_dir = cache_dir if cache_dir is not None else state.cache_dir
+    if cache_dir is None:
+        raise JournalError(
+            f"journal {journal_path} records no cache directory; pass cache_dir"
         )
+    sweep_meta = state.header.get("sweep") or {}
+    scale = float(sweep_meta.get("scale", state.specs[0].scale))
+    seed = state.header.get("seed")
+    return _run_sweep(
+        state.specs,
+        scale,
+        int(seed if seed is not None else state.specs[0].seed),
+        journal=CampaignJournal.append_to(journal_path),
+        resumed_keys=frozenset(state.done),
+        label=state.label,
+        cache_dir=cache_dir,
+        jobs=jobs,
+        retries=retries,
+        metrics=metrics,
+        telemetry=telemetry,
+        policy=policy,
+    )
 
-    if run_cell is None:
-        from repro.parallel import executor
 
-        def run_cell(app: str, n_proc: int) -> RunResult:
-            spec = executor.CellSpec(app, n_proc, scale=scale, seed=seed, **run_kwargs)
-            return executor.run_cell(spec)
+def _run_sweep(
+    specs: list,
+    scale: float,
+    seed: int,
+    journal=None,
+    resumed_keys: frozenset[str] = frozenset(),
+    label: str = "campaign",
+    cache_dir: str | Path | None = None,
+    **execute,
+) -> SweepOutcome:
+    """Run *specs* through the executor and assemble the outcome."""
+    from repro.obs.hostclock import WallTimer
+    from repro.parallel import executor
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.durable import RecoveryLedger
 
-    outcome = SweepOutcome(scale=scale, seed=seed)
-    for app in apps:
-        by_config: dict[int, RunResult] = {}
-        for n_proc in configs:
-            attempts = 0
-            while True:
-                attempts += 1
-                try:
-                    by_config[n_proc] = run_cell(app, n_proc)
-                    break
-                except Exception as exc:  # noqa: BLE001 - isolation point
-                    if attempts <= retries:
-                        continue
-                    outcome.failures.append(
-                        CellFailure(
-                            app=app,
-                            n_processors=n_proc,
-                            attempts=attempts,
-                            error_type=type(exc).__name__,
-                            message=str(exc),
-                        )
-                    )
-                    break
-        outcome.results[app] = by_config
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    ledger = RecoveryLedger()
+    try:
+        with WallTimer() as wall:
+            # Looked up on the module at call time, so a wrapper installed
+            # there (a tracer, a test double) sees every call.
+            results, failures = executor.execute_cells(
+                specs,
+                cache=cache,
+                journal=journal,
+                ledger=ledger,
+                resumed_keys=resumed_keys,
+                **execute,
+            )
+    finally:
+        if journal is not None:
+            journal.close()
+    outcome = SweepOutcome(scale=scale, seed=seed, failures=failures)
+    if journal is not None:
+        outcome.recovery = ledger.report(
+            label=label,
+            cells_total=len(specs),
+            cells_completed=len(results),
+            wall_s=wall.elapsed_s,
+            cache=cache,
+        )
+    for spec in specs:
+        by_config = outcome.results.setdefault(spec.app, {})
+        if spec in results:
+            by_config[spec.n_processors] = results[spec]
     return outcome
 
 

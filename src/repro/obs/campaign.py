@@ -235,7 +235,7 @@ class CampaignTelemetry:
     """Coordinator-side telemetry for one pooled campaign.
 
     Hand an instance to :func:`repro.parallel.execute_cells` /
-    :func:`~repro.parallel.parallel_sweep` (or the ``--log`` /
+    :func:`~repro.core.resilience.resilient_sweep` (or the ``--log`` /
     ``--progress`` CLI flags).  It owns the campaign registry, the JSONL
     event log, the collected :class:`CellSpan` list and the progress
     reporter; after :meth:`end` it can render the report and the

@@ -1,26 +1,38 @@
-"""Parallel, cached sweep execution.
+"""Cached, pooled and crash-safe sweep execution.
 
-``repro.parallel`` scales the paper's sweep-shaped experiments: cells
-fan out across worker processes, results land in a content-addressed
-on-disk cache, and warm reruns skip simulation entirely -- while
-staying byte-identical to the serial path (the model is deterministic,
-and every cell carries its schedule hash to prove it).
+``repro.parallel`` runs the paper's sweep-shaped experiments through
+one executor, :func:`~repro.parallel.executor.execute_cells`, behind a
+content-addressed on-disk result cache.  The executor takes one of
+three routes, chosen from its inputs alone:
+
+* **in-process** -- ``jobs == 1`` (and no host-chaos plan or cell
+  deadline): each cell runs in the calling process;
+* **pool** -- worker processes that heartbeat, and that the coordinator
+  kills, respawns and speculates around;
+* **journaled** -- either of the above with a write-ahead journal
+  (``--checkpoint``): SIGINT/SIGTERM checkpoint the campaign and
+  ``cedar-repro resume`` finishes it.
+
+Every route runs the same :func:`~repro.parallel.executor.run_cell`, so
+the tables are byte-identical whichever route ran them; warm reruns
+skip simulation entirely.
 
 * :class:`~repro.parallel.executor.CellSpec` /
   :func:`~repro.parallel.executor.run_cell` -- one sweep cell and its
-  (serial *and* worker-side) execution.
-* :func:`~repro.parallel.executor.execute_cells` /
-  :func:`~repro.parallel.executor.parallel_sweep` -- pool + cache +
-  per-cell failure isolation, composing with
-  :func:`~repro.core.resilience.resilient_sweep` semantics.
+  execution.
+* :func:`~repro.parallel.executor.execute_cells` -- the executor: cache
+  serve, per-cell failure isolation, deterministic-backoff retries,
+  health checks, speculation and checkpointing.
+  :func:`~repro.core.resilience.resilient_sweep` is its sweep-shaped
+  entry point.
 * :class:`~repro.parallel.cache.ResultCache` /
   :func:`~repro.parallel.cache.cell_key` -- the cache and its
   fingerprinting rules.
 * :func:`~repro.parallel.snapshot.snapshot_result` -- detached,
   picklable run results.
 * :mod:`repro.parallel.journal` / :mod:`repro.parallel.durable` -- the
-  crash-safe layer: write-ahead journal, resume, worker health and
-  self-healing pools, straggler speculation, recovery reports.
+  write-ahead journal, and the recovery policy, worker heartbeats and
+  recovery ledger.
 """
 
 from repro.parallel.cache import (
@@ -36,17 +48,9 @@ from repro.parallel.durable import (
     DurablePolicy,
     RecoveryLedger,
     backoff_s,
-    durable_execute_cells,
-    durable_sweep,
-    resume_sweep,
     save_recovery_report,
 )
-from repro.parallel.executor import (
-    CellSpec,
-    execute_cells,
-    parallel_sweep,
-    run_cell,
-)
+from repro.parallel.executor import CellSpec, execute_cells, run_cell
 from repro.parallel.journal import (
     JOURNAL_SCHEMA,
     CampaignJournal,
@@ -74,13 +78,9 @@ __all__ = [
     "cell_key",
     "code_fingerprint",
     "default_cache_dir",
-    "durable_execute_cells",
-    "durable_sweep",
     "execute_cells",
     "is_snapshot",
     "load_journal",
-    "parallel_sweep",
-    "resume_sweep",
     "run_cell",
     "save_recovery_report",
     "snapshot_result",

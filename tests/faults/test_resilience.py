@@ -1,4 +1,9 @@
-"""Tests for the resilient sweep: one bad cell must not sink the sweep."""
+"""Tests for the resilient sweep: one bad cell must not sink the sweep.
+
+Cells run on the executor's in-process route (``jobs=1``); poisoned
+cells are planted by replacing :func:`repro.parallel.executor.run_cell`,
+the function every route runs.
+"""
 
 import json
 
@@ -12,6 +17,7 @@ from repro.core import (
     run_application,
     save_failure_report,
 )
+from repro.parallel import executor, snapshot_result
 from repro.xylem.params import XylemParams
 
 _TINY = synthetic_app(
@@ -19,20 +25,33 @@ _TINY = synthetic_app(
 )
 
 
-def _run_cell_with_poison(poisoned, calls):
-    def run_cell(app, n_proc):
-        calls.append((app, n_proc))
-        if (app, n_proc) in poisoned:
-            raise RuntimeError(f"poisoned cell {app}/{n_proc}")
-        return run_application(_TINY, n_proc, scale=1.0, os_params=XylemParams(seed=1))
-
-    return run_cell
-
-
-def test_failing_cell_is_isolated():
+@pytest.fixture
+def poison(monkeypatch):
+    """Plant ``poison(cells)``: those ``(app, P)`` cells raise, the rest
+    run a tiny synthetic app; returns the list of attempted cells."""
     calls = []
-    run_cell = _run_cell_with_poison({("B", 4)}, calls)
-    outcome = resilient_sweep(["A", "B"], configs=(1, 4), run_cell=run_cell)
+
+    def plant(poisoned):
+        def run_cell(spec, obs=None):
+            cell = (spec.app, spec.n_processors)
+            calls.append(cell)
+            if cell in poisoned:
+                raise RuntimeError(f"poisoned cell {spec.app}/{spec.n_processors}")
+            return snapshot_result(
+                run_application(
+                    _TINY, spec.n_processors, scale=1.0, os_params=XylemParams(seed=1)
+                )
+            )
+
+        monkeypatch.setattr(executor, "run_cell", run_cell)
+        return calls
+
+    return plant
+
+
+def test_failing_cell_is_isolated(poison):
+    calls = poison({("B", 4)})
+    outcome = resilient_sweep(["A", "B"], configs=(1, 4))
 
     assert not outcome.ok
     assert outcome.failed_cells() == {("B", 4)}
@@ -45,10 +64,9 @@ def test_failing_cell_is_isolated():
     assert calls.count(("B", 4)) == 2
 
 
-def test_retries_zero_means_single_attempt():
-    calls = []
-    run_cell = _run_cell_with_poison({("A", 1)}, calls)
-    outcome = resilient_sweep(["A"], configs=(1,), retries=0, run_cell=run_cell)
+def test_retries_zero_means_single_attempt(poison):
+    calls = poison({("A", 1)})
+    outcome = resilient_sweep(["A"], configs=(1,), retries=0)
     assert outcome.failures[0].attempts == 1
     assert calls == [("A", 1)]
 
@@ -58,18 +76,18 @@ def test_negative_retries_rejected():
         resilient_sweep(["A"], configs=(1,), retries=-1)
 
 
-def test_partial_table_marks_failures():
-    run_cell = _run_cell_with_poison({("B", 4)}, [])
-    outcome = resilient_sweep(["A", "B"], configs=(1, 4), run_cell=run_cell)
+def test_partial_table_marks_failures(poison):
+    poison({("B", 4)})
+    outcome = resilient_sweep(["A", "B"], configs=(1, 4))
     table = render_partial_table(outcome)
     assert "FAILED(RuntimeError)" in table
     assert "partial: 1 cell(s) failed" in table
     assert "ok" in table
 
 
-def test_failure_report_round_trips(tmp_path):
-    run_cell = _run_cell_with_poison({("B", 4)}, [])
-    outcome = resilient_sweep(["A", "B"], configs=(1, 4), run_cell=run_cell)
+def test_failure_report_round_trips(poison, tmp_path):
+    poison({("B", 4)})
+    outcome = resilient_sweep(["A", "B"], configs=(1, 4))
     report = failure_report(outcome)
     assert report["schema"] == "cedar-repro/failure-report/v1"
     assert report["cells_ok"] == 3
@@ -81,9 +99,22 @@ def test_failure_report_round_trips(tmp_path):
     assert json.loads(path.read_text()) == report
 
 
-def test_clean_sweep_is_ok():
-    run_cell = _run_cell_with_poison(set(), [])
-    outcome = resilient_sweep(["A"], configs=(1, 4), run_cell=run_cell)
+def test_clean_sweep_is_ok(poison):
+    poison(set())
+    outcome = resilient_sweep(["A"], configs=(1, 4))
     assert outcome.ok
     assert outcome.failed_cells() == set()
     assert "partial" not in render_partial_table(outcome)
+
+
+def test_runaway_cell_fails_alone_in_process():
+    """A real watchdog trip, not a planted one: at this scale FLO52
+    processes about 2,900 events on one processor and 3,250 on four,
+    so a 3,000-event budget trips only the P=4 cell."""
+    outcome = resilient_sweep(["FLO52"], configs=(1, 4), scale=0.002, max_events=3000)
+    assert outcome.failed_cells() == {("FLO52", 4)}
+    assert sorted(outcome.results["FLO52"]) == [1]
+    [failure] = outcome.failures
+    assert failure.error_type == "RunawaySimulation"
+    assert failure.attempts == 2
+    assert "max_events" in failure.message

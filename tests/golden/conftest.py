@@ -2,7 +2,7 @@
 
 The full sweep at the baseline point (scale 0.02, seed 1994) is the
 expensive part, so it runs once per session through
-:func:`repro.parallel.parallel_sweep` against the shared result cache
+:func:`repro.core.resilience.resilient_sweep` against the shared result cache
 (``CEDAR_REPRO_CACHE``, default ``.cedar-cache``) -- a warm cache makes
 the whole golden suite run in seconds.
 """
@@ -14,7 +14,8 @@ import os
 import pytest
 
 from repro.core import reference
-from repro.parallel import default_cache_dir, parallel_sweep
+from repro.core.resilience import resilient_sweep
+from repro.parallel import default_cache_dir
 
 
 def _jobs() -> int:
@@ -27,7 +28,7 @@ def _jobs() -> int:
 @pytest.fixture(scope="session")
 def golden_sweep():
     """The full ``apps x configs`` sweep at the golden baseline point."""
-    outcome = parallel_sweep(
+    outcome = resilient_sweep(
         reference.APPS,
         scale=0.02,
         seed=1994,

@@ -1,8 +1,8 @@
 """End-to-end crash recovery: kills, interrupts, resume byte-identity.
 
 These tests execute real worker processes and real signals -- the
-durable layer's whole value is that recovery happens at the process
-level, so mocks would prove nothing.  Scales are tiny (the simulation
+executor's recovery happens at the process level, so mocks would prove
+nothing.  Scales are tiny (the simulation
 model is deterministic at any scale) to keep each scenario in CI-sized
 wall time; the full harness lives in ``scripts/chaos_sweep.py``.
 """
@@ -15,16 +15,14 @@ import signal
 import pytest
 
 from repro.core.experiments import table1, table3, table4
+from repro.core.resilience import resilient_sweep, resume_sweep
 from repro.faults.host import HostChaosPlan, HostFault
 from repro.parallel import (
     CampaignInterrupted,
     CampaignJournal,
     DurablePolicy,
     JournalMismatchError,
-    durable_sweep,
     load_journal,
-    parallel_sweep,
-    resume_sweep,
 )
 
 APPS = ["FLO52", "OCEAN"]
@@ -43,7 +41,7 @@ def _tables(results) -> str:
 
 @pytest.fixture(scope="module")
 def reference_tables():
-    outcome = parallel_sweep(APPS, configs=CONFIGS, scale=SCALE, seed=SEED, jobs=1)
+    outcome = resilient_sweep(APPS, configs=CONFIGS, scale=SCALE, seed=SEED)
     return _tables(outcome.results)
 
 
@@ -59,16 +57,16 @@ def test_worker_kill_is_retried_to_byte_identical_tables(
             ),
         ),
     )
-    outcome = durable_sweep(
+    outcome = resilient_sweep(
         APPS,
-        tmp_path / "kill.journal",
         configs=CONFIGS,
         scale=SCALE,
         seed=SEED,
         jobs=2,
-        policy=FAST,
+        retries=3,
+        checkpoint=tmp_path / "kill.journal",
+        durable_policy=FAST,
         chaos=plan,
-        handle_signals=False,
     )
     assert outcome.ok
     recovery = outcome.recovery["recovery"]
@@ -97,16 +95,16 @@ def test_hung_cell_is_rescued_by_speculation(tmp_path, reference_tables):
         straggler_floor_s=0.1,
         straggler_factor=3.0,
     )
-    outcome = durable_sweep(
+    outcome = resilient_sweep(
         APPS,
-        tmp_path / "hang.journal",
         configs=CONFIGS,
         scale=SCALE,
         seed=SEED,
         jobs=2,
-        policy=policy,
+        retries=3,
+        checkpoint=tmp_path / "hang.journal",
+        durable_policy=policy,
         chaos=plan,
-        handle_signals=False,
     )
     assert outcome.ok
     recovery = outcome.recovery["recovery"]
@@ -115,9 +113,12 @@ def test_hung_cell_is_rescued_by_speculation(tmp_path, reference_tables):
     assert _tables(outcome.results) == reference_tables
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
 def test_sigint_checkpoints_then_resume_is_byte_identical(
-    tmp_path, reference_tables, monkeypatch
+    tmp_path, reference_tables, monkeypatch, jobs
 ):
+    """``jobs=1`` runs the cells in-process, ``jobs=2`` in a pool; the
+    checkpoint and the resume must not care which."""
     journal = tmp_path / "interrupted.journal"
     # Fire a real SIGINT at the coordinator the moment the first cell is
     # journaled done: mid-campaign however fast the cells run.
@@ -132,14 +133,14 @@ def test_sigint_checkpoints_then_resume_is_byte_identical(
 
     monkeypatch.setattr(CampaignJournal, "record_done", record_then_interrupt)
     with pytest.raises(CampaignInterrupted, match="cedar-repro resume"):
-        durable_sweep(
+        resilient_sweep(
             APPS,
-            journal,
             configs=CONFIGS,
             scale=SCALE,
             seed=SEED,
-            jobs=2,
-            policy=FAST,
+            jobs=jobs,
+            checkpoint=journal,
+            durable_policy=FAST,
         )
     monkeypatch.undo()
 
@@ -147,7 +148,7 @@ def test_sigint_checkpoints_then_resume_is_byte_identical(
     assert state.checkpointed
     assert len(state.done) < len(state.specs)
 
-    outcome = resume_sweep(journal, jobs=2, policy=FAST, handle_signals=False)
+    outcome = resume_sweep(journal, jobs=jobs, policy=FAST)
     assert outcome.ok
     cells = outcome.recovery["cells"]
     assert cells["completed"] == len(APPS) * len(CONFIGS)
@@ -157,22 +158,13 @@ def test_sigint_checkpoints_then_resume_is_byte_identical(
 
 def test_resume_refuses_foreign_fingerprint(tmp_path, monkeypatch, capsys):
     journal = tmp_path / "foreign.journal"
-    durable_sweep(
-        ["FLO52"],
-        journal,
-        configs=[1],
-        scale=SCALE,
-        seed=SEED,
-        jobs=1,
-        policy=FAST,
-        handle_signals=False,
-    )
+    resilient_sweep(["FLO52"], configs=[1], scale=SCALE, seed=SEED, checkpoint=journal)
 
     from repro.parallel import cache as cache_mod
 
     monkeypatch.setattr(cache_mod, "_code_fingerprint", "0" * 32)
     with pytest.raises(JournalMismatchError):
-        resume_sweep(journal, jobs=1, handle_signals=False)
+        resume_sweep(journal, jobs=1)
 
     # Same refusal through the CLI: a usage-style error, exit code 2.
     from repro.cli import main

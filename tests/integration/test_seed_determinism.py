@@ -66,7 +66,7 @@ def test_parallel_sweep_equals_serial_runs():
 
     from repro.analyze.race import fingerprint_result
     from repro.core import reference
-    from repro.parallel import parallel_sweep
+    from repro.core.resilience import resilient_sweep
 
     scale, seed = 0.005, SEED
     builders = {"FLO52": flo52, "OCEAN": ocean}
@@ -80,7 +80,7 @@ def test_parallel_sweep_equals_serial_runs():
             )
 
     with tempfile.TemporaryDirectory() as cache_dir:
-        pooled = parallel_sweep(
+        pooled = resilient_sweep(
             list(builders),
             configs=reference.CONFIGS,
             scale=scale,

@@ -1,9 +1,9 @@
-"""Executor semantics: pool == serial, warm cache == simulation.
+"""Executor semantics: pool == in-process, warm cache == simulation.
 
 The load-bearing guarantees: a ``jobs>1`` sweep is indistinguishable
-from the serial one (same tables, same result fingerprints), a warm cache
-serves every cell without simulating, metrics report what happened,
-and bad inputs fail loudly.
+from the in-process one (same tables, same result fingerprints), a warm
+cache serves every cell without simulating, metrics report what
+happened on every route, and bad inputs fail loudly.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from repro.analyze.race import fingerprint_result
 from repro.core.experiments import table1
 from repro.core.resilience import resilient_sweep
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import CellSpec, ResultCache, execute_cells, parallel_sweep
+from repro.parallel import CellSpec, ResultCache, execute_cells
 
 SCALE = 0.002
 SEED = 1994
@@ -27,12 +27,12 @@ def _fingerprint(outcome, n_proc: int) -> str:
 
 @pytest.fixture(scope="module")
 def serial_outcome():
-    return parallel_sweep(["FLO52"], configs=CONFIGS, scale=SCALE, seed=SEED, jobs=1)
+    return resilient_sweep(["FLO52"], configs=CONFIGS, scale=SCALE, seed=SEED, jobs=1)
 
 
 def test_pool_matches_serial(serial_outcome, tmp_path):
     metrics = MetricsRegistry()
-    pooled = parallel_sweep(
+    pooled = resilient_sweep(
         ["FLO52"],
         configs=CONFIGS,
         scale=SCALE,
@@ -61,7 +61,7 @@ def test_pool_matches_serial(serial_outcome, tmp_path):
 
     # Warm pass: every cell served from cache, nothing simulated.
     warm_metrics = MetricsRegistry()
-    warm = parallel_sweep(
+    warm = resilient_sweep(
         ["FLO52"],
         configs=CONFIGS,
         scale=SCALE,
@@ -115,8 +115,6 @@ def test_validation_errors():
         execute_cells([], jobs=0)
     with pytest.raises(ValueError, match="retries"):
         execute_cells([], retries=-1)
-    with pytest.raises(ValueError, match="serial-only"):
-        resilient_sweep(["FLO52"], jobs=2, run_cell=lambda a, p: None)
     with pytest.raises(ValueError, match="unsupported sweep options"):
         resilient_sweep(["FLO52"], jobs=2, os_params=object())
 
@@ -145,7 +143,7 @@ def test_telemetry_observes_without_perturbing(serial_outcome, tmp_path):
 
     log = tmp_path / "campaign.jsonl"
     telemetry = CampaignTelemetry(log_path=log, progress=False, label="t")
-    pooled = parallel_sweep(
+    pooled = resilient_sweep(
         ["FLO52"],
         configs=CONFIGS,
         scale=SCALE,
@@ -188,7 +186,7 @@ def test_telemetry_observes_without_perturbing(serial_outcome, tmp_path):
 
     # Warm rerun: telemetry sees pure cache hits, results unchanged.
     warm_telemetry = CampaignTelemetry(progress=False)
-    warm = parallel_sweep(
+    warm = resilient_sweep(
         ["FLO52"],
         configs=CONFIGS,
         scale=SCALE,
@@ -205,3 +203,41 @@ def test_telemetry_observes_without_perturbing(serial_outcome, tmp_path):
     assert warm_telemetry.registry.value("campaign.cells.cache_hits") == len(
         CONFIGS
     )
+
+
+def test_telemetry_off_cells_skip_the_metrics_harvest(monkeypatch):
+    """Without telemetry nobody reads a cell's registry, so none is harvested."""
+    from repro.obs import instrument
+
+    harvests = []
+    monkeypatch.setattr(
+        instrument, "collect_run_metrics", lambda *args: harvests.append(args)
+    )
+    spec = CellSpec(app="FLO52", n_processors=4, scale=SCALE, seed=SEED)
+    results, failures = execute_cells([spec], jobs=1)
+    assert not failures and spec in results
+    assert harvests == []
+
+
+@pytest.mark.parametrize(
+    "jobs, journaled",
+    [(1, False), (2, False), (1, True), (2, True)],
+    ids=["in-process", "pool", "journaled-in-process", "journaled-pool"],
+)
+def test_every_route_emits_the_executor_metrics(tmp_path, jobs, journaled):
+    metrics = MetricsRegistry()
+    outcome = resilient_sweep(
+        ["FLO52"],
+        configs=CONFIGS,
+        scale=SCALE,
+        seed=SEED,
+        jobs=jobs,
+        metrics=metrics,
+        checkpoint=tmp_path / "sweep.journal" if journaled else None,
+    )
+    assert outcome.ok
+    assert (outcome.recovery is not None) == journaled
+    assert metrics.value("parallel.cells.completed") == len(CONFIGS)
+    assert metrics.get("parallel.cell_wall_s").count == len(CONFIGS)
+    assert 0 < metrics.value("parallel.pool.utilization") <= 1
+    assert metrics.value("parallel.recovery.retries") == 0

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.resilience import failure_report, render_partial_table
+from repro.core.resilience import failure_report, render_partial_table, resilient_sweep
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import CellSpec, parallel_sweep, run_cell
+from repro.parallel import CellSpec, run_cell
 
 SCALE = 0.002
 SEED = 1994
@@ -37,7 +37,7 @@ def threshold(cts):
 
 def test_wedged_cell_fails_alone_through_the_pool(cts, threshold, tmp_path):
     metrics = MetricsRegistry()
-    outcome = parallel_sweep(
+    outcome = resilient_sweep(
         ["FLO52"],
         configs=(1, 4),
         scale=SCALE,
@@ -73,7 +73,7 @@ def test_wedged_cell_fails_alone_through_the_pool(cts, threshold, tmp_path):
     # Warm rerun: the survivor is served from cache; the wedged cell is
     # re-attempted (failures are never cached) and fails again.
     warm_metrics = MetricsRegistry()
-    warm = parallel_sweep(
+    warm = resilient_sweep(
         ["FLO52"],
         configs=(1, 4),
         scale=SCALE,
