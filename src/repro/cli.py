@@ -733,6 +733,7 @@ def _cmd_inject(args: argparse.Namespace) -> None:
 
 def _cmd_campaign(args: argparse.Namespace) -> None:
     from repro.faults import (
+        DEFAULT_CONFIGS,
         CampaignError,
         generate_campaign,
         load_campaign,
@@ -754,7 +755,7 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
         raise CLIError(str(exc)) from exc
     seed = args.seed if args.seed is not None else spec.seed
     apps = spec.apps or ("FLO52",)
-    configs = spec.configs or (4,)
+    configs = spec.configs or DEFAULT_CONFIGS
     for app in apps:
         _app_builder(app)
 

@@ -15,17 +15,87 @@ for work) is 1 on each cluster.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
+from typing import NamedTuple
+
 from repro.core.runner import RunResult
-from repro.core.trace_analysis import IntervalKind
-from repro.hpm.events import EventType
+from repro.core.trace_analysis import pair_events
+from repro.hpm.events import EventType, TraceEvent
 
 __all__ = [
+    "LoopIndex",
+    "loop_index",
     "loop_regions",
     "parallel_fraction",
     "average_concurrency",
     "parallel_loop_concurrency",
     "total_parallel_loop_concurrency",
 ]
+
+#: Point events that delimit a loop region -> (opens it, is the main
+#: task's).  The main task's spread-loop region runs from the loop post
+#: to its entering the finish barrier; a helper's from joining the loop
+#: to detaching from it.
+_REGION_EVENTS = {
+    EventType.LOOP_POST: (True, True),
+    EventType.BARRIER_ENTER: (False, True),
+    EventType.HELPER_JOIN: (True, False),
+    EventType.LOOP_DETACH: (False, False),
+}
+
+
+class LoopIndex(NamedTuple):
+    """Everything Tables 3 and 4 read from one run's trace."""
+
+    #: Parallel-loop execution regions per task id, sorted (start, end) ns.
+    regions: dict[int, list[tuple[int, int]]]
+    #: The main task's main cluster-only loop spans, in pairing order.
+    mc_spans: list[tuple[int, int]]
+
+
+def loop_index(result: RunResult) -> LoopIndex:
+    """Scan *result*'s trace once for every task's loop regions.
+
+    The scan feeds the events through
+    :func:`~repro.core.trace_analysis.pair_events`, so it validates the
+    trace exactly as interval extraction does (``ValueError`` on a close
+    without an open) and closes an unclosed main cluster-only loop at
+    the completion time.  Cached on the result beside its intervals.
+    """
+    cached = result._cache.get("loop_index")
+    if cached is not None:
+        return cached
+    regions: dict[int, list[tuple[int, int]]] = {}
+    starts: dict[tuple[int, object], int] = {}
+
+    def track(events: list[TraceEvent]) -> Iterator[TraceEvent]:
+        for event in events:
+            role = _REGION_EVENTS.get(event.event_type)
+            if role is not None:
+                opens, main_only = role
+                task_id = event.task_id
+                if (task_id == 0) == main_only:
+                    key = (task_id, _seq(event.payload))
+                    if opens:
+                        starts[key] = event.timestamp_ns
+                    else:
+                        start = starts.pop(key, None)
+                        if start is not None:
+                            regions.setdefault(task_id, []).append(
+                                (start, event.timestamp_ns)
+                            )
+            yield event
+
+    mc_spans = [
+        (opener.timestamp_ns, close_ns)
+        for opener, close_ns in pair_events(track(result.events), result.ct_ns)
+        if opener.event_type == EventType.MC_LOOP_START and opener.task_id == 0
+    ]
+    regions.setdefault(0, []).extend(mc_spans)
+    for spans in regions.values():
+        spans.sort()
+    result._cache["loop_index"] = index = LoopIndex(regions, mc_spans)
+    return index
 
 
 def loop_regions(result: RunResult, task_id: int) -> list[tuple[int, int]]:
@@ -36,38 +106,7 @@ def loop_regions(result: RunResult, task_id: int) -> list[tuple[int, int]]:
     contribute their full interval.  For a helper task a region runs
     from joining the loop to detaching from it.
     """
-    from repro.core.breakdown import _intervals  # shared interval cache
-
-    regions: list[tuple[int, int]] = []
-    if task_id == 0:
-        post_ns: dict[object, int] = {}
-        for event in result.events:
-            if event.task_id != 0:
-                continue
-            if event.event_type == EventType.LOOP_POST:
-                post_ns[_seq(event.payload)] = event.timestamp_ns
-            elif event.event_type == EventType.BARRIER_ENTER:
-                seq = _seq(event.payload)
-                start = post_ns.pop(seq, None)
-                if start is not None:
-                    regions.append((start, event.timestamp_ns))
-        for interval in _intervals(result):
-            if interval.task_id == 0 and interval.kind is IntervalKind.MC_LOOP:
-                regions.append((interval.start_ns, interval.end_ns))
-    else:
-        join_ns: dict[object, int] = {}
-        for event in result.events:
-            if event.task_id != task_id:
-                continue
-            if event.event_type == EventType.HELPER_JOIN:
-                join_ns[_seq(event.payload)] = event.timestamp_ns
-            elif event.event_type == EventType.LOOP_DETACH:
-                seq = _seq(event.payload)
-                start = join_ns.pop(seq, None)
-                if start is not None:
-                    regions.append((start, event.timestamp_ns))
-    regions.sort()
-    return regions
+    return list(loop_index(result).regions.get(task_id, ()))
 
 
 def _seq(payload: object) -> object:

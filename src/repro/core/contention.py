@@ -19,12 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.core.concurrency import (
+    loop_index,
     loop_regions,
     parallel_loop_concurrency,
     total_parallel_loop_concurrency,
 )
 from repro.core.runner import RunResult
-from repro.core.trace_analysis import IntervalKind
 
 __all__ = ["ContentionRow", "tp_actual_ns", "t1_split_ns", "contention_overhead"]
 
@@ -64,12 +64,7 @@ def t1_split_ns(result_1proc: RunResult) -> tuple[float, float]:
             f"t1_split_ns needs the 1-processor run, got "
             f"{result_1proc.n_processors} processors"
         )
-    from repro.core.breakdown import _intervals
-
-    t1_mc = 0.0
-    for interval in _intervals(result_1proc):
-        if interval.task_id == 0 and interval.kind is IntervalKind.MC_LOOP:
-            t1_mc += interval.duration_ns
+    t1_mc = float(sum(end - start for start, end in loop_index(result_1proc).mc_spans))
     total = tp_actual_ns(result_1proc)
     return t1_mc, max(0.0, total - t1_mc)
 

@@ -1,19 +1,22 @@
 """Reconstruction of activity intervals from cedarhpm event traces.
 
 The paper's Sections 5-7 analyses all start from the off-loaded event
-traces; this module turns the flat event list into paired intervals
-(per processor, per kind) that the breakdown, concurrency and
-contention modules consume.
+traces; this module pairs the flat event list's enter/exit events
+(per processor, per kind).  :func:`pair_events` is the one pairing
+routine: :func:`extract_intervals` builds the :class:`Interval` list
+the breakdown and exporter modules consume from it, and the
+concurrency module's one-pass loop index reads the same pairs.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 from repro.hpm.events import EventType, TraceEvent
 
-__all__ = ["IntervalKind", "Interval", "extract_intervals", "intervals_of"]
+__all__ = ["IntervalKind", "Interval", "extract_intervals", "intervals_of", "pair_events"]
 
 
 class IntervalKind(enum.Enum):
@@ -85,19 +88,22 @@ class Interval:
         return None
 
 
-def extract_intervals(
-    events: list[TraceEvent], end_ns: int | None = None
-) -> list[Interval]:
-    """Pair enter/exit events into intervals.
+def pair_events(
+    events: Iterable[TraceEvent], end_ns: int | None = None
+) -> Iterator[tuple[TraceEvent, int]]:
+    """Pair enter/exit events: yield ``(opener, close_ns)`` per interval.
 
     Events are paired per (processor, kind), LIFO when the same kind
     nests on one processor (e.g. serialised OS services recorded
-    back-to-back); an unclosed interval is closed at *end_ns* when
-    given, otherwise dropped.  Raises ``ValueError`` on a close without
-    a matching open, which would indicate corrupt instrumentation.
+    back-to-back), and yielded as each close is read; after the last
+    event every unclosed opener is yielded with *end_ns* when given,
+    otherwise dropped.  Raises ``ValueError`` on a close without a
+    matching open, which would indicate corrupt instrumentation.
+
+    The one pairing routine: :func:`extract_intervals` and the
+    concurrency module's loop index both consume it.
     """
     open_events: dict[tuple[int, EventType], list[TraceEvent]] = {}
-    intervals: list[Interval] = []
     for event in events:
         etype = event.event_type
         if etype in _PAIRS:
@@ -105,37 +111,39 @@ def extract_intervals(
             open_events.setdefault(key, []).append(event)
         elif etype in _CLOSERS:
             opener_type = _CLOSERS[etype]
-            key = (event.processor_id, opener_type)
-            stack = open_events.get(key)
+            stack = open_events.get((event.processor_id, opener_type))
             if not stack:
                 raise ValueError(
                     f"{etype.name} without matching {opener_type.name} on "
                     f"processor {event.processor_id} at t={event.timestamp_ns}"
                 )
-            opener = stack.pop()
-            intervals.append(
-                Interval(
-                    kind=_PAIRS[opener_type][1],
-                    processor_id=event.processor_id,
-                    task_id=opener.task_id,
-                    start_ns=opener.timestamp_ns,
-                    end_ns=event.timestamp_ns,
-                    payload=opener.payload,
-                )
-            )
+            yield stack.pop(), event.timestamp_ns
     if end_ns is not None:
-        for (processor_id, opener_type), stack in open_events.items():
+        for stack in open_events.values():
             for opener in stack:
-                intervals.append(
-                    Interval(
-                        kind=_PAIRS[opener_type][1],
-                        processor_id=processor_id,
-                        task_id=opener.task_id,
-                        start_ns=opener.timestamp_ns,
-                        end_ns=end_ns,
-                        payload=opener.payload,
-                    )
-                )
+                yield opener, end_ns
+
+
+def extract_intervals(
+    events: Iterable[TraceEvent], end_ns: int | None = None
+) -> list[Interval]:
+    """Pair enter/exit events into intervals sorted by (start, end).
+
+    Pairing follows :func:`pair_events`: LIFO per (processor, kind), an
+    unclosed interval closed at *end_ns* when given (otherwise dropped),
+    and ``ValueError`` on a close without a matching open.
+    """
+    intervals = [
+        Interval(
+            kind=_PAIRS[opener.event_type][1],
+            processor_id=opener.processor_id,
+            task_id=opener.task_id,
+            start_ns=opener.timestamp_ns,
+            end_ns=close_ns,
+            payload=opener.payload,
+        )
+        for opener, close_ns in pair_events(events, end_ns)
+    ]
     intervals.sort(key=lambda iv: (iv.start_ns, iv.end_ns))
     return intervals
 

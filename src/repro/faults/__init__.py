@@ -38,6 +38,7 @@ from repro.faults.host import (
 )
 from repro.faults.injector import FaultInjectionError, FaultInjector, FaultLedger, InjectedFault
 from repro.faults.spec import (
+    DEFAULT_CONFIGS,
     FAULT_KINDS,
     CampaignError,
     CampaignSpec,
@@ -48,6 +49,7 @@ from repro.faults.spec import (
 )
 
 __all__ = [
+    "DEFAULT_CONFIGS",
     "FAULT_KINDS",
     "HOST_CHAOS_SCHEMA",
     "HOST_FAULT_KINDS",

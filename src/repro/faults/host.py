@@ -38,8 +38,6 @@ from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.cache import ResultCache
 
@@ -220,6 +218,8 @@ def generate_host_chaos(
         raise HostChaosError(
             f"plan wants {wanted} victim cells but the grid has {len(grid)}"
         )
+    import numpy as np  # lazily: the CLI's import graph stays numpy-free
+
     rng = np.random.default_rng(seed)
     victims = [grid[int(i)] for i in rng.choice(len(grid), size=wanted, replace=False)]
     faults: list[HostFault] = []

@@ -13,9 +13,8 @@ import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 __all__ = [
+    "DEFAULT_CONFIGS",
     "FAULT_KINDS",
     "CampaignError",
     "CampaignSpec",
@@ -24,6 +23,9 @@ __all__ = [
     "load_campaign",
     "save_campaign",
 ]
+
+#: Processor counts ``cedar-repro campaign`` sweeps when a spec names none.
+DEFAULT_CONFIGS = (4,)
 
 #: Supported fault kinds, in catalogue order (docs/fault-injection.md).
 FAULT_KINDS = (
@@ -230,7 +232,7 @@ def generate_campaign(
     n_faults: int = 4,
     horizon_ns: int = 50_000_000,
     n_memory_modules: int = 32,
-    n_processors: int = 32,
+    n_processors: int | None = None,
     ces_per_cluster: int = 8,
     name: str | None = None,
 ) -> CampaignSpec:
@@ -239,12 +241,21 @@ def generate_campaign(
     Draws kinds, strike times and targets from a single
     ``np.random.default_rng(seed)`` stream, so the same seed always
     yields the same spec.  ``switch_stall`` is excluded from random
-    generation (it is only meaningful on packet-level runs); CE drops
-    are capped below a full cluster so the kernel's cluster-empty guard
-    cannot fire.
+    generation (it is only meaningful on packet-level runs).  CE drops
+    target the first *n_processors* CEs -- by default the smallest of
+    :data:`DEFAULT_CONFIGS`, where a campaign that names no configs
+    runs -- and are capped below a full cluster so the kernel's
+    cluster-empty guard cannot fire.  A machine of fewer CEs than
+    *ces_per_cluster* is one cluster of them all, as in
+    :meth:`~repro.hardware.config.CedarConfig.with_processors`.
     """
     if n_faults <= 0:
         raise CampaignError(f"n_faults must be positive, got {n_faults}")
+    if n_processors is None:
+        n_processors = min(DEFAULT_CONFIGS)
+    ces_per_cluster = min(ces_per_cluster, n_processors)
+    import numpy as np  # lazily: the CLI's import graph stays numpy-free
+
     rng = np.random.default_rng(seed)
     kinds = [k for k in FAULT_KINDS if k != "switch_stall"]
     faults = []

@@ -9,8 +9,12 @@ external ``cedarhpm`` monitor.
 from __future__ import annotations
 
 import enum
+import gc
+from array import array
+from collections.abc import Sequence
+from typing import Any
 
-__all__ = ["EventType", "TraceEvent", "RTL_EVENTS", "OS_EVENTS"]
+__all__ = ["EventType", "TraceEvent", "EventList", "RTL_EVENTS", "OS_EVENTS"]
 
 
 class EventType(enum.IntEnum):
@@ -116,21 +120,6 @@ class TraceEvent:
         self.task_id = task_id
         self.payload = payload
 
-    def __reduce__(self) -> tuple:
-        # Positional arguments pickle in about half the bytes and time of
-        # the default slots-state dict; a cell's snapshot holds tens of
-        # thousands of events, and every cache write pickles them all.
-        return (
-            TraceEvent,
-            (
-                self.event_type,
-                self.timestamp_ns,
-                self.processor_id,
-                self.task_id,
-                self.payload,
-            ),
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TraceEvent({self.event_type.name}, t={self.timestamp_ns}, "
@@ -147,3 +136,100 @@ class TraceEvent:
             and self.task_id == other.task_id
             and self.payload == other.payload
         )
+
+
+#: Event type by its one-byte wire value.
+_EVENT_TYPES = {event_type.value: event_type for event_type in EventType}
+
+#: Signed ``array`` typecodes, narrowest first, with the range each holds.
+_INT_CODES = tuple(
+    (code, -(1 << (8 * size - 1)), (1 << (8 * size - 1)) - 1)
+    for code, size in (("b", 1), ("h", 2), ("i", 4), ("q", 8))
+)
+
+
+def _int_column(values: list[Any]) -> Sequence[Any]:
+    """*values* as the narrowest signed ``array`` that holds them exactly.
+
+    Falls back to the plain list when a value is not an ``int`` in the
+    64-bit range, so an odd field still round-trips unchanged.
+    """
+    if set(map(type, values)) <= {int}:
+        low, high = min(values, default=0), max(values, default=0)
+        for code, code_min, code_max in _INT_CODES:
+            if code_min <= low and high <= code_max:
+                return array(code, values)
+    return values
+
+
+class EventList(list):
+    """A list of :class:`TraceEvent` that pickles as columns.
+
+    Pickling an event list one object at a time costs a few hundred
+    bytes of opcodes per event; a cell's trace holds tens of thousands,
+    and every pooled or cached cell crosses a process boundary or the
+    disk.  This list pickles instead as the event types (one byte
+    each), ``array`` columns of timestamps, processors and tasks, and
+    the distinct payload objects with an index column.  Payloads are
+    interned by identity, so the table holds exactly the objects the
+    events shared and every payload comes back equal in type and value.
+    An unknown event-type byte fails the load with ``KeyError``.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self) -> tuple[Any, ...]:
+        payloads: list[Any] = []
+        slot_of: dict[int, int] = {}
+        index: list[int] = []
+        for event in self:
+            payload = event.payload
+            slot = slot_of.get(id(payload))
+            if slot is None:
+                slot = slot_of[id(payload)] = len(payloads)
+                payloads.append(payload)
+            index.append(slot)
+        return (
+            _events_from_columns,
+            (
+                bytes([event.event_type for event in self]),
+                _int_column([event.timestamp_ns for event in self]),
+                _int_column([event.processor_id for event in self]),
+                _int_column([event.task_id for event in self]),
+                payloads,
+                _int_column(index),
+            ),
+        )
+
+
+def _events_from_columns(
+    types: bytes,
+    timestamps: Sequence[Any],
+    processors: Sequence[Any],
+    tasks: Sequence[Any],
+    payloads: list[Any],
+    index: Sequence[int],
+) -> EventList:
+    """Rebuild an :class:`EventList` from its pickled columns."""
+    n = len(types)
+    if not len(timestamps) == len(processors) == len(tasks) == len(index) == n:
+        raise ValueError("event columns differ in length")
+    # The new events hold no reference cycles, but allocating tens of
+    # thousands of them with the collector on makes it rescan the
+    # growing heap many times over: about two thirds of the load time.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return EventList(
+            map(
+                TraceEvent,
+                map(_EVENT_TYPES.__getitem__, types),
+                timestamps,
+                processors,
+                tasks,
+                map(payloads.__getitem__, index),
+            )
+        )
+    finally:
+        if collecting:
+            gc.enable()

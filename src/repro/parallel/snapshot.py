@@ -8,8 +8,13 @@ written to the result cache.  :func:`snapshot_result` rebuilds the same
 exactly like the live classes for everything the analysis layer and the
 ``repro.obs`` metric collectors read after a run:
 
-* ``result.accounting`` / ``result.fault_stats`` / ``result.events`` --
-  plain data, deep-copied verbatim;
+* ``result.accounting`` / ``result.fault_stats`` -- plain data,
+  deep-copied verbatim;
+* ``result.events`` -- the same events in a
+  :class:`~repro.hpm.events.EventList`, which pickles as columns: the
+  one encoding for both places a result crosses a process boundary,
+  the pool's result transport and the result cache.  ``result.events
+  is result.hpm.events`` holds before and after a round trip;
 * ``result.statfx`` / ``result.board`` -- concurrency queries answered
   from values frozen at end-of-run simulated time;
 * ``result.machine`` -- the memory ledger, the streaming-load tracker,
@@ -42,6 +47,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.core.runner import RunResult
+from repro.hpm.events import EventList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hpm.events import TraceEvent
@@ -271,7 +277,7 @@ def snapshot_result(result: RunResult) -> RunResult:
     sections = result.kernel.critical_sections
     statfx = result.statfx
     board = result.board
-    events = list(result.events)
+    events = EventList(result.events)
     hpm = result.hpm
     return RunResult(
         app_name=result.app_name,

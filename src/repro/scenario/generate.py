@@ -17,11 +17,12 @@ Hypothesis property suite both feed on this module.
 
 from __future__ import annotations
 
-from typing import Any
-
-import numpy as np
+from typing import TYPE_CHECKING, Any
 
 from repro.scenario.schema import ScenarioDoc, parse_scenario
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    import numpy as np
 
 __all__ = ["generate_scenario", "generate_scenarios"]
 
@@ -198,6 +199,8 @@ def generate_scenarios(seed: int, n: int) -> list[ScenarioDoc]:
     """
     if n < 0:
         raise ValueError(f"n must be >= 0, got {n}")
+    import numpy as np  # lazily: the CLI's import graph stays numpy-free
+
     rng = np.random.default_rng(seed)
     return [
         generate_scenario(rng, f"fuzz-{seed:x}-{index:04d}") for index in range(n)

@@ -16,8 +16,6 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-import numpy as np
-
 from repro.xylem.kernel import XylemKernel
 
 __all__ = ["BackgroundWorkload"]
@@ -58,6 +56,8 @@ class BackgroundWorkload:
         self.share = share
         self.quantum_ns = quantum_ns
         self.coscheduled = coscheduled
+        import numpy as np  # lazily: the CLI's import graph stays numpy-free
+
         self._rng = np.random.default_rng(seed)
         self._started = False
         #: Total competitor time granted, per cluster (ns).

@@ -1,8 +1,27 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.cli import build_parser, main
+
+
+def test_importing_the_cli_leaves_numpy_unimported():
+    # numpy is most of the CLI's import time; only the code paths that
+    # draw from its generators import it, when they run.
+    code = "import sys, repro.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parser_requires_command():

@@ -64,6 +64,22 @@ def test_campaign_generate_writes_valid_spec(tmp_path, capsys):
     assert len(spec.faults) == 3
 
 
+@pytest.mark.parametrize("seed", range(1, 9))
+def test_generated_campaign_runs_on_the_default_config(tmp_path, capsys, seed):
+    # Seeds 2 and 6 once drew ce_deconfig targets from 32 CEs, which the
+    # default P = 4 cell rejected ("ce_id 23 out of range").
+    path = tmp_path / "generated.json"
+    main(["campaign", str(path), "--generate", "--seed", str(seed)])
+    spec = load_campaign(path)
+    assert all(
+        f.target < 4 for f in spec.faults if f.kind == "ce_deconfig"
+    ), spec.faults
+    main(["campaign", str(path), "--scale", "0.002"])
+    out = capsys.readouterr().out
+    assert "FAILED" not in out
+    assert "FLO52 |     4 |" in out
+
+
 def test_campaign_run_renders_table(tmp_path, capsys):
     path = _tiny_campaign(tmp_path, apps=("FLO52",), configs=(4,))
     report = tmp_path / "failures.json"
