@@ -74,6 +74,7 @@ from pathlib import Path
 
 from repro.apps import PAPER_APPS
 from repro.core import (
+    RunResult,
     contention_overhead,
     ct_breakdown,
     parallel_loop_concurrency,
@@ -346,9 +347,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
         _write_stats(result, args.stats)
     print(f"{result.app_name} on {processors} processors (scale {scale})")
     print(f"completion time: {result.ct_seconds:.1f} s (extrapolated)")
-    if result.fastpath_modes:
-        modes = " ".join(f"{k}={v}" for k, v in sorted(result.fastpath_modes.items()))
-        print(f"fast paths: {modes}")
+    _print_fastpath_modes(result)
     print("\ncompletion-time breakdown (main cluster):")
     breakdown = ct_breakdown(result, 0)
     for category in TimeCategory:
@@ -681,6 +680,13 @@ def _cmd_sanitize(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
+def _print_fastpath_modes(result: RunResult) -> None:
+    """Print which implementation served each layer of *result*."""
+    if result.fastpath_modes:
+        modes = " ".join(f"{k}={v}" for k, v in sorted(result.fastpath_modes.items()))
+        print(f"fast paths: {modes}")
+
+
 def _cmd_inject(args: argparse.Namespace) -> None:
     from repro.faults import CampaignError, load_campaign, run_with_campaign
 
@@ -713,6 +719,7 @@ def _cmd_inject(args: argparse.Namespace) -> None:
         f"{spec.name!r} (seed {args.seed})"
     )
     print(f"completion time: {result.ct_seconds:.1f} s (extrapolated)")
+    _print_fastpath_modes(result)
     print(
         f"faults: {ledger.injected} injected, {ledger.reverted} reverted, "
         f"{ledger.skipped} skipped"

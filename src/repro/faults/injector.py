@@ -12,6 +12,7 @@ inflated lock as kernel spin.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable, Generator
 from dataclasses import dataclass, field
 
@@ -95,9 +96,11 @@ class FaultInjector:
         self.spec = spec
         self.ledger = FaultLedger()
         self._armed = False
-        # Aggregate degradation mirrored into the analytic model.
-        self._bank_factors: dict[int, float] = {}
-        self._offline_banks: set[int] = set()
+        # Aggregate degradation mirrored into the analytic model.  Each
+        # bank keeps its active faults, so overlapping transients
+        # compose and revert independently.
+        self._bank_factors: dict[int, list[float]] = {}
+        self._offline_banks: dict[int, int] = {}
         self._link_penalty_cycles = 0
 
     def arm(self) -> None:
@@ -107,7 +110,11 @@ class FaultInjector:
         packet-level memory (when built): every transaction of a fault
         campaign routes through the exact per-packet path from the
         start, keeping campaign runs bit-identical whether or not a
-        fault has struck yet.
+        fault has struck yet.  The runtime and OS fast paths stay
+        armed: every fault kind changes state that their lean and exact
+        paths read at the same instants, so a campaign publishes the
+        same results either way (docs/fault-injection.md, "Fast paths
+        under faults").
         """
         if self._armed:
             return
@@ -115,12 +122,6 @@ class FaultInjector:
         memory = self._packet_memory()
         if memory is not None:
             memory.fastpath.disable()
-        # Same discipline for the runtime and OS layers: lean locks,
-        # spawn fusion and warm-page elision all route exact for the
-        # whole campaign, so fault runs are bit-identical with the fast
-        # paths compiled in or out.
-        self.runtime.fastpath.disable()
-        self.kernel.fastpath.disable()
         for index, fault in enumerate(self.spec.faults):
             self.sim.process(
                 self._fault_process(fault),
@@ -165,7 +166,7 @@ class FaultInjector:
         """Mirror aggregate bank/link degradation into the analytic model."""
         n_modules = self.machine.config.n_memory_modules
         online = [m for m in range(n_modules) if m not in self._offline_banks]
-        factors = [self._bank_factors.get(m, 1.0) for m in online]
+        factors = [self._bank_factor(m) for m in online]
         mean_factor = sum(factors) / len(online)
         self.machine.set_memory_degradation(
             bank_service_factor=mean_factor,
@@ -173,6 +174,10 @@ class FaultInjector:
             offline_modules=len(self._offline_banks),
             link_penalty_cycles=float(self._link_penalty_cycles),
         )
+
+    def _bank_factor(self, module: int) -> float:
+        """Service factor of *module*: the product of its active slowdowns."""
+        return math.prod(self._bank_factors.get(module, ()), start=1.0)
 
     def _apply_bank_slow(
         self, fault: FaultEvent, record: InjectedFault
@@ -185,18 +190,21 @@ class FaultInjector:
                 f"bank_slow target {target} out of range "
                 f"(machine has {self.machine.config.n_memory_modules} modules)"
             )
-        self._bank_factors[target] = factor
+        active = self._bank_factors.setdefault(target, [])
+        active.append(factor)
         self._sync_analytic()
         memory = self._packet_memory()
         if memory is not None:
-            memory.set_bank_service_multiplier(target, factor)
+            memory.set_bank_service_multiplier(target, self._bank_factor(target))
         record.note = f"bank {target} service x{factor}"
 
         def revert() -> None:
-            self._bank_factors.pop(target, None)
+            active.remove(factor)
+            if not active:
+                del self._bank_factors[target]
             self._sync_analytic()
             if memory is not None:
-                memory.set_bank_service_multiplier(target, 1.0)
+                memory.set_bank_service_multiplier(target, self._bank_factor(target))
 
         return revert
 
@@ -208,17 +216,24 @@ class FaultInjector:
         n_modules = self.machine.config.n_memory_modules
         if target >= n_modules:
             raise FaultInjectionError(f"bank_offline target {target} out of range")
-        if len(self._offline_banks) + 1 >= n_modules:
+        offline = self._offline_banks
+        already = target in offline
+        if not already and len(offline) + 1 >= n_modules:
             raise FaultInjectionError("cannot take the last online bank offline")
-        self._offline_banks.add(target)
+        offline[target] = offline.get(target, 0) + 1
         self._sync_analytic()
         memory = self._packet_memory()
-        if memory is not None:
+        if memory is not None and not already:
             memory.set_bank_offline(target, True)
         record.note = f"bank {target} offline, traffic remapped onto survivors"
 
         def revert() -> None:
-            self._offline_banks.discard(target)
+            # The bank comes back only when no other offline fault on
+            # it is still active.
+            offline[target] -= 1
+            if offline[target]:
+                return
+            del offline[target]
             self._sync_analytic()
             if memory is not None:
                 memory.set_bank_offline(target, False)

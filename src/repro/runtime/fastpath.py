@@ -26,13 +26,15 @@ per handoff instead of three, with identical grant order, identical
 hold prices and identical completion times.  The Hypothesis suite in
 ``tests/runtime/test_fastpath_equivalence.py`` pins the equivalence.
 
-:class:`RuntimeFastPath` is the arming seam, mirroring the sticky
-disable discipline :mod:`repro.hardware.fastpath` established: the lean
-paths (and the spawn-fusion sites in :mod:`repro.runtime.library`) run
-only when the environment allows them (:mod:`repro.sim.policy`), no
-trace sink is attached, tie-break perturbation is off, and no fault
-campaign has sticky-disabled the engine.  Every fallback is counted so
-run reports show which paths actually served a run.
+:class:`RuntimeFastPath` is the arming seam: the lean paths (and the
+spawn-fusion sites in :mod:`repro.runtime.library`) run only when the
+environment allows them (:mod:`repro.sim.policy`), no trace sink is
+attached and tie-break perturbation is off.  The decision is taken once,
+when the stack is built.  Fault campaigns leave it armed: every fault
+kind acts on state the lean and exact paths read at the same instants
+(``tests/integration/test_fastpath_faults.py`` pins that).  Every
+fallback is counted so run reports show which paths actually served a
+run.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ class RuntimeFastPathStats:
     #: processes: memory bursts, execute slices, page-touch sweeps.
     fused_spawns: int = 0
     #: Operations routed exact because the engine was disarmed (sink,
-    #: perturbation, policy, or a fault campaign's sticky disable).
+    #: perturbation or policy).
     fallback_disarmed: int = 0
     #: Operations routed exact because a deadline or a combining-tree
     #: barrier was configured (shapes the lean path does not model).
@@ -167,33 +169,12 @@ class LeanLock:
 class RuntimeFastPath:
     """Arming state + counters for the runtime-layer fast paths."""
 
-    __slots__ = ("sim", "stats", "enabled", "_armed")
+    __slots__ = ("stats", "on")
 
     def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
         self.stats = RuntimeFastPathStats()
-        #: Sticky switch; cleared only by :meth:`enable` (tests).
-        self.enabled = True
-        self._armed = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
-
-    @property
-    def on(self) -> bool:
-        """Whether the lean paths may serve the next operation."""
-        return self.enabled and self._armed
-
-    def disable(self) -> None:
-        """Sticky disable (armed fault campaign): everything goes exact."""
-        self.enabled = False
-
-    def enable(self) -> None:
-        """Re-enable after a campaign is torn down (tests).
-
-        Re-arms against the simulator's *current* sink/perturbation
-        state, so a run that attached a sink meanwhile stays exact.
-        """
-        self.enabled = True
-        sim = self.sim
-        self._armed = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
+        #: Whether the lean paths serve this run; fixed at construction.
+        self.on = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
 
     @property
     def mode(self) -> str:

@@ -196,8 +196,7 @@ class CedarFortranRuntime:
         #: tie-stable arbitration, keyed by cluster task id).
         self._outer_lock = ArbitratedResource(sim, capacity=1)
         #: Analytic fast-path engine: lean locks and spawn fusion, armed
-        #: only for sink-free unperturbed runs (fault campaigns sticky-
-        #: disable it before the run starts).
+        #: only for sink-free unperturbed runs.
         self.fastpath = RuntimeFastPath(sim)
         #: Closed-form twins of the two self-scheduling locks above.
         self._lean_outer = LeanLock(sim)

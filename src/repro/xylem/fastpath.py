@@ -13,11 +13,11 @@ those children with ``yield from`` (no events, identical delays), and
 even entering the touch path -- the warm part of a warm/cold page sweep
 costs zero events instead of two per page.
 
-Arming follows the discipline of :mod:`repro.hardware.fastpath` and
-:mod:`repro.runtime.fastpath`: environment policy
-(:mod:`repro.sim.policy`), sink-free, unperturbed, and not sticky-
-disabled by a fault campaign (:meth:`repro.faults.FaultInjector.arm`
-routes every layer exact before the run starts).
+Arming follows :mod:`repro.runtime.fastpath`: environment policy
+(:mod:`repro.sim.policy`), sink-free and unperturbed, decided once when
+the kernel is built.  Fault campaigns leave it armed: a fused child
+yields the same delays as a spawned one, so a fault that changes a
+delay changes it on both paths alike.
 """
 
 from __future__ import annotations
@@ -47,29 +47,12 @@ class XylemFastPathStats:
 class XylemFastPath:
     """Arming state + counters for the OS-layer fast paths."""
 
-    __slots__ = ("sim", "stats", "enabled", "_armed")
+    __slots__ = ("stats", "on")
 
     def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
         self.stats = XylemFastPathStats()
-        #: Sticky switch; cleared only by :meth:`enable` (tests).
-        self.enabled = True
-        self._armed = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
-
-    @property
-    def on(self) -> bool:
-        """Whether children may be inlined right now."""
-        return self.enabled and self._armed
-
-    def disable(self) -> None:
-        """Sticky disable (armed fault campaign): everything goes exact."""
-        self.enabled = False
-
-    def enable(self) -> None:
-        """Re-enable after a campaign is torn down (tests)."""
-        self.enabled = True
-        sim = self.sim
-        self._armed = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
+        #: Whether children may be inlined in this run; fixed at construction.
+        self.on = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
 
     @property
     def mode(self) -> str:

@@ -50,6 +50,69 @@ def test_transient_fault_reverts():
     assert not machine.contention.degraded
 
 
+def _sample_overlap(kind, long_fields=None, short_fields=None):
+    """Run a long and a short *kind* fault on bank 3, sampling mid-run.
+
+    The long fault holds [5, 35] ms, the short one [20, 22] ms.  Returns
+    ``{t_ms: (analytic factor, offline banks, packet multiplier,
+    packet offline)}`` at 21 ms (both active), 25 ms (only the long one)
+    and 40 ms (neither).
+    """
+    ms = 1_000_000
+    spec = CampaignSpec(
+        name="overlap",
+        seed=SEED,
+        faults=(
+            FaultEvent(kind=kind, at_ns=5 * ms, target=3, duration_ns=30 * ms,
+                       **(long_fields or {})),
+            FaultEvent(kind=kind, at_ns=20 * ms, target=3, duration_ns=2 * ms,
+                       **(short_fields or {})),
+        ),
+    )
+    samples = {}
+
+    def hook(sim, machine, kernel, runtime):
+        memory = machine.memory  # build the packet-level path too
+        injector = FaultInjector(sim, machine, kernel, runtime, spec)
+        injector.arm()
+
+        def sampler():
+            for t_ms in (21, 25, 40):
+                yield sim.timeout(t_ms * ms - sim.now)
+                samples[t_ms] = (
+                    injector._bank_factor(3),
+                    dict(injector._offline_banks),
+                    memory.bank_service_multiplier[3],
+                    memory.bank_offline(3),
+                )
+
+        sim.process(sampler(), name="sampler")
+
+    from repro.apps import PAPER_APPS
+
+    run_application(
+        PAPER_APPS["FLO52"](), 4, scale=SCALE, os_params=XylemParams(seed=SEED),
+        pre_run_hook=hook,
+    )
+    return samples
+
+
+def test_overlapping_bank_slow_faults_compose():
+    samples = _sample_overlap("bank_slow", {"factor": 4.0}, {"factor": 2.0})
+    assert samples[21][0] == samples[21][2] == 8.0
+    # The short fault's revert leaves the long one's slowdown in place.
+    assert samples[25][0] == samples[25][2] == 4.0
+    assert samples[40][0] == samples[40][2] == 1.0
+
+
+def test_overlapping_bank_offline_faults_compose():
+    samples = _sample_overlap("bank_offline")
+    assert samples[21][1] == {3: 2} and samples[21][3]
+    # Bank 3 stays offline while the long fault still holds it.
+    assert samples[25][1] == {3: 1} and samples[25][3]
+    assert samples[40][1] == {} and not samples[40][3]
+
+
 def test_ce_deconfig_completes_with_redistribution():
     healthy = _healthy()
     outcome = _degraded([FaultEvent(kind="ce_deconfig", at_ns=0, target=1)])

@@ -2,11 +2,11 @@
 
 The batched engines (:mod:`repro.runtime.fastpath`,
 :mod:`repro.xylem.fastpath` and the push-mode statfx sampler) exist
-purely for host speed: on a sink-free, unperturbed, fault-free run they
-must reproduce the exact paths'
-observable results bit for bit -- completion time, every
-``RuntimeStats`` counter, the per-category Xylem time accounting, the
-statfx concurrency integrals and the page-fault statistics.
+purely for host speed: on a sink-free, unperturbed run they must
+reproduce the exact paths' observable results bit for bit -- completion
+time, every ``RuntimeStats`` counter, the per-category Xylem time
+accounting, the statfx concurrency integrals and the page-fault
+statistics.
 
 Hypothesis drives random phase lists (spread loops, XDOALLs,
 cluster-only loops, serial sections, paging patterns) through a full
@@ -194,11 +194,11 @@ def test_trace_sink_forces_exact():
     assert result.fastpath_modes["statfx"] == "exact"
 
 
-def test_fault_campaign_sticky_disables_every_layer():
+def test_fault_campaign_keeps_lean_paths_armed():
     from repro.faults import CampaignSpec, FaultEvent, FaultInjector
 
     spec = CampaignSpec(
-        name="fp-disarm",
+        name="fp-armed",
         faults=[FaultEvent(kind="lock_inflate", at_ns=1_000, factor=2.0)],
     )
 
@@ -210,9 +210,9 @@ def test_fault_campaign_sticky_disables_every_layer():
         modes["xylem"] = kernel.fastpath.mode
 
     result = run_phases(_barrier_workload(), 32, pre_run_hook=hook)
-    assert modes == {"runtime": "exact", "xylem": "exact"}
-    assert result.runtime.fastpath.stats.lean_pickups == 0
-    assert result.kernel.fastpath.stats.fused_spawns == 0
+    assert modes == {"runtime": "batched", "xylem": "batched"}
+    assert result.runtime.fastpath.stats.lean_pickups > 0
+    assert result.kernel.fastpath.stats.fused_spawns > 0
 
 
 def test_runtime_engine_arming_rules(monkeypatch):
@@ -229,12 +229,4 @@ def test_runtime_engine_arming_rules(monkeypatch):
     monkeypatch.setenv("CEDAR_REPRO_FASTPATH", "exact")
     sim3 = Simulator()
     assert not RuntimeFastPath(sim3).on
-    engine = RuntimeFastPath(sim3)
-    assert engine.mode == "exact"
-    monkeypatch.delenv("CEDAR_REPRO_FASTPATH")
-    engine.enable()
-    assert engine.on
-    engine.disable()
-    assert not engine.on
-    engine.enable()
-    assert engine.on
+    assert RuntimeFastPath(sim3).mode == "exact"
