@@ -15,7 +15,7 @@ for work) is 1 on each cluster.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from repro.core.runner import RunResult
@@ -68,7 +68,7 @@ def loop_index(result: RunResult) -> LoopIndex:
     regions: dict[int, list[tuple[int, int]]] = {}
     starts: dict[tuple[int, object], int] = {}
 
-    def track(events: list[TraceEvent]) -> Iterator[TraceEvent]:
+    def track(events: Iterable[TraceEvent]) -> Iterator[TraceEvent]:
         for event in events:
             role = _REGION_EVENTS.get(event.event_type)
             if role is not None:

@@ -9,7 +9,7 @@ everything the analysis modules need.
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -57,8 +57,9 @@ class RunResult:
     extrapolation: float
     #: Simulated completion time in nanoseconds (not extrapolated).
     ct_ns: int
-    #: The off-loaded cedarhpm trace buffer.
-    events: list[TraceEvent]
+    #: The off-loaded cedarhpm trace buffer: a list on a live run, a
+    #: lazily decoded :class:`~repro.hpm.events.EventList` on a snapshot.
+    events: Sequence[TraceEvent]
     accounting: TimeAccounting
     fault_stats: FaultStats
     statfx: Statfx
@@ -113,6 +114,27 @@ class RunResult:
         if self.ct_ns == 0:
             return 0.0
         return ns / self.ct_ns
+
+    def __getstate__(self) -> dict:
+        """Pickle state: a snapshot carries its loop index, nothing else cached.
+
+        Tables 3 and 4 read a run's trace only through
+        :func:`~repro.core.concurrency.loop_index`, so the index is
+        built where the result is pickled -- in the pool worker, or at
+        a cache put -- and a served result answers both tables without
+        decoding its events.  A trace the scan rejects carries no
+        index: the reader rescans it and raises as the scan did.
+        """
+        from repro.core.concurrency import loop_index
+        from repro.parallel.snapshot import is_snapshot
+
+        carried = {}
+        if is_snapshot(self):
+            try:
+                carried["loop_index"] = loop_index(self)
+            except ValueError:
+                pass
+        return {**self.__dict__, "_cache": carried}
 
     def portable(self) -> "RunResult":
         """A detached, picklable copy of this result.

@@ -11,8 +11,8 @@ from __future__ import annotations
 import enum
 import gc
 from array import array
-from collections.abc import Sequence
-from typing import Any
+from collections.abc import Iterable, Iterator, Sequence
+from typing import Any, overload
 
 __all__ = ["EventType", "TraceEvent", "EventList", "RTL_EVENTS", "OS_EVENTS"]
 
@@ -141,6 +141,9 @@ class TraceEvent:
 #: Event type by its one-byte wire value.
 _EVENT_TYPES = {event_type.value: event_type for event_type in EventType}
 
+#: Every valid one-byte event type, for the load-time check.
+_TYPE_BYTES = bytes(_EVENT_TYPES)
+
 #: Signed ``array`` typecodes, narrowest first, with the range each holds.
 _INT_CODES = tuple(
     (code, -(1 << (8 * size - 1)), (1 << (8 * size - 1)) - 1)
@@ -162,8 +165,8 @@ def _int_column(values: list[Any]) -> Sequence[Any]:
     return values
 
 
-class EventList(list):
-    """A list of :class:`TraceEvent` that pickles as columns.
+class EventList(Sequence[TraceEvent]):
+    """A read-only sequence of :class:`TraceEvent` that pickles as columns.
 
     Pickling an event list one object at a time costs a few hundred
     bytes of opcodes per event; a cell's trace holds tens of thousands,
@@ -173,16 +176,87 @@ class EventList(list):
     the distinct payload objects with an index column.  Payloads are
     interned by identity, so the table holds exactly the objects the
     events shared and every payload comes back equal in type and value.
-    An unknown event-type byte fails the load with ``KeyError``.
+
+    Loading is lazy.  An unpickled list holds just its columns: ``len``
+    is answered from the type column, and the :class:`TraceEvent`
+    objects are built once, on the first element access or iteration.
+    A list that was never decoded pickles its columns again unchanged,
+    so storing a result that just arrived from a pool worker re-encodes
+    nothing.  The load still validates the columns eagerly: unequal
+    lengths, an unknown event-type byte or a payload index out of range
+    fail the load with ``ValueError``, never the first access.
     """
 
-    __slots__ = ()
+    __slots__ = ("_events", "_columns")
+
+    def __init__(self, events: Iterable[TraceEvent] = ()) -> None:
+        self._events: list[TraceEvent] | None = list(events)
+        #: The pickled columns, kept until the first decode.
+        self._columns: tuple[Any, ...] | None = None
+
+    def _decoded(self) -> list[TraceEvent]:
+        """The events, built from the columns on the first call."""
+        if self._events is None:
+            assert self._columns is not None
+            types, timestamps, processors, tasks, payloads, index = self._columns
+            # The new events hold no reference cycles, but allocating tens
+            # of thousands of them with the collector on makes it rescan
+            # the growing heap many times over: about two thirds of the
+            # decode time.
+            collecting = gc.isenabled()
+            gc.disable()
+            try:
+                self._events = list(
+                    map(
+                        TraceEvent,
+                        map(_EVENT_TYPES.__getitem__, types),
+                        timestamps,
+                        processors,
+                        tasks,
+                        map(payloads.__getitem__, index),
+                    )
+                )
+            finally:
+                if collecting:
+                    gc.enable()
+            self._columns = None
+        return self._events
+
+    def __len__(self) -> int:
+        if self._columns is not None:
+            return len(self._columns[0])
+        return len(self._decoded())
+
+    @overload
+    def __getitem__(self, index: int) -> TraceEvent: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> list[TraceEvent]: ...
+
+    def __getitem__(self, index: int | slice) -> TraceEvent | list[TraceEvent]:
+        return self._decoded()[index]
+
+    def __iter__(self) -> Iterator[TraceEvent]:
+        return iter(self._decoded())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, EventList):
+            other = other._decoded()
+        if not isinstance(other, list):
+            return NotImplemented
+        return self._decoded() == other
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return f"EventList(<{len(self)} events>)"
 
     def __reduce__(self) -> tuple[Any, ...]:
+        if self._columns is not None:
+            return (_events_from_columns, self._columns)
+        events = self._decoded()
         payloads: list[Any] = []
         slot_of: dict[int, int] = {}
         index: list[int] = []
-        for event in self:
+        for event in events:
             payload = event.payload
             slot = slot_of.get(id(payload))
             if slot is None:
@@ -192,10 +266,10 @@ class EventList(list):
         return (
             _events_from_columns,
             (
-                bytes([event.event_type for event in self]),
-                _int_column([event.timestamp_ns for event in self]),
-                _int_column([event.processor_id for event in self]),
-                _int_column([event.task_id for event in self]),
+                bytes([event.event_type for event in events]),
+                _int_column([event.timestamp_ns for event in events]),
+                _int_column([event.processor_id for event in events]),
+                _int_column([event.task_id for event in events]),
                 payloads,
                 _int_column(index),
             ),
@@ -210,26 +284,20 @@ def _events_from_columns(
     payloads: list[Any],
     index: Sequence[int],
 ) -> EventList:
-    """Rebuild an :class:`EventList` from its pickled columns."""
+    """An undecoded :class:`EventList` over its pickled columns.
+
+    Validates the columns here, at load, so a damaged trace fails the
+    unpickling rather than a later read.
+    """
     n = len(types)
     if not len(timestamps) == len(processors) == len(tasks) == len(index) == n:
         raise ValueError("event columns differ in length")
-    # The new events hold no reference cycles, but allocating tens of
-    # thousands of them with the collector on makes it rescan the
-    # growing heap many times over: about two thirds of the load time.
-    collecting = gc.isenabled()
-    gc.disable()
-    try:
-        return EventList(
-            map(
-                TraceEvent,
-                map(_EVENT_TYPES.__getitem__, types),
-                timestamps,
-                processors,
-                tasks,
-                map(payloads.__getitem__, index),
-            )
-        )
-    finally:
-        if collecting:
-            gc.enable()
+    if types.translate(None, _TYPE_BYTES):
+        raise ValueError("unknown event type byte")
+    if n and not 0 <= min(index) <= max(index) < len(payloads):
+        raise ValueError("payload index out of range")
+    events = EventList.__new__(EventList)
+    events._events = None
+    events._columns = (types, timestamps, processors, tasks, payloads, index)
+    return events
+

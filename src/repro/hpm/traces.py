@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Sequence
 from pathlib import Path
 
 from repro.hpm.events import EventType, TraceEvent
@@ -49,7 +50,7 @@ def _from_record(record: dict) -> TraceEvent:
 
 
 def save_trace(
-    events: list[TraceEvent], path: str | Path, header: dict | None = None
+    events: Sequence[TraceEvent], path: str | Path, header: dict | None = None
 ) -> int:
     """Write events to *path* as JSON lines; returns the event count.
 
@@ -98,7 +99,7 @@ def load_trace_meta(path: str | Path) -> dict | None:
     return None
 
 
-def trace_summary(events: list[TraceEvent]) -> dict:
+def trace_summary(events: Sequence[TraceEvent]) -> dict:
     """Quick-look statistics of a trace buffer.
 
     Returns a dict with the event count, the time span, per-event-type

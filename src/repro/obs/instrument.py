@@ -31,6 +31,7 @@ prefix       contents
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
+from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 from repro.obs.profile import ProcessProfiler
@@ -236,7 +237,7 @@ def _collect_runtime(result: "RunResult", reg: MetricsRegistry) -> None:
 def collect_hpm_metrics(
     hpm: "CedarHpm | HpmView",
     reg: MetricsRegistry,
-    events: "list[TraceEvent] | None" = None,
+    events: "Sequence[TraceEvent] | None" = None,
 ) -> MetricsRegistry:
     """Harvest a ``cedarhpm`` monitor's buffer state into ``hpm.*``.
 

@@ -13,8 +13,11 @@ exactly like the live classes for everything the analysis layer and the
 * ``result.events`` -- the same events in a
   :class:`~repro.hpm.events.EventList`, which pickles as columns: the
   one encoding for both places a result crosses a process boundary,
-  the pool's result transport and the result cache.  ``result.events
-  is result.hpm.events`` holds before and after a round trip;
+  the pool's result transport and the result cache.  An unpickled
+  list decodes its events only when one is read, and the pickled
+  snapshot carries its Tables 3-4 loop index, so a served result
+  answers those tables without decoding.  ``result.events is
+  result.hpm.events`` holds before and after a round trip;
 * ``result.statfx`` / ``result.board`` -- concurrency queries answered
   from values frozen at end-of-run simulated time;
 * ``result.machine`` -- the memory ledger, the streaming-load tracker,
@@ -43,6 +46,7 @@ the first three are the only fields the span reads back out of it.
 from __future__ import annotations
 
 import copy
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -207,9 +211,9 @@ class HpmView:
     dropped: int
     buffer_capacity: int | None
     resolution_ns: int
-    events: list = field(default_factory=list, repr=False)
+    events: Sequence[TraceEvent] = field(default_factory=list, repr=False)
 
-    def offload(self) -> "list[TraceEvent]":
+    def offload(self) -> Sequence[TraceEvent]:
         """The retained event buffer (already off-loaded at snapshot)."""
         return self.events
 
