@@ -11,6 +11,7 @@ one a rescan of the decoded events gives.
 from __future__ import annotations
 
 import dataclasses
+import os
 import pickle
 from array import array
 
@@ -20,10 +21,11 @@ from repro.core.breakdown import user_breakdown
 from repro.core.concurrency import loop_index
 from repro.core.experiments import table3, table4
 from repro.core.reference import APPS, CONFIGS
+from repro.core.resilience import resilient_sweep
 from repro.core.trace_analysis import IntervalKind, extract_intervals
 from repro.hpm import events as events_module
 from repro.hpm.events import EventList, EventType, TraceEvent
-from repro.parallel import CellSpec, ResultCache, run_cell
+from repro.parallel import CellSpec, ResultCache
 from tests.core.test_loop_index import reference_loop_regions
 
 SCALE = 0.002
@@ -40,7 +42,15 @@ def _round_trip(obj):
 
 @pytest.fixture(scope="module")
 def sweep():
-    return {app: {n: run_cell(_spec(app, n)) for n in CONFIGS} for app in APPS}
+    """The 25 cells, through a pool when the host has the cores for one.
+
+    Pooled results arrive pickled, with undecoded events and a carried
+    index, exactly as served ones do.
+    """
+    jobs = min(2, os.cpu_count() or 1)
+    outcome = resilient_sweep(APPS, CONFIGS, scale=SCALE, seed=SEED, jobs=jobs)
+    assert outcome.ok, outcome.failures
+    return outcome.results
 
 
 def _refuse_to_build(*args, **kwargs):
