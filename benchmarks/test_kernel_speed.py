@@ -1,16 +1,12 @@
 """Speed guards for the kernel fast paths (PR: fast-path the kernel).
 
-Three claims, each asserted in the cheapest form that would actually
+Two claims, each asserted in the cheapest form that would actually
 catch a regression:
 
 * **Event pooling works** -- a long direct-delay chain re-arms one
   Timeout carrier in place instead of allocating per tick, and pooled
   carriers are reused across processes.  Pure counter assertions:
   deterministic, no timing.
-* **Batched vector transactions collapse the event count** -- one
-  batched 64-word stream schedules an order of magnitude fewer kernel
-  events than the exact per-packet path it replaces.  Counted with a
-  :class:`~repro.analyze.DeterminismSink`, so the figure is exact.
 * **The kernel clears a conservative normalised floor** -- the timeout
   chain must process at least ``3x`` the pre-fast-path baseline's
   events per *calibration second* (the ``test_obs_overhead.py``
@@ -18,17 +14,14 @@ catch a regression:
   trips on a real regression, not host noise; the batch-retry idiom
   absorbs bursty CI hosts.
 
-``scripts/bench_kernel.py`` measures the same three layers in full and
-writes ``BENCH_kernel.json``; this file is the fast tier-1 guard.
+``scripts/bench_kernel.py`` measures the kernel in full and writes
+``BENCH_kernel.json``; this file is the fast tier-1 guard.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
 
-from repro.analyze import DeterminismSink
-from repro.hardware.config import paper_configuration
-from repro.hardware.memory import GlobalMemorySystem
 from repro.sim import Simulator
 
 #: Pre-fast-path chain throughput (events per calibration second),
@@ -84,36 +77,6 @@ def test_pool_recycles_across_processes():
     # Each one-shot needs a carrier; the pool must feed most of them.
     assert sim.timeouts_reused >= 40
     assert sim.timeouts_created <= 10
-
-
-# -- batched vector transactions ---------------------------------------------
-
-
-def _count_vector_events(batched: bool) -> int:
-    sink = DeterminismSink()
-    sim = Simulator(trace_sink=sink)
-    memory = GlobalMemorySystem(sim, paper_configuration(32))
-    if not batched:
-        memory.fastpath.disable()
-
-    def run(sim):
-        elapsed = yield from memory.vector_access(0, 0, 64)
-        assert elapsed > 0
-
-    sim.process(run(sim), name="vector")
-    sim.run()
-    if batched:
-        assert memory.fastpath.stats.batched_transactions == 1
-    else:
-        assert memory.fastpath.stats.exact_transactions == 1
-    return sink.events_processed
-
-
-def test_batched_vector_schedules_far_fewer_events():
-    batched = _count_vector_events(batched=True)
-    exact = _count_vector_events(batched=False)
-    # One milestone event per hop stage vs ~10 events per word.
-    assert batched * 5 <= exact, (batched, exact)
 
 
 # -- normalised throughput floor ---------------------------------------------

@@ -6,16 +6,13 @@ Measures three layers (the same layers the fast-path work targets):
 1. **Kernel microbenchmarks** -- pure event-loop workloads (a timeout
    chain, a process fan-out, an any-of race with abandoned waits) whose
    event counts are known analytically, so ``events/sec`` is exact.
-2. **Vector memory traffic** -- packet-level ``vector_access`` streams
-   through the :class:`~repro.hardware.memory.GlobalMemorySystem`
-   (words/sec; the batched-transaction fast path shows up here).
-3. **Contention cells** -- barrier-heavy (many short spread loops) and
+2. **Contention cells** -- barrier-heavy (many short spread loops) and
    pickup-heavy (high-P small-chunk XDOALL) full-stack workloads that
    stress the runtime-layer fast paths (``repro.runtime.fastpath``).
    Each cell is timed with the fast paths hot *and* with
    ``CEDAR_REPRO_FASTPATH=off``, and the two completion times must be
    identical -- the bench doubles as an end-to-end exactness check.
-4. **Cold sweep cells** -- ``run_cell`` wall time for FLO52/OCEAN at
+3. **Cold sweep cells** -- ``run_cell`` wall time for FLO52/OCEAN at
    P=8 and P=32 (no cache), the end-to-end quantity users feel.  The
    timed run is sink-free (every fast path hot), and ``loop_wall_s`` is
    the event-loop time of the same min-wall repeat, so it never exceeds
@@ -66,8 +63,6 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.core.runner import run_phases  # noqa: E402
-from repro.hardware.config import paper_configuration  # noqa: E402
-from repro.hardware.memory import GlobalMemorySystem  # noqa: E402
 from repro.parallel.executor import CellSpec, run_cell  # noqa: E402
 from repro.runtime.loops import LoopConstruct, ParallelLoop  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
@@ -236,41 +231,6 @@ def run_micro(quick: bool) -> dict:
         "events_per_cal": round(total_events / (total_wall / cal), 1),
     }
     return out
-
-
-# -- packet-level vector traffic --------------------------------------------
-
-
-def run_vector(quick: bool) -> dict:
-    """Concurrent 32-word vector accesses through the packet model."""
-    n_ces = 8
-    repeats = 4 if quick else 16
-    words = 32
-    sim = Simulator()
-    memory = GlobalMemorySystem(sim, paper_configuration(32))
-
-    def streamer(ce_id: int):
-        yield sim.timeout(ce_id)
-        for burst in range(repeats):
-            yield sim.process(
-                memory.vector_access(ce_id, 8 * (ce_id + 64 * burst), words)
-            )
-
-    for ce in range(n_ces):
-        sim.process(streamer(ce))
-    cal = _calibration_s()
-    begin = perf_counter()
-    sim.run()
-    wall = perf_counter() - begin
-    total_words = n_ces * repeats * words
-    return {
-        "words": total_words,
-        "completions": memory.stats.completions,
-        "sim_ns": sim.now,
-        "wall_s": round(wall, 4),
-        "words_per_s": round(total_words / wall, 1),
-        "words_per_cal": round(total_words / (wall / cal), 1),
-    }
 
 
 # -- contention cells (runtime-layer fast paths) -----------------------------
@@ -445,7 +405,6 @@ def run_all(quick: bool) -> dict:
             "machine": platform.machine(),
         },
         "micro": run_micro(quick),
-        "vector": run_vector(quick),
         "contention": run_contention(quick),
         "cells": run_cells(quick),
     }
@@ -470,12 +429,6 @@ def _ratios(current: dict, baseline: dict) -> dict:
             current["micro"]["chain"]["events_per_cal"]
             / baseline["micro"]["chain"]["events_per_cal"],
             2,
-        )
-    except (KeyError, ZeroDivisionError):
-        pass
-    try:
-        ratios["vector_words_per_cal"] = round(
-            current["vector"]["words_per_cal"] / baseline["vector"]["words_per_cal"], 2
         )
     except (KeyError, ZeroDivisionError):
         pass
@@ -524,11 +477,6 @@ def main() -> int:
     print(
         f"micro: {micro['events']} events in {micro['wall_s']}s "
         f"({micro['events_per_s']:.0f}/s, {micro['events_per_cal']:.0f}/cal-s)"
-    )
-    vector = report["current"]["vector"]
-    print(
-        f"vector: {vector['words']} words in {vector['wall_s']}s "
-        f"({vector['words_per_s']:.0f} words/s)"
     )
     for cell, figures in report["current"].get("contention", {}).items():
         print(

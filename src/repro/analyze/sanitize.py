@@ -54,7 +54,9 @@ __all__ = [
 #: (v1 -> v2: the batched vector fast path replaced per-packet events
 #: with per-stage milestones; v2 -> v3: the end-of-tick tail bands added
 #: settle-point events -- burst observe slots, arbitration grants, VM
-#: fault commits -- to every run's stream).  Hashes from different
+#: fault commits -- to every run's stream; deleting the batched vector
+#: path later changed only packet-level memory streams, which no app
+#: cell builds, so v3 stands).  Hashes from different
 #: domains are *incomparable*: :func:`same_schedule` raises instead of
 #: reporting them as nondeterminism.
 SCHEDULE_HASH_DOMAIN = "cedar-repro/schedule/v3"

@@ -78,15 +78,14 @@ class RunResult:
     #: versions the event-stream definition.
     schedule_hash: str | None = None
     #: Kernel fast-path counters harvested at end of run: Timeout-pool
-    #: reuse (``pool.*``), the batched/exact memory transaction split
-    #: (``fastpath.*``), the runtime/OS-layer fast-path activity
+    #: reuse (``pool.*``) and the runtime/OS-layer fast-path activity
     #: (``runtime.fastpath.*`` / ``xylem.fastpath.*``).  Keys match the
     #: ``kernel.*`` metric suffixes emitted by
     #: :mod:`repro.obs.instrument`.
     kernel_stats: dict = field(default_factory=dict)
     #: Which execution mode each acceleration layer ran in:
-    #: ``memory`` / ``runtime`` / ``xylem`` are ``"batched"`` or
-    #: ``"exact"``, and ``statfx`` is ``"push"`` or ``"exact"``.  Every
+    #: ``runtime`` / ``xylem`` are ``"batched"`` or ``"exact"``, and
+    #: ``statfx`` is ``"push"`` or ``"exact"``.  Every
     #: mode produces bit-identical results by construction; the record
     #: exists so run reports and regression triage can see which paths
     #: were active.
@@ -220,8 +219,8 @@ def run_phases(
         runtime=runtime,
         hpm=hpm,
         wall_s=wall.elapsed_s,
-        kernel_stats=_harvest_kernel_stats(sim, machine, kernel, runtime),
-        fastpath_modes=_fastpath_modes(machine, kernel, runtime, statfx),
+        kernel_stats=_harvest_kernel_stats(sim, kernel, runtime),
+        fastpath_modes=_fastpath_modes(kernel, runtime, statfx),
     )
     if obs is not None:
         obs.collect(result)
@@ -229,63 +228,32 @@ def run_phases(
 
 
 def _harvest_kernel_stats(
-    sim: Simulator,
-    machine: CedarMachine,
-    kernel: XylemKernel,
-    runtime: CedarFortranRuntime,
+    sim: Simulator, kernel: XylemKernel, runtime: CedarFortranRuntime
 ) -> dict:
     """Kernel fast-path counters for ``RunResult.kernel_stats``."""
-    stats = {
+    rfp = runtime.fastpath.stats
+    xfp = kernel.fastpath.stats
+    return {
         "pool.timeouts_created": sim.timeouts_created,
         "pool.timeouts_reused": sim.timeouts_reused,
         "pool.ticks_rearmed": sim.ticks_rearmed,
+        "runtime.fastpath.lean_pickups": rfp.lean_pickups,
+        "runtime.fastpath.exact_pickups": rfp.exact_pickups,
+        "runtime.fastpath.lean_barrier_detaches": rfp.lean_barrier_detaches,
+        "runtime.fastpath.exact_barrier_detaches": rfp.exact_barrier_detaches,
+        "runtime.fastpath.fused_spawns": rfp.fused_spawns,
+        "runtime.fastpath.lean_fraction": rfp.lean_fraction,
+        "xylem.fastpath.fused_spawns": xfp.fused_spawns,
+        "xylem.fastpath.warm_elisions": xfp.warm_elisions,
+        "xylem.fastpath.exact_spawns": xfp.exact_spawns,
     }
-    memory = machine._memory
-    if memory is not None:
-        fp = memory.fastpath.stats
-        stats.update(
-            {
-                "fastpath.batched_transactions": fp.batched_transactions,
-                "fastpath.exact_transactions": fp.exact_transactions,
-                "fastpath.batched_words": fp.batched_words,
-                "fastpath.exact_words": fp.exact_words,
-                "fastpath.fallback_fault": fp.fallback_fault,
-                "fastpath.fallback_saturation": fp.fallback_saturation,
-                "fastpath.batched_fraction": fp.batched_fraction,
-            }
-        )
-    rfp = runtime.fastpath.stats
-    stats.update(
-        {
-            "runtime.fastpath.lean_pickups": rfp.lean_pickups,
-            "runtime.fastpath.exact_pickups": rfp.exact_pickups,
-            "runtime.fastpath.lean_barrier_detaches": rfp.lean_barrier_detaches,
-            "runtime.fastpath.exact_barrier_detaches": rfp.exact_barrier_detaches,
-            "runtime.fastpath.fused_spawns": rfp.fused_spawns,
-            "runtime.fastpath.lean_fraction": rfp.lean_fraction,
-        }
-    )
-    xfp = kernel.fastpath.stats
-    stats.update(
-        {
-            "xylem.fastpath.fused_spawns": xfp.fused_spawns,
-            "xylem.fastpath.warm_elisions": xfp.warm_elisions,
-            "xylem.fastpath.exact_spawns": xfp.exact_spawns,
-        }
-    )
-    return stats
 
 
 def _fastpath_modes(
-    machine: CedarMachine,
-    kernel: XylemKernel,
-    runtime: CedarFortranRuntime,
-    statfx: Statfx,
+    kernel: XylemKernel, runtime: CedarFortranRuntime, statfx: Statfx
 ) -> dict:
     """Which mode each acceleration layer ran in (``RunResult.fastpath_modes``)."""
-    memory = machine._memory
     return {
-        "memory": memory.fastpath.mode if memory is not None else "exact",
         "runtime": runtime.fastpath.mode,
         "xylem": kernel.fastpath.mode,
         "statfx": statfx.mode or "exact",

@@ -106,22 +106,14 @@ class FaultInjector:
     def arm(self) -> None:
         """Spawn one injection process per scheduled fault (idempotent).
 
-        Arming also sticky-disables the batched vector fast path on the
-        packet-level memory (when built): every transaction of a fault
-        campaign routes through the exact per-packet path from the
-        start, keeping campaign runs bit-identical whether or not a
-        fault has struck yet.  The runtime and OS fast paths stay
-        armed: every fault kind changes state that their lean and exact
-        paths read at the same instants, so a campaign publishes the
-        same results either way (docs/fault-injection.md, "Fast paths
-        under faults").
+        Arming disables no fast path: every fault kind changes state
+        that the runtime and OS layers' lean and exact paths read at
+        the same instants, so a campaign publishes the same results
+        either way (docs/fault-injection.md, "Fast paths under faults").
         """
         if self._armed:
             return
         self._armed = True
-        memory = self._packet_memory()
-        if memory is not None:
-            memory.fastpath.disable()
         for index, fault in enumerate(self.spec.faults):
             self.sim.process(
                 self._fault_process(fault),

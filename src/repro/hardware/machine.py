@@ -81,17 +81,12 @@ class CedarMachine:
         The simulator all machine processes run on.
     config:
         Machine configuration.
-    packet_level_memory:
-        If true, build the packet-level global memory system eagerly.
-        It is otherwise created lazily on first use of :attr:`memory`.
+
+    The packet-level global memory system is built lazily on first use
+    of :attr:`memory`.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        config: CedarConfig,
-        packet_level_memory: bool = False,
-    ) -> None:
+    def __init__(self, sim: Simulator, config: CedarConfig) -> None:
         self.sim = sim
         self.config = config
         self.clusters = [Cluster(sim, config, i) for i in range(config.n_clusters)]
@@ -101,8 +96,6 @@ class CedarMachine:
         self._ideal_cache: dict[tuple[int, float], int] = {}
         self._burst_ns_memo: dict[tuple[int, int, float, int], int] = {}
         self._memory: GlobalMemorySystem | None = None
-        if packet_level_memory:
-            self._memory = GlobalMemorySystem(sim, config)
         #: Optional cluster cache/TLB stall models (Section 3.2's
         #: excluded overheads), built when the config enables them.
         self.cluster_caches: list[ClusterCacheModel] | None = None

@@ -15,7 +15,6 @@ from collections.abc import Generator
 from dataclasses import dataclass
 
 from repro.hardware.config import CedarConfig
-from repro.hardware.fastpath import VectorTransactionEngine
 from repro.hardware.network import DeltaNetwork, Packet
 from repro.sim import Event, Resource, Simulator
 
@@ -86,8 +85,6 @@ class GlobalMemorySystem:
         self._offline = [False] * n_modules
         #: Requests that hit a slowed or remapped (offline) bank.
         self.degraded_requests = 0
-        #: Batched-transaction planner (see :mod:`repro.hardware.fastpath`).
-        self.fastpath = VectorTransactionEngine(self)
 
     def module_for_address(self, address: int) -> int:
         """Memory module serving *address* (double-word interleaved)."""
@@ -129,26 +126,8 @@ class GlobalMemorySystem:
         :class:`Packet`.  The request passes through the Global
         Interface, the forward network, the addressed module (busy
         ``memory_service_cycles``), and the return network.
-
-        On the batched fast path the completion is a valued
-        :class:`~repro.sim.Timeout` firing at the arithmetically
-        planned round trip -- no per-request process is spawned.  Any
-        fault or saturation routes through the exact per-packet path.
         """
         self.stats.requests += 1
-        plan = self.fastpath.plan(ce_id, address, 1, 8)
-        if plan is not None:
-            for _when, commit in plan.milestones:
-                commit()
-            module_id, inject_ns, deliver_ns = plan.response
-            response = Packet(
-                source=module_id,
-                dest=ce_id,
-                payload=address,
-                inject_ns=inject_ns,
-                deliver_ns=deliver_ns,
-            )
-            return self.sim.timeout(plan.elapsed_ns, value=response)
         done = self.sim.event()
         self.sim.process(self._request_process(ce_id, address, done), name="gm-request")
         return done
@@ -207,22 +186,8 @@ class GlobalMemorySystem:
             raise ValueError(f"n_words must be positive, got {n_words}")
         sim = self.sim
         start = sim.now
-        plan = self.fastpath.plan(ce_id, base_address, n_words, stride_bytes)
-        if plan is not None:
-            # Batched transaction: one event per hop stage instead of
-            # ~10 per element.  Stats are committed at the milestone
-            # matching the phase they describe.
-            self.stats.requests += n_words
-            for when, commit in plan.milestones:
-                delay = when - sim.now
-                if delay > 0:
-                    yield delay
-                commit()
-            return sim.now - start
-        # Exact per-packet path (faults or saturation): one process per
-        # word, queueing through the real network/bank resources.  The
-        # scalar fast path is deliberately bypassed so a degraded or
-        # saturated stream contends packet by packet.
+        # One process per word, queueing through the real network and
+        # bank resources.
         issue_ns = max(1, int(round(self.config.cycle_ns / self.config.vector_issue_rate)))
         completions = []
         for i in range(n_words):

@@ -23,7 +23,7 @@ prefix       contents
              measured concurrency
 ``hpm.``     monitor buffer fill, drops, per-event-type counts
 ``kernel.``  event-kernel fast paths: Timeout-pool reuse counters and
-             the batched/exact memory transaction split
+             the runtime/OS lean/exact split
 ``run.``     completion time, host wall time, event counts
 ===========  ===========================================================
 """

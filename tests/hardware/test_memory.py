@@ -87,3 +87,28 @@ def test_contention_grows_with_streaming_ces():
 def test_module_for_address_delegates_to_config():
     sim, gm = make_memory()
     assert gm.module_for_address(16) == gm.config.module_for_address(16)
+
+
+_DEFAULT = CedarConfig()
+_COLLIDING_STRIDE = _DEFAULT.interleave_bytes * _DEFAULT.n_memory_modules
+
+
+@pytest.mark.parametrize("stride_bytes", [8, 16, 64, _COLLIDING_STRIDE])
+def test_vector_access_accounts_every_word(stride_bytes):
+    """Per-bank counts and busy time add up for any stride; a stride of
+    interleave x modules sends every word to one bank, which serialises."""
+    n_words = 32
+    sim, gm = make_memory()
+    config = gm.config
+    proc = sim.process(
+        gm.vector_access(3, base_address=40, n_words=n_words, stride_bytes=stride_bytes)
+    )
+    elapsed = sim.run(until=proc)
+    service_ns = config.memory_service_cycles * config.cycle_ns
+    assert sum(gm.bank_requests) == n_words
+    for module in range(config.n_memory_modules):
+        assert gm.bank_busy_ns[module] == gm.bank_requests[module] * service_ns
+    assert gm.stats.completions == gm.stats.requests == n_words
+    if stride_bytes == _COLLIDING_STRIDE:
+        assert gm.bank_requests[gm.module_for_address(40)] == n_words
+        assert elapsed >= n_words * service_ns

@@ -121,6 +121,7 @@ def test_report_command_rejects_bad_files(tmp_path, capsys):
 def test_stats_surfaces_parallel_and_cache_counters(tmp_path, capsys):
     """stats --jobs/--cache-dir prints the executor's own counters."""
     cache_dir = tmp_path / "cache"
+    report = tmp_path / "stats.json"
     main(
         [
             "stats",
@@ -132,6 +133,8 @@ def test_stats_surfaces_parallel_and_cache_counters(tmp_path, capsys):
             "2",
             "--cache-dir",
             str(cache_dir),
+            "-o",
+            str(report),
         ]
     )
     out = capsys.readouterr().out
@@ -152,6 +155,8 @@ def test_stats_surfaces_parallel_and_cache_counters(tmp_path, capsys):
             "2",
             "--cache-dir",
             str(cache_dir),
+            "-o",
+            str(report),
         ]
     )
     out = capsys.readouterr().out

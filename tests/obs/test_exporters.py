@@ -111,7 +111,7 @@ def test_chrome_trace_bank_counters_with_packet_memory():
 
     sim = Simulator()
     config = paper_configuration(4)
-    machine = CedarMachine(sim, config, packet_level_memory=True)
+    machine = CedarMachine(sim, config)
 
     def issue(sim, memory):
         yield memory.request(0, 0)

@@ -166,7 +166,6 @@ def test_env_kill_switch_forces_exact(monkeypatch):
     monkeypatch.setenv("CEDAR_REPRO_FASTPATH", "off")
     result = run_phases(_barrier_workload(), 32)
     assert result.fastpath_modes == {
-        "memory": "exact",
         "runtime": "exact",
         "xylem": "exact",
         "statfx": "exact",
