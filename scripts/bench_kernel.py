@@ -16,8 +16,9 @@ Measures three layers (the same layers the fast-path work targets):
    P=8 and P=32 (no cache), the end-to-end quantity users feel.  The
    timed run is sink-free (every fast path hot), and ``loop_wall_s`` is
    the event-loop time of the same min-wall repeat, so it never exceeds
-   ``wall_s``; the schedule hash is recorded from a separate exact
-   sink-on run whose ``ct_ns`` must match the timed run's.
+   ``wall_s``; the schedule hash is recorded from a separate sink-on
+   run of the same armed program, whose ``ct_ns`` and
+   ``fastpath_modes`` must match the timed run's.
 
 Contention and sweep cells are timed as the minimum over ``REPEATS``
 runs after one untimed warm-up (the microbenchmark idiom): the minimum
@@ -354,15 +355,19 @@ def run_cells(quick: bool) -> dict:
                     # The loop time of the min-wall repeat, so that
                     # loop_wall_s <= wall_s.
                     wall, loop_wall = elapsed, result.wall_s
-        # Hash run: exact path with the determinism sink attached (the
-        # sink forces the exact paths, so recorded hashes are
-        # fast-path-independent by construction).
+        # Hash run: the determinism sink attached to the same armed
+        # program, so the recorded hash is that of the timed run.
         hash_spec = replace(timed_spec, fingerprint_schedule=True)
         hashed = run_cell(hash_spec)
         if hashed.ct_ns != result.ct_ns:
             raise _ExactMismatch(
                 f"{app} P{n_processors}: sink-free ct_ns {result.ct_ns} != "
                 f"sink-on ct_ns {hashed.ct_ns}"
+            )
+        if hashed.fastpath_modes != result.fastpath_modes:
+            raise _ExactMismatch(
+                f"{app} P{n_processors}: sink-free fastpath_modes "
+                f"{result.fastpath_modes} != sink-on {hashed.fastpath_modes}"
             )
         # Baseline: the same sink-free cell with every fast path off.
         with _fastpaths_off():

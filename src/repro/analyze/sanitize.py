@@ -56,10 +56,13 @@ __all__ = [
 #: settle-point events -- burst observe slots, arbitration grants, VM
 #: fault commits -- to every run's stream; deleting the batched vector
 #: path later changed only packet-level memory streams, which no app
-#: cell builds, so v3 stands).  Hashes from different
-#: domains are *incomparable*: :func:`same_schedule` raises instead of
-#: reporting them as nondeterminism.
-SCHEDULE_HASH_DOMAIN = "cedar-repro/schedule/v3"
+#: cell builds, so v3 stood; v3 -> v4: the runtime, xylem and statfx
+#: fast paths stay armed under a sink, so hashed streams lose the fused
+#: children, the lean-lock handoffs and the statfx sampler wakes).
+#: Hashes from different domains are *incomparable*:
+#: :func:`same_schedule` raises instead of reporting them as
+#: nondeterminism.
+SCHEDULE_HASH_DOMAIN = "cedar-repro/schedule/v4"
 
 #: Domain assumed for hashes recorded before versioning existed.
 _LEGACY_DOMAIN = "cedar-repro/schedule/v1"

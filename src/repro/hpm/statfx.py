@@ -29,10 +29,11 @@ monitor run in either of two modes with identical sums:
     (one wake per 200 us of simulated time) while producing the exact
     sampler's sums and sample counts to the bit.
 
-Push mode arms only for sink-free, unperturbed runs with the fast-path
-policy enabled (:func:`repro.sim.policy.fastpath_policy`): the sampler
-wake events disappear from the schedule, so runs that record event
-traces or schedule fingerprints keep the exact sampler.
+Push mode arms whenever the fast-path policy allows it
+(:func:`repro.sim.policy.fastpath_policy`), trace sinks and tie-break
+perturbation included; the exact sampler serves
+``CEDAR_REPRO_FASTPATH=off`` runs and is the reference the push mode
+is checked against.
 """
 
 from __future__ import annotations
@@ -77,13 +78,12 @@ class Statfx:
         """Begin sampling (idempotent).
 
         Chooses the mode once, here: push accrual when the fast-path
-        policy allows it and the run is sink-free and unperturbed,
-        the exact sampler process otherwise.
+        policy allows it, the exact sampler process otherwise.
         """
         if self.mode is not None:
             return
         sim = self.sim
-        if fastpath_policy() and sim._sink is None and not sim.tie_perturbed:
+        if fastpath_policy():
             self.mode = "push"
             self.board.watch(self._accrue)
         else:

@@ -33,7 +33,8 @@ checkable across serial, pooled, cached and resumed runs.  Cells run
 sink-free, with every fast path armed; ``CellSpec(fingerprint_schedule=
 True)`` opts a diagnostic cell into a
 :class:`~repro.analyze.sanitize.DeterminismSink` schedule hash on
-``result.schedule_hash`` (the sink forces the exact paths).
+``result.schedule_hash`` (the fast paths stay armed, so the hash is
+that of the program a default run executes).
 
 Telemetry: pass a :class:`~repro.obs.campaign.CampaignTelemetry` and
 every submit, cache hit, attempt, retry and recovery is logged as it
@@ -109,8 +110,8 @@ class CellSpec:
     max_events: int | None = None
     max_sim_time: int | None = None
     #: Attach a :class:`~repro.analyze.sanitize.DeterminismSink` and
-    #: record the schedule hash on the result.  Diagnostic opt-in: any
-    #: sink disarms the runtime, xylem and statfx fast paths.
+    #: record the schedule hash on the result.  Diagnostic opt-in: the
+    #: sink costs event-loop dispatch but leaves every fast path armed.
     fingerprint_schedule: bool = False
     #: Canonical scenario JSON (see
     #: :func:`repro.scenario.schema.canonical_scenario_json`) when this

@@ -27,14 +27,14 @@ hold prices and identical completion times.  The Hypothesis suite in
 ``tests/runtime/test_fastpath_equivalence.py`` pins the equivalence.
 
 :class:`RuntimeFastPath` is the arming seam: the lean paths (and the
-spawn-fusion sites in :mod:`repro.runtime.library`) run only when the
-environment allows them (:mod:`repro.sim.policy`), no trace sink is
-attached and tie-break perturbation is off.  The decision is taken once,
-when the stack is built.  Fault campaigns leave it armed: every fault
-kind acts on state the lean and exact paths read at the same instants
-(``tests/integration/test_fastpath_faults.py`` pins that).  Every
-fallback is counted so run reports show which paths actually served a
-run.
+spawn-fusion sites in :mod:`repro.runtime.library`) run whenever the
+environment allows them (:mod:`repro.sim.policy`), decided once when
+the stack is built.  Trace sinks and tie-break perturbation leave it
+armed, so a sanitizer or profiler observes the program a default run
+executes.  Fault campaigns leave it armed too: every fault kind acts on
+state the lean and exact paths read at the same instants
+(``tests/integration/test_fastpath_faults.py`` pins that).  Shape
+fallbacks are counted so run reports show which paths served a run.
 """
 
 from __future__ import annotations
@@ -61,9 +61,6 @@ class RuntimeFastPathStats:
     #: Child generators inlined (``yield from``) instead of spawned as
     #: processes: memory bursts, execute slices, page-touch sweeps.
     fused_spawns: int = 0
-    #: Operations routed exact because the engine was disarmed (sink,
-    #: perturbation or policy).
-    fallback_disarmed: int = 0
     #: Operations routed exact because a deadline or a combining-tree
     #: barrier was configured (shapes the lean path does not model).
     fallback_shape: int = 0
@@ -171,10 +168,10 @@ class RuntimeFastPath:
 
     __slots__ = ("stats", "on")
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self) -> None:
         self.stats = RuntimeFastPathStats()
         #: Whether the lean paths serve this run; fixed at construction.
-        self.on = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
+        self.on = fastpath_policy()
 
     @property
     def mode(self) -> str:

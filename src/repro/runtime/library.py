@@ -196,8 +196,8 @@ class CedarFortranRuntime:
         #: tie-stable arbitration, keyed by cluster task id).
         self._outer_lock = ArbitratedResource(sim, capacity=1)
         #: Analytic fast-path engine: lean locks and spawn fusion, armed
-        #: only for sink-free unperturbed runs.
-        self.fastpath = RuntimeFastPath(sim)
+        #: unless the environment policy forces the exact paths.
+        self.fastpath = RuntimeFastPath()
         #: Closed-form twins of the two self-scheduling locks above.
         self._lean_outer = LeanLock(sim)
         self._lean_iter = LeanLock(sim)
@@ -478,7 +478,6 @@ class CedarFortranRuntime:
                 yield from state.lean_barrier.serve(task.task_id, lambda _w: rmw_ns)
                 return
             fp.stats.exact_barrier_detaches += 1
-            fp.stats.fallback_disarmed += 1
             request = state.barrier_lock.request(key=task.task_id)
             yield request
             yield rmw_ns
@@ -523,8 +522,6 @@ class CedarFortranRuntime:
                 fp.stats.exact_pickups += 1
                 if fp.on:
                     fp.stats.fallback_shape += 1
-                else:
-                    fp.stats.fallback_disarmed += 1
                 request = self._outer_lock.request(key=task.task_id)
                 yield from self._await_pickup(request, self._outer_lock, state, "sdoall")
                 hold_ns = self._round_trips_ns(self.params.pickup_round_trips)
@@ -685,8 +682,6 @@ class CedarFortranRuntime:
                 fp.stats.exact_pickups += 1
                 if fp.on:
                     fp.stats.fallback_shape += 1
-                else:
-                    fp.stats.fallback_disarmed += 1
                 request = self._iter_lock.request(key=ce_id)
                 yield from self._await_pickup(request, self._iter_lock, state, "xdoall")
                 hold_ns = self._round_trips_ns(self.params.pickup_round_trips)

@@ -638,7 +638,6 @@ class Simulator:
         "timeouts_created",
         "timeouts_reused",
         "ticks_rearmed",
-        "tie_perturbed",
         "_sink",
         "_sched_hook",
         "_sink_cb",
@@ -659,10 +658,6 @@ class Simulator:
         self.timeouts_created = 0
         self.timeouts_reused = 0
         self.ticks_rearmed = 0
-        #: True once :meth:`perturb_tie_breaks` armed the seeded eid
-        #: source.  The analytic fast paths consult this at construction
-        #: so perturbed runs exercise the exact machinery.
-        self.tie_perturbed = False
         self._sink: "TraceSink | None" = None
         self._sched_hook: Callable[[Event, int, Process | None], None] | None = None
         self._sink_cb = False
@@ -857,7 +852,6 @@ class Simulator:
                 "perturb_tie_breaks() must be armed before any event is scheduled"
             )
         self._eid_next = _perturbed_eids(seed)
-        self.tie_perturbed = True
 
     def peek(self) -> int | float:
         """Time of the next scheduled event (``inf`` if none)."""

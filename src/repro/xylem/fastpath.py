@@ -13,18 +13,17 @@ those children with ``yield from`` (no events, identical delays), and
 even entering the touch path -- the warm part of a warm/cold page sweep
 costs zero events instead of two per page.
 
-Arming follows :mod:`repro.runtime.fastpath`: environment policy
-(:mod:`repro.sim.policy`), sink-free and unperturbed, decided once when
-the kernel is built.  Fault campaigns leave it armed: a fused child
-yields the same delays as a spawned one, so a fault that changes a
-delay changes it on both paths alike.
+Arming follows :mod:`repro.runtime.fastpath`: the environment policy
+(:mod:`repro.sim.policy`) alone, decided once when the kernel is built.
+Trace sinks, tie-break perturbation and fault campaigns leave it armed:
+a fused child yields the same delays as a spawned one, so a fault that
+changes a delay changes it on both paths alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sim import Simulator
 from repro.sim.policy import fastpath_policy
 
 __all__ = ["XylemFastPath", "XylemFastPathStats"]
@@ -49,10 +48,10 @@ class XylemFastPath:
 
     __slots__ = ("stats", "on")
 
-    def __init__(self, sim: Simulator) -> None:
+    def __init__(self) -> None:
         self.stats = XylemFastPathStats()
         #: Whether children may be inlined in this run; fixed at construction.
-        self.on = fastpath_policy() and sim._sink is None and not sim.tie_perturbed
+        self.on = fastpath_policy()
 
     @property
     def mode(self) -> str:

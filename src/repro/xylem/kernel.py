@@ -114,7 +114,7 @@ class XylemKernel:
         #: Analytic fast-path engine shared by the OS layer (kernel,
         #: critical sections, virtual memory): child services are
         #: inlined instead of spawned when armed.
-        self.fastpath = XylemFastPath(sim)
+        self.fastpath = XylemFastPath()
         self.critical_sections = CriticalSections(
             sim, self.accounting, config.n_clusters, fastpath=self.fastpath
         )

@@ -75,6 +75,9 @@ def test_perturbed_schedule_differs_but_results_do_not():
     perturbed, pert_sink = one(3)
     assert base_sink.schedule_hash != pert_sink.schedule_hash
     assert fingerprint_result(base).digest == fingerprint_result(perturbed).digest
+    # The sanitizer perturbs the program a default run executes.
+    armed = {"runtime": "batched", "xylem": "batched", "statfx": "push"}
+    assert perturbed.fastpath_modes == armed
 
 
 # -- acceptance: the five Perfect-Club apps ----------------------------------

@@ -25,7 +25,11 @@ def test_profile_command(capsys):
     out = capsys.readouterr().out
     assert "top by host wall time" in out
     assert "top by simulated time" in out
-    assert "memory_burst" in out
+    # The profiled run is the default program: fused children's host
+    # time lands on the task that runs them, and no statfx sampler
+    # process exists.
+    assert "cdoall-ce" in out
+    assert "statfx" not in out
 
 
 def test_run_with_stats_flag(tmp_path, capsys):
