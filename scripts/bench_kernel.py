@@ -126,13 +126,6 @@ def _calibration_median_s(samples: int = 5) -> float:
 # -- kernel microbenchmarks -------------------------------------------------
 
 
-#: ``yield n`` (direct-delay) is the documented hot-path idiom on the
-#: fast kernel; older kernels only understand ``yield sim.timeout(n)``.
-#: The fallback keeps this harness runnable against the pre-fast-path
-#: tree, which is how the committed baseline was recorded.
-DIRECT_DELAY = bool(getattr(Simulator, "SUPPORTS_DIRECT_DELAY", False))
-
-
 def _bench_chain(iterations: int) -> tuple[int, float]:
     """One process yielding a chain of timeouts.
 
@@ -141,13 +134,8 @@ def _bench_chain(iterations: int) -> tuple[int, float]:
     sim = Simulator()
 
     def chain():
-        if DIRECT_DELAY:
-            for _ in range(iterations):
-                yield 1
-        else:
-            timeout = sim.timeout
-            for _ in range(iterations):
-                yield timeout(1)
+        for _ in range(iterations):
+            yield 1
 
     sim.process(chain())
     begin = perf_counter()
@@ -161,13 +149,8 @@ def _bench_fanout(n_processes: int, iterations: int) -> tuple[int, float]:
 
     def worker(start: int):
         yield sim.timeout(start)
-        if DIRECT_DELAY:
-            for _ in range(iterations):
-                yield 3
-        else:
-            timeout = sim.timeout
-            for _ in range(iterations):
-                yield timeout(3)
+        for _ in range(iterations):
+            yield 3
 
     for start in range(n_processes):
         sim.process(worker(start))

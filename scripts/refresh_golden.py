@@ -1,10 +1,13 @@
 #!/usr/bin/env python
-"""Regenerate the golden-table baseline (``tests/golden/tables_v1.json``).
+"""Regenerate the golden baselines (``tests/golden/tables_v1.json`` and
+``tests/golden/figures_v1.json``).
 
 Run this after an *intentional* model change, review the JSON diff to
 confirm every shifted number is expected, and commit the result.  The
-sweep goes through :func:`repro.core.resilience.resilient_sweep`, so a warm
-result cache makes a refresh near-instant.
+figures baseline (the user-time breakdowns of Figures 5-9) is written
+beside ``--output``.  The sweep goes through
+:func:`repro.core.resilience.resilient_sweep`, so a warm result cache
+makes a refresh near-instant.
 
 Usage::
 
@@ -17,11 +20,14 @@ import argparse
 from pathlib import Path
 
 from repro.core import reference
-from repro.core.golden import golden_payload, save_golden
+from repro.core.golden import golden_figures_payload, golden_payload, save_golden
 from repro.core.resilience import resilient_sweep
 from repro.parallel import default_cache_dir
 
 GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "tables_v1.json"
+
+#: File name of the Figures 5-9 baseline, written beside ``--output``.
+FIGURES_NAME = "figures_v1.json"
 
 #: The benchmark point the baseline freezes.
 SCALE = 0.02
@@ -62,6 +68,12 @@ def main() -> int:
     save_golden(payload, args.output)
     n_rows = sum(len(rows) for rows in payload["tables"].values())
     print(f"wrote {args.output} ({len(payload['tables'])} tables, {n_rows} rows)")
+
+    figures = golden_figures_payload(outcome.results, scale=SCALE, seed=SEED)
+    figures_path = args.output.parent / FIGURES_NAME
+    save_golden(figures, figures_path)
+    n_rows = sum(len(rows) for rows in figures["tables"].values())
+    print(f"wrote {figures_path} ({len(figures['tables'])} apps, {n_rows} rows)")
     return 0
 
 

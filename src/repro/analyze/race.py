@@ -293,7 +293,7 @@ class KernelInternalsRule(Rule):
 
     The simulator's event list is a heap of ``(key, eid, event)``
     entries whose invariants (tie-break bands, perturbed-eid mode,
-    head-slot parking) only :mod:`repro.sim.core` maintains.  Pushing
+    in-place carrier re-arms) only :mod:`repro.sim.core` maintains.  Pushing
     or popping it directly -- or touching ``_queue`` / ``_eid_next`` /
     ``_tail_seq`` -- from model code bypasses those invariants and the
     tie-break audit hooks.  Flags ``heapq`` mutator calls and kernel

@@ -1,29 +1,25 @@
 """High-level experiment harness: one function per paper table/figure.
 
 Each ``table*``/``figure*`` function consumes :class:`RunResult`
-objects produced by :func:`repro.core.runner.run_application` and
-returns both structured rows and a rendered text table, side by side
-with the paper's published values from :mod:`repro.core.reference`.
+objects keyed by application and processor count -- the
+``results`` of a :func:`repro.core.resilience.resilient_sweep`, whose
+cells are snapshots -- and returns both structured rows and a
+rendered text table, side by side with the paper's published values
+from :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable
-
-from repro.apps import PAPER_APPS
 from repro.core import reference
 from repro.core.breakdown import ct_breakdown, user_breakdown
 from repro.core.concurrency import parallel_loop_concurrency
 from repro.core.contention import contention_overhead
-from repro.core.reference import CONFIGS
 from repro.core.report import render_table
-from repro.core.runner import DEFAULT_SCALE, RunResult, run_application
+from repro.core.runner import RunResult
 from repro.core.speedup import speedup_table
 from repro.xylem.categories import OsActivity, TimeCategory
 
 __all__ = [
-    "sweep_application",
-    "sweep_all",
     "table1",
     "table2",
     "table3",
@@ -31,33 +27,6 @@ __all__ = [
     "figure3",
     "figure_user_breakdown",
 ]
-
-
-def sweep_application(
-    app_name: str,
-    configs: Iterable[int] = CONFIGS,
-    scale: float = DEFAULT_SCALE,
-    **run_kwargs,
-) -> dict[int, RunResult]:
-    """Run one paper application over the given configurations."""
-    builder: Callable = PAPER_APPS[app_name]
-    return {
-        n_proc: run_application(builder(), n_proc, scale=scale, **run_kwargs)
-        for n_proc in configs
-    }
-
-
-def sweep_all(
-    apps: Iterable[str] = reference.APPS,
-    configs: Iterable[int] = CONFIGS,
-    scale: float = DEFAULT_SCALE,
-    **run_kwargs,
-) -> dict[str, dict[int, RunResult]]:
-    """Run every application over every configuration."""
-    return {
-        app: sweep_application(app, configs=configs, scale=scale, **run_kwargs)
-        for app in apps
-    }
 
 
 # -- Table 1: CTs, speedups, average concurrency ----------------------------

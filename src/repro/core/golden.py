@@ -6,7 +6,10 @@ an intentional model change (regenerate the golden via
 ``scripts/refresh_golden.py`` and review the diff) or a regression
 (the golden test catches it).  The baseline lives in
 ``tests/golden/tables_v1.json`` and covers Tables 1-4 plus Figure 3
-at the benchmark point (scale 0.02, seed 1994).
+at the benchmark point (scale 0.02, seed 1994);
+``tests/golden/figures_v1.json`` holds the per-application user-time
+breakdowns of Figures 5-9 from the same sweep, in the same document
+shape with one row set per application.
 
 Values are compared with a tight relative tolerance rather than byte
 equality so the baseline survives harmless float-formatting changes
@@ -18,13 +21,21 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-from repro.core.experiments import figure3, table1, table2, table3, table4
+from repro.core.experiments import (
+    figure3,
+    figure_user_breakdown,
+    table1,
+    table2,
+    table3,
+    table4,
+)
 from repro.core.runner import RunResult
 
 __all__ = [
     "GOLDEN_SCHEMA",
     "TABLE2_APPS",
     "compare_golden",
+    "golden_figures_payload",
     "golden_payload",
     "load_golden",
     "save_golden",
@@ -53,6 +64,25 @@ def golden_payload(
         "scale": scale,
         "seed": seed,
         "tables": tables,
+    }
+
+
+def golden_figures_payload(
+    sweep: dict[str, dict[int, RunResult]], scale: float, seed: int
+) -> dict:
+    """Build the Figures 5-9 golden document, rows keyed by application.
+
+    Keyed by name rather than figure number: the user-time breakdown
+    rows of each application are one figure of the paper.
+    """
+    return {
+        "schema": GOLDEN_SCHEMA,
+        "scale": scale,
+        "seed": seed,
+        "tables": {
+            app: figure_user_breakdown(app, by_config)[0]
+            for app, by_config in sweep.items()
+        },
     }
 
 

@@ -259,7 +259,7 @@ class Event:
 
         A failed event re-raises the exception inside every process
         waiting on it.  If no process waits on it, the simulator raises
-        the exception at the end of the step (unless :meth:`defused`).
+        the exception when the event is processed (unless :meth:`defused`).
         """
         if self._value is not PENDING:
             raise SimulationError(f"{self!r} has already been triggered")
@@ -402,9 +402,9 @@ class Process(Event):
     def _resume(self, event: Event) -> None:
         """Advance the generator with the value of *event*.
 
-        This is the generic resume used by :meth:`Simulator.step`, list
-        dispatch and failure delivery; the specialised run loops inline
-        the dominant single-waiter success case (see ``_run_fast``).
+        This is the generic resume used by the checked run loop, list
+        dispatch and failure delivery; the sink-free run loop inlines the
+        dominant single-waiter success case (see ``_run_fast``).
         """
         sim = self.sim
         sim._active_process = self
@@ -429,9 +429,10 @@ class Process(Event):
             if type(next_event) is int:
                 # Direct-delay yield: ``yield n`` means
                 # ``yield sim.timeout(n)``, serviced through the
-                # simulator's timeout pool (the run loops re-arm the
-                # popped carrier in place instead).  Scheduling order
-                # and trace records are identical to ``timeout(n)``.
+                # simulator's timeout pool (the sink-free run loop
+                # re-arms the popped carrier in place instead).
+                # Scheduling order and trace records are identical to
+                # ``timeout(n)``.
                 delay = next_event
                 if delay < 0:
                     self._terminate(False, ValueError(f"negative delay {delay}"))
@@ -622,11 +623,6 @@ class Simulator:
         and how many direct-delay yields re-armed the just-popped
         carrier without touching the pool at all.
     """
-
-    #: Feature flag for the direct-delay yield protocol (``yield n``),
-    #: so benchmark/model code can fall back to ``yield sim.timeout(n)``
-    #: against older kernels.
-    SUPPORTS_DIRECT_DELAY = True
 
     __slots__ = (
         "_now",
@@ -859,57 +855,6 @@ class Simulator:
             return float("inf")
         return self._queue[0][0] >> 1
 
-    def step(self) -> None:
-        """Process the next scheduled event.
-
-        Raises :class:`EmptySchedule` if no events remain.  This is the
-        full-fidelity single-step entry point (manual stepping and
-        debugging); :meth:`run` uses specialised loops with the same
-        observable behaviour.
-        """
-        try:
-            key, _eid, event = heapq.heappop(self._queue)
-        except IndexError:
-            raise EmptySchedule("no more events scheduled") from None
-        when = key >> 1
-        if when < self._now:
-            raise SimulationError("event scheduled in the past")
-        sink = self._sink
-        if sink is not None and self._queue and self._queue[0][0] == key:
-            # Tie-break audit: this event beat the queue head only by
-            # insertion order (same time, same priority).
-            sink.on_tie_break(when, key & 1, event, self._queue[0][2])
-        self._now = when
-        cbs = event.callbacks
-        event.callbacks = None
-        if sink is None:
-            if type(cbs) is list:
-                for callback in cbs:
-                    callback(event)
-            elif cbs is not _NO_WAITERS and cbs is not None:
-                cbs(event)
-        else:
-            if type(cbs) is list:
-                callbacks: list[_Callback] = cbs
-            elif cbs is not _NO_WAITERS and cbs is not None:
-                callbacks = [cbs]
-            else:
-                callbacks = []
-            for callback in callbacks:
-                if type(callback) is Process:
-                    owner: Process | None = callback
-                else:
-                    bound = getattr(callback, "__self__", None)
-                    owner = bound if isinstance(bound, Process) else None
-                begin = perf_counter()
-                callback(event)
-                sink.on_callback(event, owner, perf_counter() - begin)
-            sink.on_event_processed(event, when)
-        if not event._ok and not event._defused:
-            # An unhandled failure: crash the simulation.
-            exc = event._value
-            raise exc
-
     def run(
         self,
         until: Event | int | None = None,
@@ -986,25 +931,13 @@ class Simulator:
         re-armed and pushed again: the steady state of a timeout-driven
         process runs pop -> send -> push with zero allocation.
 
-        On top of that sits a one-slot lookahead: when a re-armed
-        carrier is the *only* pending event it is parked in locals
-        instead of round-tripping the heap, so the single-hot-process
-        steady state pays no heap traffic at all.  The slot is merged
-        back whenever the heap holds an earlier event, preserving exact
-        ``(when, priority, eid)`` order.
-
-        Consuming the parked slot enters a *sprint*: as long as the
-        sole process keeps direct-delaying into an empty heap, the loop
-        advances the clock in place -- no callback churn, no heap
-        traffic, no eid draw.  This is observably identical to the heap
-        path: the carrier is the only pending event, so processing
-        order cannot change, and eids (which only break heap ties) are
-        never compared while it sprints; the exit re-arm draws its eid
-        after the final resume, exactly where the push path draws it.
-        A parked carrier is known un-captured (the refcount gate ran
-        when it was parked) and only the sprinting process runs, so the
-        in-place re-arm is safe without re-counting references; the
-        exit path re-checks before re-arming into the shared heap.
+        If the heap is empty after the re-arm, the carrier is the next
+        event anyway, so the loop skips the push and the pop: it
+        advances the clock and resumes the same process again, with the
+        carrier standing in as the popped event.  This is observably
+        identical to the heap route -- processing order cannot change
+        with one pending event, and eids (which only break heap ties)
+        are drawn only when the carrier finally goes back into the heap.
         """
         queue = self._queue
         pool = self._timeout_pool
@@ -1016,166 +949,64 @@ class Simulator:
         process_type = Process
         refcount = getrefcount
         rearmed = reused = created = 0
-        head_key = head_eid = 0
-        head_event: Event | None = None
         try:
             while True:
-                if head_event is not None:
-                    if (
-                        not queue
-                        or head_key < queue[0][0]
-                        or (head_key == queue[0][0] and head_eid < queue[0][1])
-                    ):
-                        # The parked event is still first.  Key ties fall
-                        # back to the eid draw: sequential in the normal
-                        # mode (the parked entry was pushed first, so it
-                        # wins), seed-permuted under perturb_tie_breaks().
-                        event = head_event
-                        head_event = None
-                        now = head_key >> 1
-                        cbs = event.callbacks
-                        if type(cbs) is process_type and not queue:
-                            # Sprint (see docstring).  The parked
-                            # carrier is a pooled Timeout: ``_ok`` is
-                            # True and ``_value`` is None by invariant,
-                            # so the resume value is a constant.
-                            self._active_process = cbs
-                            send = cbs._send
-                            while True:
-                                self._now = now
-                                try:
-                                    nxt = send(None)
-                                except StopIteration as stop:
-                                    event.callbacks = None
-                                    cbs._terminate(True, stop.value)
-                                    break
-                                except BaseException as exc:
-                                    event.callbacks = None
-                                    cbs._terminate(False, exc)
-                                    break
-                                if type(nxt) is int and nxt >= 0 and not queue:
-                                    # Still the only pending event:
-                                    # advance the clock in place.
-                                    now += nxt
-                                    rearmed += 1
-                                    continue
-                                # Any other outcome leaves the sprint:
-                                # mark the carrier processed and finish
-                                # this resume on the generic paths.
-                                event.callbacks = None
-                                if type(nxt) is int:
-                                    if nxt >= 0:
-                                        # The resume scheduled real
-                                        # events: re-arm into the heap.
-                                        if refcount(event) == 3:
-                                            tick = event
-                                            rearmed += 1
-                                        else:
-                                            if pool:
-                                                tick = pool.pop()
-                                                reused += 1
-                                            else:
-                                                tick = Timeout.__new__(Timeout)
-                                                tick.sim = self
-                                                tick._ok = True
-                                                tick._defused = False
-                                                created += 1
-                                            cbs._target = tick
-                                        tick._value = None
-                                        tick.delay = nxt
-                                        tick.callbacks = cbs
-                                        push(
-                                            queue,
-                                            (((now + nxt) << 1) | 1, eid_next(), tick),
-                                        )
-                                        del tick
-                                    else:
-                                        cbs._terminate(
-                                            False, ValueError(f"negative delay {nxt}")
-                                        )
-                                else:
-                                    cbs._continue(nxt)
-                                break
-                            self._active_process = None
-                            # The carrier is a Timeout (never fails);
-                            # recycle it when the loop holds the only
-                            # remaining reference.
-                            if refcount(event) == 2 and len(pool) < _POOL_LIMIT:
-                                pool.append(event)
-                            continue
-                    else:
-                        push(queue, (head_key, head_eid, head_event))
-                        head_event = None
-                        key, _eid, event = pop(queue)
-                        now = key >> 1
-                else:
-                    try:
-                        key, _eid, event = pop(queue)
-                    except IndexError:
-                        raise EmptySchedule("no more events scheduled") from None
-                    now = key >> 1
+                try:
+                    key, _eid, event = pop(queue)
+                except IndexError:
+                    raise EmptySchedule("no more events scheduled") from None
+                now = key >> 1
                 self._now = now
                 cbs = event.callbacks
                 event.callbacks = None
                 if type(cbs) is process_type and event._ok:
                     # Hot path: resume the single waiting process inline.
                     self._active_process = cbs
-                    try:
-                        nxt = cbs._send(event._value)
-                    except StopIteration as stop:
-                        cbs._terminate(True, stop.value)
-                        self._active_process = None
-                    except BaseException as exc:
-                        cbs._terminate(False, exc)
-                        self._active_process = None
-                    else:
-                        if type(nxt) is int:
-                            if nxt >= 0:
-                                # Direct-delay yield: re-arm the popped
-                                # carrier when only the loop and the
-                                # process target still reference it
-                                # (getrefcount argument + `event` +
-                                # `cbs._target` == 3).
-                                if type(event) is timeout_type and refcount(event) == 3:
-                                    # Re-arm in place: `cbs._target` is
-                                    # already this carrier.
-                                    tick = event
-                                    tick._value = None
-                                    rearmed += 1
-                                else:
-                                    if pool:
-                                        tick = pool.pop()
-                                        tick._value = None
-                                        reused += 1
-                                    else:
-                                        tick = Timeout.__new__(Timeout)
-                                        tick.sim = self
-                                        tick._value = None
-                                        tick._ok = True
-                                        tick._defused = False
-                                        created += 1
-                                    cbs._target = tick
-                                tick.delay = nxt
-                                tick.callbacks = cbs
-                                if queue:
-                                    push(queue, (((now + nxt) << 1) | 1, eid_next(), tick))
-                                else:
-                                    # Sole pending event: park it in the
-                                    # lookahead slot, no heap traffic.
-                                    head_key = ((now + nxt) << 1) | 1
-                                    head_eid = eid_next()
-                                    head_event = tick
-                                # The local binding must not survive the
-                                # iteration: it would inflate the next
-                                # pop's refcount and defeat the re-arm.
-                                del tick
-                                self._active_process = None
-                                continue
-                            cbs._terminate(False, ValueError(f"negative delay {nxt}"))
-                            self._active_process = None
-                        else:
+                    send = cbs._send
+                    value = event._value
+                    while True:
+                        try:
+                            nxt = send(value)
+                        except StopIteration as stop:
+                            cbs._terminate(True, stop.value)
+                            break
+                        except BaseException as exc:
+                            cbs._terminate(False, exc)
+                            break
+                        if type(nxt) is not int:
                             cbs._continue(nxt)
-                            self._active_process = None
+                            break
+                        if nxt < 0:
+                            cbs._terminate(False, ValueError(f"negative delay {nxt}"))
+                            break
+                        # Direct-delay yield: re-arm the popped carrier in
+                        # place when only the loop and the process target
+                        # still reference it (getrefcount argument +
+                        # `event` + `cbs._target` == 3).
+                        if type(event) is timeout_type and refcount(event) == 3:
+                            rearmed += 1
+                        else:
+                            if pool:
+                                event = pool.pop()
+                                reused += 1
+                            else:
+                                event = Timeout.__new__(Timeout)
+                                event.sim = self
+                                event._ok = True
+                                event._defused = False
+                                created += 1
+                            cbs._target = event
+                        event._value = None
+                        event.delay = nxt
+                        now += nxt
+                        if queue:
+                            event.callbacks = cbs
+                            push(queue, ((now << 1) | 1, eid_next(), event))
+                            break
+                        # Sole pending event: resume again, no heap traffic.
+                        self._now = now
+                        value = None
+                    self._active_process = None
                 elif type(cbs) is list:
                     for callback in cbs:
                         callback(event)
@@ -1184,7 +1015,8 @@ class Simulator:
                 if type(event) is timeout_type:
                     # A Timeout can never fail; recycle it when the loop
                     # holds the only remaining reference (local binding +
-                    # getrefcount argument == 2).
+                    # getrefcount argument == 2).  A carrier just pushed
+                    # back is also held by the heap and the process.
                     if refcount(event) == 2 and len(pool) < _POOL_LIMIT:
                         pool.append(event)
                 elif not event._ok and not event._defused:
@@ -1200,7 +1032,9 @@ class Simulator:
         """Checked event loop: trace sink hooks and runaway limits.
 
         Serves every run with a trace sink or a watchdog, so
-        :meth:`_run_fast` pays for neither.  Sink hooks honour the
+        :meth:`_run_fast` pays for neither.  Every callback, a resumed
+        process included, is dispatched generically (a process resumes
+        through :meth:`Process._resume`).  Sink hooks honour the
         per-hook flags computed by :meth:`set_trace_sink`; in particular
         the two ``perf_counter()`` reads per callback are only paid when
         the sink overrides ``on_callback``.  A limit left at ``None``
@@ -1211,8 +1045,6 @@ class Simulator:
         queue = self._queue
         pool = self._timeout_pool
         pop = heapq.heappop
-        push = _heappush
-        eid_next = self._eid_next
         sink: Any = self._sink
         want_cb = self._sink_cb
         want_tie = self._sink_tie
@@ -1223,130 +1055,69 @@ class Simulator:
         refcount = getrefcount
         limit = -1 if max_events is None else max_events
         processed = 0
-        rearmed = reused = created = 0
         last_event: Event | None = None
-        try:
-            while True:
-                if processed == limit:
-                    raise RunawaySimulation(
-                        limit=f"max_events={max_events}",
-                        events_processed=processed,
-                        sim_time_ns=self._now,
-                        last_event=last_event,
-                    )
-                if not queue:
-                    raise EmptySchedule("no more events scheduled")
-                if max_sim_time is not None and queue[0][0] >> 1 > max_sim_time:
-                    raise RunawaySimulation(
-                        limit=f"max_sim_time={max_sim_time}",
-                        events_processed=processed,
-                        sim_time_ns=self._now,
-                        last_event=last_event,
-                    )
-                key, _eid, event = pop(queue)
-                last_event = event
-                when = key >> 1
-                if want_tie and queue and queue[0][0] == key:
-                    sink.on_tie_break(when, key & 1, event, queue[0][2])
-                self._now = when
-                cbs = event.callbacks
-                event.callbacks = None
-                if type(cbs) is process_type and event._ok and not want_cb:
-                    # Inlined single-waiter process resume (see
-                    # ``_run_fast``); with an ``on_callback`` observer
-                    # installed the generic timed dispatch below runs
-                    # instead.  ``last_event`` aliases ``event`` here,
-                    # so the carrier re-arm refcount is 4.
-                    self._active_process = cbs
-                    try:
-                        nxt = cbs._send(event._value)
-                    except StopIteration as stop:
-                        cbs._terminate(True, stop.value)
-                        self._active_process = None
-                    except BaseException as exc:
-                        cbs._terminate(False, exc)
-                        self._active_process = None
-                    else:
-                        if type(nxt) is int:
-                            if nxt >= 0:
-                                if type(event) is timeout_type and refcount(event) == 4:
-                                    tick = event
-                                    tick._value = None
-                                    rearmed += 1
-                                else:
-                                    if pool:
-                                        tick = pool.pop()
-                                        tick._value = None
-                                        reused += 1
-                                    else:
-                                        tick = Timeout.__new__(Timeout)
-                                        tick.sim = self
-                                        tick._value = None
-                                        tick._ok = True
-                                        tick._defused = False
-                                        created += 1
-                                    cbs._target = tick
-                                tick.delay = nxt
-                                tick.callbacks = cbs
-                                tick_when = when + nxt
-                                push(queue, ((tick_when << 1) | 1, eid_next(), tick))
-                                self._active_process = None
-                                hook = self._sched_hook
-                                if hook is not None:
-                                    hook(tick, tick_when, cbs)
-                                # Stale bindings would inflate the next
-                                # pop's refcount and defeat the re-arm.
-                                del tick
-                                if want_processed:
-                                    sink.on_event_processed(event, when)
-                                processed += 1
-                                continue
-                            cbs._terminate(False, ValueError(f"negative delay {nxt}"))
-                            self._active_process = None
+        while True:
+            if processed == limit:
+                raise RunawaySimulation(
+                    limit=f"max_events={max_events}",
+                    events_processed=processed,
+                    sim_time_ns=self._now,
+                    last_event=last_event,
+                )
+            if not queue:
+                raise EmptySchedule("no more events scheduled")
+            if max_sim_time is not None and queue[0][0] >> 1 > max_sim_time:
+                raise RunawaySimulation(
+                    limit=f"max_sim_time={max_sim_time}",
+                    events_processed=processed,
+                    sim_time_ns=self._now,
+                    last_event=last_event,
+                )
+            key, _eid, event = pop(queue)
+            last_event = event
+            when = key >> 1
+            if want_tie and queue and queue[0][0] == key:
+                sink.on_tie_break(when, key & 1, event, queue[0][2])
+            self._now = when
+            cbs = event.callbacks
+            event.callbacks = None
+            if type(cbs) is list:
+                if want_cb:
+                    for callback in cbs:
+                        if type(callback) is process_type:
+                            owner: Process | None = callback
                         else:
-                            cbs._continue(nxt)
-                            self._active_process = None
-                elif type(cbs) is list:
-                    if want_cb:
-                        for callback in cbs:
-                            if type(callback) is process_type:
-                                owner: Process | None = callback
-                            else:
-                                bound = getattr(callback, "__self__", None)
-                                owner = bound if isinstance(bound, Process) else None
-                            begin = perf_counter()
-                            callback(event)
-                            sink.on_callback(event, owner, perf_counter() - begin)
-                    else:
-                        for callback in cbs:
-                            callback(event)
-                elif cbs is not no_waiters and cbs is not None:
-                    if want_cb:
-                        if type(cbs) is process_type:
-                            owner = cbs
-                        else:
-                            bound = getattr(cbs, "__self__", None)
+                            bound = getattr(callback, "__self__", None)
                             owner = bound if isinstance(bound, Process) else None
                         begin = perf_counter()
-                        cbs(event)
+                        callback(event)
                         sink.on_callback(event, owner, perf_counter() - begin)
+                else:
+                    for callback in cbs:
+                        callback(event)
+            elif cbs is not no_waiters and cbs is not None:
+                if want_cb:
+                    if type(cbs) is process_type:
+                        owner = cbs
                     else:
-                        cbs(event)
-                if want_processed:
-                    sink.on_event_processed(event, when)
-                if type(event) is timeout_type:
-                    # ``last_event`` still aliases ``event``: recycle at
-                    # refcount 3 (getrefcount argument + both locals).
-                    if refcount(event) == 3 and len(pool) < _POOL_LIMIT:
-                        pool.append(event)
-                elif not event._ok and not event._defused:
-                    exc2 = event._value
-                    raise exc2
-                processed += 1
-        finally:
-            self.ticks_rearmed += rearmed
-            self.timeouts_reused += reused
-            self.timeouts_created += created
+                        bound = getattr(cbs, "__self__", None)
+                        owner = bound if isinstance(bound, Process) else None
+                    begin = perf_counter()
+                    cbs(event)
+                    sink.on_callback(event, owner, perf_counter() - begin)
+                else:
+                    cbs(event)
+            if want_processed:
+                sink.on_event_processed(event, when)
+            if type(event) is timeout_type:
+                # ``last_event`` still aliases ``event``: recycle at
+                # refcount 3 (getrefcount argument + both locals).
+                if refcount(event) == 3 and len(pool) < _POOL_LIMIT:
+                    pool.append(event)
+            elif not event._ok and not event._defused:
+                exc = event._value
+                raise exc
+            processed += 1
 
     @staticmethod
     def _stop_callback(event: Event) -> None:

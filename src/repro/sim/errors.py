@@ -8,7 +8,11 @@ class SimulationError(Exception):
 
 
 class EmptySchedule(SimulationError):
-    """Raised by :meth:`Simulator.step` when no events remain."""
+    """Raised by the event loops when no events remain.
+
+    :meth:`Simulator.run` catches it: a drained schedule ends a run
+    normally unless an ``until`` event is still pending.
+    """
 
 
 class StopSimulation(Exception):

@@ -5,19 +5,21 @@ import pytest
 from repro.core.experiments import (
     figure3,
     figure_user_breakdown,
-    sweep_application,
     table1,
     table2,
     table3,
     table4,
 )
 from repro.core import reference
+from repro.core.resilience import resilient_sweep
 
 
 @pytest.fixture(scope="module")
 def tiny_sweep():
     """FLO52 on 1 and 32 processors at a tiny scale."""
-    return {"FLO52": sweep_application("FLO52", configs=(1, 32), scale=0.01)}
+    outcome = resilient_sweep(["FLO52"], configs=(1, 32), scale=0.01)
+    assert outcome.ok, outcome.failures
+    return outcome.results
 
 
 def test_sweep_application_builds_all_configs(tiny_sweep):

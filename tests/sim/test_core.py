@@ -3,7 +3,6 @@
 import pytest
 
 from repro.sim import (
-    EmptySchedule,
     Event,
     Interrupt,
     SimulationError,
@@ -80,12 +79,6 @@ def test_run_until_past_time_raises():
     sim = Simulator(initial_time=100)
     with pytest.raises(ValueError):
         sim.run(until=50)
-
-
-def test_step_on_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
 
 
 def test_events_processed_in_time_order():

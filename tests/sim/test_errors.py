@@ -171,12 +171,6 @@ def test_double_trigger_raises():
 # -- EmptySchedule -----------------------------------------------------------
 
 
-def test_step_on_empty_schedule_raises():
-    sim = Simulator()
-    with pytest.raises(EmptySchedule):
-        sim.step()
-
-
 def test_run_returns_none_when_schedule_drains():
     sim = Simulator()
 
