@@ -550,11 +550,14 @@ def _flatten(value: object, prefix: str, out: dict[str, object]) -> None:
 class ResultFingerprint:
     """Canonical byte-level identity of a run's published numbers.
 
-    Covers everything the reproduction reports: completion time, the
+    Covers every table the reproduction reports: completion time, the
     Figure-3 per-cluster breakdown, the Table-2 per-activity times and
-    occurrence counts, the fault statistics and the analytic memory
-    ledger.  Two runs with equal :attr:`digest` publish byte-identical
-    breakdowns and tables.
+    occurrence counts, the statfx samples and per-cluster concurrency
+    that feed Tables 1 and 3, the loop regions and main cluster-only
+    loop spans that feed Tables 3 and 4, the fault statistics and the
+    analytic memory ledger.  Two runs with equal :attr:`digest` publish
+    byte-identical tables.  Figures 5-9 are gated separately, by
+    ``tests/golden/test_golden_figures.py``.
     """
 
     payload: str
@@ -579,13 +582,20 @@ class ResultFingerprint:
 
 
 def fingerprint_result(result: "RunResult") -> ResultFingerprint:
-    """Fingerprint every table the run publishes (see the class doc)."""
+    """Fingerprint every table the run publishes (see the class doc).
+
+    Raises ``ValueError`` on a trace :func:`~repro.core.concurrency.loop_index`
+    rejects, as Table 3 does.
+    """
+    from repro.core.concurrency import loop_index
     from repro.xylem.categories import OsActivity
 
     accounting = result.accounting
     n_clusters = result.config.n_clusters
     faults = result.fault_stats
     ledger = result.machine.mem_ledger
+    statfx = result.statfx
+    loops = loop_index(result)
     payload: dict[str, object] = {
         "ct_ns": result.ct_ns,
         "breakdown": {
@@ -619,6 +629,16 @@ def fingerprint_result(result: "RunResult") -> ResultFingerprint:
             "bursts": list(ledger.bursts),
             "scalar_round_trips": ledger.scalar_round_trips,
             "scalar_round_trip_ns": ledger.scalar_round_trip_ns,
+        },
+        "statfx": {
+            "samples": statfx.samples,
+            "concurrency": [
+                statfx.cluster_concurrency(cluster) for cluster in range(n_clusters)
+            ],
+        },
+        "loops": {
+            "regions": {str(task): spans for task, spans in loops.regions.items()},
+            "mc_spans": loops.mc_spans,
         },
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -720,12 +720,9 @@ def _cmd_inject(args: argparse.Namespace) -> None:
     )
     print(f"completion time: {result.ct_seconds:.1f} s (extrapolated)")
     _print_fastpath_modes(result)
-    print(
-        f"faults: {ledger.injected} injected, {ledger.reverted} reverted, "
-        f"{ledger.skipped} skipped"
-    )
+    print(f"faults: {ledger.injected} injected, {ledger.reverted} reverted")
     for record in ledger.records:
-        when = f"t={record.applied_ns}ns" if record.applied_ns >= 0 else "not applied"
+        when = f"t={record.applied_ns}ns"
         print(f"  {record.kind:16s} {when:>16s}  {record.note}")
     print("\ncompletion-time breakdown (main cluster):")
     breakdown = ct_breakdown(result, 0)

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 
 from repro.faults.spec import CampaignSpec, FaultEvent
 from repro.hardware.machine import CedarMachine
-from repro.hardware.memory import GlobalMemorySystem
 from repro.obs.registry import MetricsRegistry
 from repro.runtime.library import CedarFortranRuntime
 from repro.sim import Simulator
@@ -50,7 +49,6 @@ class FaultLedger:
     records: list[InjectedFault] = field(default_factory=list)
     injected: int = 0
     reverted: int = 0
-    skipped: int = 0
     pages_invalidated: int = 0
     by_kind: dict[str, int] = field(default_factory=dict)
 
@@ -60,16 +58,10 @@ class FaultLedger:
         self.injected += 1
         self.by_kind[record.kind] = self.by_kind.get(record.kind, 0) + 1
 
-    def note_skipped(self, record: InjectedFault) -> None:
-        """Record a fault that could not apply on this run mode."""
-        self.records.append(record)
-        self.skipped += 1
-
     def collect(self, registry: MetricsRegistry) -> None:
         """Fold the ledger into an obs metrics registry."""
         registry.counter("faults.injected").inc(self.injected)
         registry.counter("faults.reverted").inc(self.reverted)
-        registry.counter("faults.skipped").inc(self.skipped)
         for kind, count in sorted(self.by_kind.items()):
             registry.counter(f"faults.{kind}.count").inc(count)
         if self.pages_invalidated:
@@ -128,9 +120,6 @@ class FaultInjector:
             yield sim.timeout(fault.at_ns)
         record = InjectedFault(kind=fault.kind, at_ns=fault.at_ns, target=fault.target)
         revert = self._apply(fault, record)
-        if revert is None and record.note.startswith("skipped"):
-            self.ledger.note_skipped(record)
-            return
         record.applied_ns = sim.now
         self.ledger.note_injected(record)
         if fault.duration_ns is not None and revert is not None:
@@ -149,10 +138,6 @@ class FaultInjector:
             [FaultEvent, InjectedFault], Callable[[], None] | None
         ] = getattr(self, f"_apply_{fault.kind}")
         return handler(fault, record)
-
-    def _packet_memory(self) -> GlobalMemorySystem | None:
-        """The packet-level memory system, if this run built one."""
-        return self.machine._memory
 
     def _sync_analytic(self) -> None:
         """Mirror aggregate bank/link degradation into the analytic model."""
@@ -185,9 +170,6 @@ class FaultInjector:
         active = self._bank_factors.setdefault(target, [])
         active.append(factor)
         self._sync_analytic()
-        memory = self._packet_memory()
-        if memory is not None:
-            memory.set_bank_service_multiplier(target, self._bank_factor(target))
         record.note = f"bank {target} service x{factor}"
 
         def revert() -> None:
@@ -195,8 +177,6 @@ class FaultInjector:
             if not active:
                 del self._bank_factors[target]
             self._sync_analytic()
-            if memory is not None:
-                memory.set_bank_service_multiplier(target, self._bank_factor(target))
 
         return revert
 
@@ -209,14 +189,10 @@ class FaultInjector:
         if target >= n_modules:
             raise FaultInjectionError(f"bank_offline target {target} out of range")
         offline = self._offline_banks
-        already = target in offline
-        if not already and len(offline) + 1 >= n_modules:
+        if target not in offline and len(offline) + 1 >= n_modules:
             raise FaultInjectionError("cannot take the last online bank offline")
         offline[target] = offline.get(target, 0) + 1
         self._sync_analytic()
-        memory = self._packet_memory()
-        if memory is not None and not already:
-            memory.set_bank_offline(target, True)
         record.note = f"bank {target} offline, traffic remapped onto survivors"
 
         def revert() -> None:
@@ -227,8 +203,6 @@ class FaultInjector:
                 return
             del offline[target]
             self._sync_analytic()
-            if memory is not None:
-                memory.set_bank_offline(target, False)
 
         return revert
 
@@ -239,42 +213,11 @@ class FaultInjector:
         assert extra_cycles is not None
         self._link_penalty_cycles += extra_cycles
         self._sync_analytic()
-        memory = self._packet_memory()
-        extra_ns = self.machine.config.cycles_to_ns(extra_cycles)
-        if memory is not None:
-            memory.forward.extra_hop_ns += extra_ns
-            memory.backward.extra_hop_ns += extra_ns
         record.note = f"+{extra_cycles} cycles per switch hop"
 
         def revert() -> None:
             self._link_penalty_cycles -= extra_cycles
             self._sync_analytic()
-            if memory is not None:
-                memory.forward.extra_hop_ns -= extra_ns
-                memory.backward.extra_hop_ns -= extra_ns
-
-        return revert
-
-    def _apply_switch_stall(
-        self, fault: FaultEvent, record: InjectedFault
-    ) -> Callable[[], None] | None:
-        target = fault.target
-        assert target is not None
-        memory = self._packet_memory()
-        if memory is None:
-            # The analytic path has no individual ports to stall; the
-            # campaign remains valid for packet-level runs.
-            record.note = "skipped: switch_stall needs the packet-level memory path"
-            return None
-        if target >= memory.forward.n_outputs:
-            raise FaultInjectionError(f"switch_stall target {target} out of range")
-        # Stall the final forward-network hop feeding module `target`.
-        hop = memory.forward.route(0, target)[-1]
-        memory.forward.stall_port(*hop)
-        record.note = f"forward-network port {hop} stalled"
-
-        def revert() -> None:
-            memory.forward.release_port(*hop)
 
         return revert
 

@@ -32,7 +32,6 @@ FAULT_KINDS = (
     "bank_slow",
     "bank_offline",
     "switch_degrade",
-    "switch_stall",
     "ce_deconfig",
     "lock_inflate",
     "pagefault_storm",
@@ -58,8 +57,8 @@ class FaultEvent:
         ``ce_deconfig`` and ``pagefault_storm`` must be permanent (a
         dropped CE stays dropped; a storm is instantaneous).
     target:
-        Kind-specific index: memory module (``bank_*``), forward-network
-        output port (``switch_stall``), or CE id (``ce_deconfig``).
+        Kind-specific index: memory module (``bank_*``) or CE id
+        (``ce_deconfig``).
     factor:
         Multiplier for ``bank_slow`` (service time) and ``lock_inflate``
         (critical-section hold time); must be > 1.
@@ -108,14 +107,6 @@ class FaultEvent:
         if self.extra_cycles is None or self.extra_cycles < 1:
             raise CampaignError(
                 f"switch_degrade: extra_cycles must be >= 1, got {self.extra_cycles}"
-            )
-
-    def _check_switch_stall(self) -> None:
-        self._require_target()
-        if self.duration_ns is None:
-            raise CampaignError(
-                "switch_stall: duration_ns is required (a permanently stalled "
-                "port can never complete the run)"
             )
 
     def _check_ce_deconfig(self) -> None:
@@ -240,14 +231,12 @@ def generate_campaign(
 
     Draws kinds, strike times and targets from a single
     ``np.random.default_rng(seed)`` stream, so the same seed always
-    yields the same spec.  ``switch_stall`` is excluded from random
-    generation (it is only meaningful on packet-level runs).  CE drops
-    target the first *n_processors* CEs -- by default the smallest of
-    :data:`DEFAULT_CONFIGS`, where a campaign that names no configs
-    runs -- and are capped below a full cluster so the kernel's
-    cluster-empty guard cannot fire.  A machine of fewer CEs than
-    *ces_per_cluster* is one cluster of them all, as in
-    :meth:`~repro.hardware.config.CedarConfig.with_processors`.
+    yields the same spec.  CE drops target the first *n_processors* CEs
+    -- by default the smallest of :data:`DEFAULT_CONFIGS`, where a
+    campaign that names no configs runs -- and are capped below a full
+    cluster so the kernel's cluster-empty guard cannot fire.  A machine
+    of fewer CEs than *ces_per_cluster* is one cluster of them all, as
+    in :meth:`~repro.hardware.config.CedarConfig.with_processors`.
     """
     if n_faults <= 0:
         raise CampaignError(f"n_faults must be positive, got {n_faults}")
@@ -257,11 +246,10 @@ def generate_campaign(
     import numpy as np  # lazily: the CLI's import graph stays numpy-free
 
     rng = np.random.default_rng(seed)
-    kinds = [k for k in FAULT_KINDS if k != "switch_stall"]
     faults = []
     dropped_per_cluster: dict[int, int] = {}
     for _ in range(n_faults):
-        kind = kinds[int(rng.integers(0, len(kinds)))]
+        kind = FAULT_KINDS[int(rng.integers(0, len(FAULT_KINDS)))]
         at_ns = int(rng.integers(0, horizon_ns))
         if kind == "bank_slow":
             faults.append(

@@ -1,15 +1,12 @@
 """The assembled Cedar machine model.
 
-:class:`CedarMachine` wires together the clusters, the global memory
-system, and the contention machinery, and offers the two memory-access
-facades the rest of the reproduction uses:
-
-* :meth:`memory_burst` -- the fast path used by application-scale
-  simulations: the burst duration is computed with the analytic
-  contention model from the number of *currently streaming* CEs, which
-  the machine tracks, so contention emerges from concurrency.
-* :attr:`memory` -- the packet-level :class:`GlobalMemorySystem`,
-  instantiated on demand for microbenchmarks and validation.
+:class:`CedarMachine` wires together the clusters and the contention
+machinery.  Its memory-access facade, :meth:`memory_burst`, prices a
+burst with the analytic contention model from the number of *currently
+streaming* CEs, which the machine tracks, so contention emerges from
+concurrency.  The packet-level :class:`~repro.hardware.memory.GlobalMemorySystem`
+is not part of the machine: it is the reference that model is
+validated against, built directly by tests and benchmarks.
 """
 
 from __future__ import annotations
@@ -20,7 +17,6 @@ from repro.hardware.cache import ClusterCacheModel
 from repro.hardware.cluster import CE, Cluster
 from repro.hardware.config import CedarConfig
 from repro.hardware.contention import ContentionModel, LoadTracker
-from repro.hardware.memory import GlobalMemorySystem
 from repro.sim import Simulator
 
 __all__ = ["CedarMachine", "MemoryLedger"]
@@ -81,9 +77,6 @@ class CedarMachine:
         The simulator all machine processes run on.
     config:
         Machine configuration.
-
-    The packet-level global memory system is built lazily on first use
-    of :attr:`memory`.
     """
 
     def __init__(self, sim: Simulator, config: CedarConfig) -> None:
@@ -95,7 +88,6 @@ class CedarMachine:
         self.mem_ledger = MemoryLedger(config.n_clusters)
         self._ideal_cache: dict[tuple[int, float], int] = {}
         self._burst_ns_memo: dict[tuple[int, int, float, int], int] = {}
-        self._memory: GlobalMemorySystem | None = None
         #: Optional cluster cache/TLB stall models (Section 3.2's
         #: excluded overheads), built when the config enables them.
         self.cluster_caches: list[ClusterCacheModel] | None = None
@@ -103,13 +95,6 @@ class CedarMachine:
             self.cluster_caches = [
                 ClusterCacheModel() for _ in range(config.n_clusters)
             ]
-
-    @property
-    def memory(self) -> GlobalMemorySystem:
-        """The packet-level global memory system (built lazily)."""
-        if self._memory is None:
-            self._memory = GlobalMemorySystem(self.sim, self.config)
-        return self._memory
 
     @property
     def n_processors(self) -> int:

@@ -80,44 +80,10 @@ class GlobalMemorySystem:
         self.bank_requests = [0] * n_modules
         #: Per-bank high-water mark of queued + in-service requests.
         self.bank_queue_high_water = [0] * n_modules
-        #: Per-bank service-time multiplier (fault injection: slow bank).
-        self.bank_service_multiplier = [1.0] * n_modules
-        self._offline = [False] * n_modules
-        #: Requests that hit a slowed or remapped (offline) bank.
-        self.degraded_requests = 0
 
     def module_for_address(self, address: int) -> int:
         """Memory module serving *address* (double-word interleaved)."""
         return self.config.module_for_address(address)
-
-    # -- degradation (fault injection) -----------------------------------
-
-    def set_bank_service_multiplier(self, module_id: int, factor: float) -> None:
-        """Stretch (or restore, with 1.0) one bank's service time."""
-        if factor <= 0.0:
-            raise ValueError(f"factor must be > 0, got {factor}")
-        self.bank_service_multiplier[module_id] = factor
-
-    def set_bank_offline(self, module_id: int, offline: bool = True) -> None:
-        """Take one bank offline (its addresses remap onto survivors)."""
-        if offline and sum(self._offline) + 1 >= self.config.n_memory_modules:
-            raise ValueError("cannot take the last online memory bank offline")
-        self._offline[module_id] = offline
-
-    def bank_offline(self, module_id: int) -> bool:
-        """Whether *module_id* is currently offline."""
-        return self._offline[module_id]
-
-    def _effective_module(self, module_id: int) -> int:
-        """Remap an offline bank's traffic onto the online banks.
-
-        The remap is deterministic in the bank id, modelling the OS
-        re-interleaving the dead module's pages over the survivors.
-        """
-        if not self._offline[module_id]:
-            return module_id
-        online = [m for m in range(self.config.n_memory_modules) if not self._offline[m]]
-        return online[module_id % len(online)]
 
     def request(self, ce_id: int, address: int) -> Event:
         """Issue one memory request; returns its completion event.
@@ -140,9 +106,6 @@ class GlobalMemorySystem:
         # Global interface on the way out.
         yield sim.timeout(gi_ns)
         module_id = self.module_for_address(address)
-        if self._offline[module_id]:
-            module_id = self._effective_module(module_id)
-            self.degraded_requests += 1
         request = Packet(source=ce_id, dest=module_id, payload=address)
         yield sim.process(self.forward.traverse(request), name="gm-fwd")
         # Module service: one request at a time, 4 cycles each.
@@ -153,10 +116,6 @@ class GlobalMemorySystem:
         req = module.request()
         yield req
         service_ns = config.memory_service_cycles * config.cycle_ns
-        factor = self.bank_service_multiplier[module_id]
-        if factor != 1.0:
-            service_ns = int(round(service_ns * factor))
-            self.degraded_requests += 1
         yield sim.timeout(service_ns)
         module.release(req)
         self.bank_busy_ns[module_id] += service_ns

@@ -22,7 +22,7 @@ import math
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
-from repro.sim import Gate, Resource, Simulator, Store
+from repro.sim import Resource, Simulator, Store
 
 __all__ = ["Packet", "DeltaNetwork", "NetworkStats"]
 
@@ -142,42 +142,6 @@ class DeltaNetwork:
         for k in range(len(self._fanouts) - 1, -1, -1):
             self._suffix[k] = self._suffix[k + 1] * self._fanouts[k]
         self._ports: dict[tuple[int, int, int], _OutputPort] = {}
-        # Degradation state (repro.faults): extra per-hop latency,
-        # per-hop penalties, and stalled output ports.
-        #: Extra nanoseconds added to every hop (switch degradation).
-        self.extra_hop_ns = 0
-        #: Extra nanoseconds added to specific (stage, switch, port) hops.
-        self.hop_penalty_ns: dict[tuple[int, int, int], int] = {}
-        self._stall_gates: dict[tuple[int, int, int], Gate] = {}
-        #: Packets that had to wait at a stalled output port.
-        self.stalled_packets = 0
-
-    # -- degradation (fault injection) ----------------------------------
-
-    def degrade_hop(self, stage: int, switch: int, port: int, extra_ns: int) -> None:
-        """Add *extra_ns* to one hop's forwarding time (0 restores it)."""
-        if extra_ns < 0:
-            raise ValueError(f"extra_ns must be >= 0, got {extra_ns}")
-        hop = (stage, switch, port)
-        if extra_ns == 0:
-            self.hop_penalty_ns.pop(hop, None)
-        else:
-            self.hop_penalty_ns[hop] = extra_ns
-
-    def stall_port(self, stage: int, switch: int, port: int) -> None:
-        """Stall one output port: packets queue at it until released."""
-        hop = (stage, switch, port)
-        gate = self._stall_gates.get(hop)
-        if gate is None:
-            gate = Gate(self.sim, open_=True)
-            self._stall_gates[hop] = gate
-        gate.close()
-
-    def release_port(self, stage: int, switch: int, port: int) -> None:
-        """Release a previously stalled output port."""
-        gate = self._stall_gates.get((stage, switch, port))
-        if gate is not None:
-            gate.open()
 
     # -- topology -------------------------------------------------------
 
@@ -237,12 +201,6 @@ class DeltaNetwork:
         previous_buffer: Store | None = None
         for hop in self.route(packet.source, packet.dest):
             port = self._port(hop)
-            stall = self._stall_gates.get(hop)
-            if stall is not None and not stall.is_open:
-                # The output port is stalled (fault injection): hold the
-                # packet here, backpressuring upstream, until released.
-                self.stalled_packets += 1
-                yield stall.wait()
             # Wait for buffer space at this hop (backpressure point).
             yield port.buffer.put(packet)
             depth = len(port.buffer)
@@ -255,8 +213,7 @@ class DeltaNetwork:
             # Serialise transmission through the port's link.
             req = port.link.request()
             yield req
-            hop_ns = link_ns + self.extra_hop_ns + self.hop_penalty_ns.get(hop, 0)
-            yield sim.timeout(hop_ns)
+            yield sim.timeout(link_ns)
             port.link.release(req)
             traffic = self.stats.port_traffic
             traffic[hop] = traffic.get(hop, 0) + 1

@@ -10,9 +10,7 @@ Two machine-readable views of a finished run:
 * :func:`chrome_trace` / :func:`save_chrome_trace` -- the run's
   reconstructed activity intervals in Chrome trace-event JSON, loadable
   in Perfetto / ``chrome://tracing``: one track per CE under process 0
-  showing serial/setup/pickup/iteration/barrier/... intervals, and one
-  track per global-memory bank under process 1 (with busy-time counter
-  samples when the packet-level memory system was exercised).
+  showing serial/setup/pickup/iteration/barrier/... intervals.
 """
 
 from __future__ import annotations
@@ -43,7 +41,6 @@ __all__ = [
 REPORT_SCHEMA_VERSION = 1
 
 _CE_PID = 0
-_BANK_PID = 1
 
 
 def git_revision() -> str | None:
@@ -122,21 +119,15 @@ def chrome_trace(result: "RunResult") -> dict:
 
     Timestamps are microseconds (the format's unit); one simulated
     nanosecond maps to 0.001 us.  Process 0 holds one track per CE with
-    "X" (complete) events for every reconstructed activity interval;
-    process 1 holds one track per global-memory bank, carrying "C"
-    (counter) samples of cumulative bank busy time when the run used
-    the packet-level memory system.
+    "X" (complete) events for every reconstructed activity interval.
     """
     from repro.core.trace_analysis import extract_intervals
 
     config = result.config
     events: list[dict] = []
     events.append(_metadata_event(_CE_PID, 0, "process_name", "CEs"))
-    events.append(_metadata_event(_BANK_PID, 0, "process_name", "global memory banks"))
     for ce_id in range(config.n_processors):
         events.append(_metadata_event(_CE_PID, ce_id, "thread_name", f"ce{ce_id}"))
-    for bank in range(config.n_memory_modules):
-        events.append(_metadata_event(_BANK_PID, bank, "thread_name", f"bank{bank}"))
     for interval in extract_intervals(result.events, end_ns=result.ct_ns):
         args: dict[str, object] = {"task_id": interval.task_id}
         if interval.construct is not None:
@@ -153,21 +144,6 @@ def chrome_trace(result: "RunResult") -> dict:
                 "args": args,
             }
         )
-    memory = result.machine._memory
-    if memory is not None and memory.stats.requests > 0:
-        end_us = result.ct_ns / 1000
-        for bank in range(config.n_memory_modules):
-            for ts, value in ((0, 0), (end_us, memory.bank_busy_ns[bank])):
-                events.append(
-                    {
-                        "ph": "C",
-                        "pid": _BANK_PID,
-                        "tid": bank,
-                        "ts": ts,
-                        "name": f"bank{bank}.busy_ns",
-                        "args": {"busy_ns": value},
-                    }
-                )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ns",

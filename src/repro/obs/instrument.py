@@ -5,18 +5,15 @@
 :class:`~repro.obs.registry.MetricsRegistry` and the optional kernel
 sinks (process profiler, kernel trace buffer).  After the run the
 collector functions harvest every always-on counter the stack keeps --
-the machine's memory ledger, the load tracker, the packet-level bank
-and switch statistics when present, the Xylem accounting ledger and
-fault counters, the runtime protocol counters, the activity board and
-the ``cedarhpm`` buffer -- into hierarchical metric names:
+the machine's memory ledger, the load tracker, the Xylem accounting
+ledger and fault counters, the runtime protocol counters, the activity
+board and the ``cedarhpm`` buffer -- into hierarchical metric names:
 
 ===========  ===========================================================
 prefix       contents
 ===========  ===========================================================
-``memory.``  per-cluster burst busy/ideal/stall time, per-bank service
-             time and queue high-water (packet-level runs)
-``network.`` streaming-CE load, scalar round trips, per-port switch
-             traffic and queue depth high-water (packet-level runs)
+``memory.``  per-cluster burst busy/ideal/stall time, bursts and words
+``network.`` streaming-CE load and scalar round trips
 ``xylem.``   per-activity OS time and counts, page faults, kernel-lock
              spin
 ``runtime.`` loop protocol counters, CC-bus traffic, per-CE busy time,
@@ -121,20 +118,6 @@ def _collect_memory(result: "RunResult", reg: MetricsRegistry) -> None:
         reg.counter(f"{prefix}.stall_ns").inc(ledger.stall_ns(cluster))
         reg.counter(f"{prefix}.bursts").inc(ledger.bursts[cluster])
         reg.counter(f"{prefix}.words").inc(ledger.words[cluster])
-    # Packet-level bank detail, when the packet memory system was used.
-    memory = machine._memory
-    if memory is not None and memory.stats.requests > 0:
-        for bank in range(result.config.n_memory_modules):
-            prefix = f"memory.bank{bank}"
-            reg.counter(f"{prefix}.busy_ns").inc(memory.bank_busy_ns[bank])
-            reg.counter(f"{prefix}.requests").inc(memory.bank_requests[bank])
-            gauge = reg.gauge(f"{prefix}.queue_depth")
-            gauge.set(memory.bank_queue_high_water[bank])
-        reg.counter("memory.packet.requests").inc(memory.stats.requests)
-        reg.counter("memory.packet.completions").inc(memory.stats.completions)
-        reg.gauge("memory.packet.mean_round_trip_ns").set(
-            memory.stats.mean_round_trip_ns
-        )
 
 
 def _collect_network(result: "RunResult", reg: MetricsRegistry) -> None:
@@ -151,26 +134,6 @@ def _collect_network(result: "RunResult", reg: MetricsRegistry) -> None:
         )
     reg.counter("network.scalar_round_trips").inc(ledger.scalar_round_trips)
     reg.counter("network.scalar_round_trip_ns").inc(ledger.scalar_round_trip_ns)
-    memory = machine._memory
-    if memory is None:
-        return
-    for direction, net in (("fwd", memory.forward), ("bwd", memory.backward)):
-        stats = net.stats
-        if stats.packets_injected == 0:
-            continue
-        reg.counter(f"network.{direction}.packets_injected").inc(stats.packets_injected)
-        reg.counter(f"network.{direction}.packets_delivered").inc(
-            stats.packets_delivered
-        )
-        reg.gauge(f"network.{direction}.mean_latency_ns").set(stats.mean_latency_ns)
-        for (stage, switch, port), count in sorted(stats.port_traffic.items()):
-            reg.counter(
-                f"network.{direction}.stage{stage}.sw{switch}.port{port}.forwarded"
-            ).inc(count)
-        for (stage, switch, port), depth in sorted(stats.queue_high_water.items()):
-            reg.gauge(
-                f"network.{direction}.stage{stage}.sw{switch}.port{port}.queue_depth"
-            ).set(depth)
 
 
 def _collect_xylem(result: "RunResult", reg: MetricsRegistry) -> None:

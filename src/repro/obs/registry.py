@@ -2,8 +2,8 @@
 
 The rest of the reproduction measures the *modelled machine*; this
 module measures the *model*.  Components register metrics under
-hierarchical dotted names (``network.fwd.stage0.sw3.queue_depth``,
-``memory.bank17.busy_ns``, ``xylem.pagefault.count``) so a whole run
+hierarchical dotted names (``network.cluster0.streaming_ces.high_water``,
+``memory.cluster0.stall_ns``, ``xylem.pagefault.count``) so a whole run
 can be snapshotted into one flat, JSON-serialisable dictionary and
 diffed across runs -- the gem5-style statistics artifact.
 
@@ -45,7 +45,7 @@ def validate_name(name: str) -> str:
     if not _NAME_RE.match(name):
         raise ValueError(
             f"invalid metric name {name!r}: use dotted lowercase segments "
-            "like 'memory.bank17.busy_ns'"
+            "like 'memory.cluster0.stall_ns'"
         )
     return name
 

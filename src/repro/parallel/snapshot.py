@@ -20,9 +20,8 @@ exactly like the live classes for everything the analysis layer and the
   result.hpm.events`` holds before and after a round trip;
 * ``result.statfx`` / ``result.board`` -- concurrency queries answered
   from values frozen at end-of-run simulated time;
-* ``result.machine`` -- the memory ledger, the streaming-load tracker,
-  the per-cluster CC buses and (when the packet-level memory system
-  ran) the bank/switch statistics;
+* ``result.machine`` -- the memory ledger, the streaming-load tracker
+  and the per-cluster CC buses;
 * ``result.kernel`` -- OS parameters, critical-section lock counters
   and the VM fault counters;
 * ``result.runtime`` / ``result.hpm`` -- protocol counters and monitor
@@ -134,32 +133,12 @@ class ClusterView:
 
 
 @dataclass(frozen=True)
-class NetDirectionView:
-    """One direction of the packet network: its stats object only."""
-
-    stats: object  # NetworkStats dataclass (plain, picklable)
-
-
-@dataclass(frozen=True)
-class PacketMemoryView:
-    """Frozen packet-level global-memory statistics."""
-
-    stats: object  # MemoryStats dataclass
-    bank_busy_ns: tuple[int, ...]
-    bank_requests: tuple[int, ...]
-    bank_queue_high_water: tuple[int, ...]
-    forward: NetDirectionView
-    backward: NetDirectionView
-
-
-@dataclass(frozen=True)
 class MachineView:
     """Stand-in for :class:`~repro.hardware.machine.CedarMachine`."""
 
     mem_ledger: object  # MemoryLedger (plain slots, picklable)
     load: LoadView
     clusters: tuple[ClusterView, ...]
-    _memory: PacketMemoryView | None = None
 
 
 @dataclass(frozen=True)
@@ -229,17 +208,6 @@ def _lock_view(lock: KernelLock) -> LockView:
 def _machine_view(result: RunResult) -> MachineView:
     machine = result.machine
     load = machine.load
-    packet = None
-    raw = machine._memory
-    if raw is not None:
-        packet = PacketMemoryView(
-            stats=copy.deepcopy(raw.stats),
-            bank_busy_ns=tuple(raw.bank_busy_ns),
-            bank_requests=tuple(raw.bank_requests),
-            bank_queue_high_water=tuple(raw.bank_queue_high_water),
-            forward=NetDirectionView(stats=copy.deepcopy(raw.forward.stats)),
-            backward=NetDirectionView(stats=copy.deepcopy(raw.backward.stats)),
-        )
     return MachineView(
         mem_ledger=copy.deepcopy(machine.mem_ledger),
         load=LoadView(
@@ -257,7 +225,6 @@ def _machine_view(result: RunResult) -> MachineView:
             )
             for cluster in machine.clusters
         ),
-        _memory=packet,
     )
 
 

@@ -54,6 +54,43 @@ def test_fingerprint_distinguishes_configurations():
     assert a.diff(b)  # at least one located mismatch
 
 
+def test_fingerprint_covers_statfx_and_loop_regions():
+    """Tables 1, 3 and 4 read the statfx sums and the loop regions."""
+    import dataclasses
+
+    from repro.hpm.events import EventType, TraceEvent
+
+    snap = run_application(
+        _flo52(), 4, scale=SMALL_SCALE, os_params=XylemParams(seed=7)
+    ).portable()
+    base = fingerprint_result(dataclasses.replace(snap, _cache={}))
+    assert fingerprint_result(snap).digest == base.digest
+
+    sums = snap.statfx.sums
+    statfx = dataclasses.replace(snap.statfx, sums=(sums[0] + 1, *sums[1:]))
+    bumped_sum = fingerprint_result(dataclasses.replace(snap, statfx=statfx, _cache={}))
+    assert bumped_sum.digest != base.digest
+    assert bumped_sum.diff(base)
+
+    events = list(snap.events)
+    index = next(
+        i
+        for i, e in enumerate(events)
+        if e.event_type == EventType.LOOP_POST and e.task_id == 0
+    )
+    post = events[index]
+    events[index] = TraceEvent(
+        post.event_type,
+        post.timestamp_ns + 1,
+        post.processor_id,
+        post.task_id,
+        post.payload,
+    )
+    shifted = fingerprint_result(dataclasses.replace(snap, events=events, _cache={}))
+    assert shifted.digest != base.digest
+    assert shifted.diff(base)
+
+
 def test_perturbed_schedule_differs_but_results_do_not():
     """The permutation really permutes; the results really hold still."""
     from repro.analyze.sanitize import DeterminismSink

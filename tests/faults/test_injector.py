@@ -5,7 +5,6 @@ import pytest
 from repro.core import run_application
 from repro.faults import CampaignSpec, FaultEvent, FaultInjector, run_with_campaign
 from repro.hardware.config import paper_configuration
-from repro.hardware.memory import GlobalMemorySystem
 from repro.sim import SimulationError, Simulator
 from repro.xylem.kernel import XylemKernel
 from repro.xylem.params import XylemParams
@@ -54,9 +53,9 @@ def _sample_overlap(kind, long_fields=None, short_fields=None):
     """Run a long and a short *kind* fault on bank 3, sampling mid-run.
 
     The long fault holds [5, 35] ms, the short one [20, 22] ms.  Returns
-    ``{t_ms: (analytic factor, offline banks, packet multiplier,
-    packet offline)}`` at 21 ms (both active), 25 ms (only the long one)
-    and 40 ms (neither).
+    ``{t_ms: (bank 3's factor, offline banks, contention model's worst
+    bank factor, contention model's offline module count)}`` at 21 ms
+    (both active), 25 ms (only the long one) and 40 ms (neither).
     """
     ms = 1_000_000
     spec = CampaignSpec(
@@ -72,7 +71,6 @@ def _sample_overlap(kind, long_fields=None, short_fields=None):
     samples = {}
 
     def hook(sim, machine, kernel, runtime):
-        memory = machine.memory  # build the packet-level path too
         injector = FaultInjector(sim, machine, kernel, runtime, spec)
         injector.arm()
 
@@ -82,8 +80,8 @@ def _sample_overlap(kind, long_fields=None, short_fields=None):
                 samples[t_ms] = (
                     injector._bank_factor(3),
                     dict(injector._offline_banks),
-                    memory.bank_service_multiplier[3],
-                    memory.bank_offline(3),
+                    machine.contention._worst_bank_factor,
+                    machine.contention._offline_modules,
                 )
 
         sim.process(sampler(), name="sampler")
@@ -107,10 +105,10 @@ def test_overlapping_bank_slow_faults_compose():
 
 def test_overlapping_bank_offline_faults_compose():
     samples = _sample_overlap("bank_offline")
-    assert samples[21][1] == {3: 2} and samples[21][3]
+    assert samples[21][1] == {3: 2} and samples[21][3] == 1
     # Bank 3 stays offline while the long fault still holds it.
-    assert samples[25][1] == {3: 1} and samples[25][3]
-    assert samples[40][1] == {} and not samples[40][3]
+    assert samples[25][1] == {3: 1} and samples[25][3] == 1
+    assert samples[40][1] == {} and samples[40][3] == 0
 
 
 def test_ce_deconfig_completes_with_redistribution():
@@ -190,45 +188,3 @@ def test_pagefault_storm_forces_refaults():
     healthy_faults = healthy.fault_stats.sequential + healthy.fault_stats.concurrent
     storm_faults = storm.fault_stats.sequential + storm.fault_stats.concurrent
     assert storm_faults > healthy_faults
-
-
-def test_switch_stall_skipped_on_analytic_runs():
-    outcome = _degraded(
-        [FaultEvent(kind="switch_stall", at_ns=0, target=0, duration_ns=1000)]
-    )
-    assert outcome.ledger.skipped == 1
-    assert outcome.ledger.injected == 0
-
-
-def test_packet_level_bank_offline_remaps():
-    sim = Simulator()
-    memory = GlobalMemorySystem(sim, paper_configuration(32))
-    memory.set_bank_offline(2, True)
-    assert memory.bank_offline(2)
-    remapped = memory._effective_module(2)
-    assert remapped != 2
-    assert not memory.bank_offline(remapped)
-    with pytest.raises(ValueError, match="last online"):
-        small = GlobalMemorySystem(Simulator(), paper_configuration(1))
-        for m in range(small.config.n_memory_modules):
-            small.set_bank_offline(m, True)
-
-
-def test_packet_level_switch_stall_blocks_then_releases():
-    sim = Simulator()
-    memory = GlobalMemorySystem(sim, paper_configuration(32))
-    hop = memory.forward.route(0, 0)[-1]
-    memory.forward.stall_port(*hop)
-
-    done = memory.request(ce_id=0, address=0)
-
-    def release(sim):
-        yield sim.timeout(100_000)
-        memory.forward.release_port(*hop)
-
-    sim.process(release(sim))
-    sim.run(until=done)
-    assert memory.forward.stalled_packets == 1
-    # The stall dominates the round trip: without it the trip is a few
-    # microseconds; with the 100 us stall it cannot be faster.
-    assert sim.now >= 100_000

@@ -99,11 +99,3 @@ def test_global_round_trip_grows_with_load():
     busy = machine.global_round_trip_ns()
     assert busy >= quiet
 
-
-def test_packet_memory_built_lazily():
-    sim = Simulator()
-    machine = CedarMachine(sim, paper_configuration(8))
-    assert machine._memory is None
-    _ = machine.memory
-    assert machine._memory is not None
-

@@ -9,9 +9,7 @@ digest.
 
 Two kinds of campaign drive the cells:
 
-* generated campaigns whose kinds, together, cover every kind that acts
-  on an app cell (``switch_stall`` needs the packet-level memory, which
-  app cells never build);
+* generated campaigns whose kinds, together, cover every fault kind;
 * a hand-written campaign of overlapping transient memory faults, which
   the generator never draws (it gives only ``lock_inflate`` a
   duration).  Strikes and reverts sit at fixed fractions of the healthy
@@ -97,7 +95,7 @@ def _assert_fast_matches_exact(specs, app, n_proc, monkeypatch):
 
 def test_generated_campaigns_cover_every_app_cell_kind():
     kinds = {fault.kind for spec in GENERATED for fault in spec.faults}
-    assert kinds == set(FAULT_KINDS) - {"switch_stall"}
+    assert kinds == set(FAULT_KINDS)
 
 
 @pytest.mark.parametrize("n_proc", PROCESSORS)

@@ -72,7 +72,7 @@ def test_chrome_trace_schema(result):
     assert events
     for event in events:
         assert set(event) >= {"ph", "ts", "pid", "tid", "name"}
-        assert event["ph"] in {"M", "X", "C"}
+        assert event["ph"] in {"M", "X"}
     durations = [e for e in events if e["ph"] == "X"]
     assert durations
     for event in durations:
@@ -87,13 +87,9 @@ def test_chrome_trace_has_one_track_per_ce_and_bank(result):
         for e in events
         if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == 0
     }
-    bank_tracks = {
-        e["tid"]
-        for e in events
-        if e["ph"] == "M" and e["name"] == "thread_name" and e["pid"] == 1
-    }
     assert ce_tracks == set(range(4))
-    assert bank_tracks == set(range(32))
+    # The CE process is the only one: no global-memory bank tracks.
+    assert {e["pid"] for e in events} == {0}
 
 
 def test_chrome_trace_file_is_valid_json(result, tmp_path):
@@ -103,28 +99,3 @@ def test_chrome_trace_file_is_valid_json(result, tmp_path):
     assert loaded["traceEvents"]
     assert loaded["otherData"]["app"] == "synthetic"
 
-
-def test_chrome_trace_bank_counters_with_packet_memory():
-    """A packet-level run gets per-bank busy-time counter samples."""
-    from repro.hardware.machine import CedarMachine
-    from repro.sim import Simulator
-
-    sim = Simulator()
-    config = paper_configuration(4)
-    machine = CedarMachine(sim, config)
-
-    def issue(sim, memory):
-        yield memory.request(0, 0)
-        yield memory.request(1, 8)
-
-    sim.process(issue(sim, machine.memory))
-    sim.run()
-    # Graft the exercised machine onto a tiny run result.
-    result = run_phases(
-        [SerialPhase(work_ns=1000)], 4, app_name="banks", config=config
-    )
-    result.machine._memory = machine.memory
-    counters = [e for e in chrome_trace(result)["traceEvents"] if e["ph"] == "C"]
-    assert counters
-    assert {e["pid"] for e in counters} == {1}
-    assert any(e["args"]["busy_ns"] > 0 for e in counters)
