@@ -1,11 +1,12 @@
 #!/usr/bin/env python
-"""Regenerate the golden baselines (``tests/golden/tables_v1.json`` and
-``tests/golden/figures_v1.json``).
+"""Regenerate the golden baselines (``tests/golden/tables_v1.json``,
+``tests/golden/figures_v1.json`` and ``tests/golden/trace_v1.json``).
 
 Run this after an *intentional* model change, review the JSON diff to
 confirm every shifted number is expected, and commit the result.  The
-figures baseline (the user-time breakdowns of Figures 5-9) is written
-beside ``--output``.  The sweep goes through
+figures baseline (the user-time breakdowns of Figures 5-9) and the
+SHA-256 of the file the ``trace`` command writes are written beside
+``--output``.  The sweep goes through
 :func:`repro.core.resilience.resilient_sweep`, so a warm result cache
 makes a refresh near-instant.
 
@@ -17,8 +18,14 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import contextlib
+import hashlib
+import io
+import json
+import tempfile
 from pathlib import Path
 
+from repro.cli import main as cli_main
 from repro.core import reference
 from repro.core.golden import golden_figures_payload, golden_payload, save_golden
 from repro.core.resilience import resilient_sweep
@@ -28,6 +35,13 @@ GOLDEN_PATH = Path(__file__).resolve().parents[1] / "tests" / "golden" / "tables
 
 #: File name of the Figures 5-9 baseline, written beside ``--output``.
 FIGURES_NAME = "figures_v1.json"
+
+#: File name of the pinned ``trace`` output digest, written beside ``--output``.
+TRACE_NAME = "trace_v1.json"
+
+#: The ``trace`` command whose output file the digest pins (``-o FILE``
+#: is appended).
+TRACE_ARGV = ["trace", "flo52", "8", "--scale", "0.005"]
 
 #: The benchmark point the baseline freezes.
 SCALE = 0.02
@@ -74,7 +88,21 @@ def main() -> int:
     save_golden(figures, figures_path)
     n_rows = sum(len(rows) for rows in figures["tables"].values())
     print(f"wrote {figures_path} ({len(figures['tables'])} apps, {n_rows} rows)")
+
+    trace_path = args.output.parent / TRACE_NAME
+    digest = trace_digest()
+    trace_path.write_text(json.dumps({"argv": TRACE_ARGV, "sha256": digest}, indent=1) + "\n")
+    print(f"wrote {trace_path} (sha256 {digest[:12]}...)")
     return 0
+
+
+def trace_digest() -> str:
+    """SHA-256 of the file ``cedar-repro`` writes for :data:`TRACE_ARGV`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.jsonl"
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli_main([*TRACE_ARGV, "-o", str(path)])
+        return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 if __name__ == "__main__":

@@ -833,10 +833,10 @@ def race_app(
     plus the synthetic workload) and runs the perturbation campaign on
     the stock paper configuration.
     """
-    from repro.analyze.sanitize import _resolve_builder
+    from repro.apps import resolve_app
 
     return race_model(
-        _resolve_builder(app),
+        resolve_app(app),
         name=app.upper(),
         n_processors=n_processors,
         scale=scale,

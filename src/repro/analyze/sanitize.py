@@ -27,14 +27,12 @@ diffs the schedule hashes; ``cedar-repro sanitize`` wraps it.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.obs.tracing import TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.apps.base import AppModel
     from repro.sim.core import Event, Process
 
 __all__ = [
@@ -285,21 +283,6 @@ class SanitizeReport:
         return "\n".join(lines)
 
 
-def _resolve_builder(app: str) -> "Callable[..., AppModel]":
-    """App-name -> model builder, accepting the synthetic workload too."""
-    from repro.apps import PAPER_APPS, synthetic_app
-
-    key = app.upper()
-    if key in PAPER_APPS:
-        return PAPER_APPS[key]
-    if key in ("SYNTH", "SYNTHETIC"):
-        return synthetic_app
-    raise ValueError(
-        f"unknown application {app!r}; pick from "
-        f"{sorted(PAPER_APPS) + ['synthetic']}"
-    )
-
-
 def sanitize_app(
     app: str,
     n_processors: int,
@@ -311,11 +294,12 @@ def sanitize_app(
     """Run *app* ``runs`` times under one seed and diff the schedules."""
     if runs < 2:
         raise ValueError(f"need at least 2 runs to compare, got {runs}")
+    from repro.apps import resolve_app
     from repro.core.runner import run_application
     from repro.obs.instrument import Observability
     from repro.xylem.params import XylemParams
 
-    builder = _resolve_builder(app)
+    builder = resolve_app(app)
     report = SanitizeReport(
         app=app.upper(), n_processors=n_processors, scale=scale, seed=seed
     )

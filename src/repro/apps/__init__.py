@@ -6,6 +6,8 @@ paper's 1-processor measurements; multi-processor behaviour emerges
 from the simulated machine, OS and runtime mechanisms.
 """
 
+from collections.abc import Callable
+
 from repro.apps.adm import adm
 from repro.apps.arc2d import arc2d
 from repro.apps.base import AppModel, LoopShape, PageSpace, loop_timing
@@ -23,6 +25,25 @@ PAPER_APPS = {
     "ADM": adm,
 }
 
+
+def resolve_app(app: str) -> Callable[..., AppModel]:
+    """App-name -> model builder, accepting the synthetic workload too.
+
+    Paper application names match in any case; ``synthetic`` (or
+    ``synth``) names :func:`synthetic_app`.  Raises ``ValueError`` on
+    any other name.
+    """
+    key = app.upper()
+    if key in PAPER_APPS:
+        return PAPER_APPS[key]
+    if key in ("SYNTH", "SYNTHETIC"):
+        return synthetic_app
+    raise ValueError(
+        f"unknown application {app!r}; pick from "
+        f"{sorted(PAPER_APPS) + ['synthetic']}"
+    )
+
+
 __all__ = [
     "AppModel",
     "LoopShape",
@@ -34,5 +55,6 @@ __all__ = [
     "loop_timing",
     "mdg",
     "ocean",
+    "resolve_app",
     "synthetic_app",
 ]

@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from repro.core.runner import RunResult
 from repro.core.trace_analysis import pair_events
-from repro.hpm.events import EventType, TraceEvent
+from repro.hpm.events import EventType, Row
 
 __all__ = [
     "LoopIndex",
@@ -68,28 +68,26 @@ def loop_index(result: RunResult) -> LoopIndex:
     regions: dict[int, list[tuple[int, int]]] = {}
     starts: dict[tuple[int, object], int] = {}
 
-    def track(events: Iterable[TraceEvent]) -> Iterator[TraceEvent]:
-        for event in events:
-            role = _REGION_EVENTS.get(event.event_type)
+    def track(rows: Iterable[Row]) -> Iterator[Row]:
+        for row in rows:
+            role = _REGION_EVENTS.get(row[0])
             if role is not None:
                 opens, main_only = role
-                task_id = event.task_id
+                task_id = row[3]
                 if (task_id == 0) == main_only:
-                    key = (task_id, _seq(event.payload))
+                    key = (task_id, _seq(row[4]))
                     if opens:
-                        starts[key] = event.timestamp_ns
+                        starts[key] = row[1]
                     else:
                         start = starts.pop(key, None)
                         if start is not None:
-                            regions.setdefault(task_id, []).append(
-                                (start, event.timestamp_ns)
-                            )
-            yield event
+                            regions.setdefault(task_id, []).append((start, row[1]))
+            yield row
 
     mc_spans = [
-        (opener.timestamp_ns, close_ns)
-        for opener, close_ns in pair_events(track(result.events), result.ct_ns)
-        if opener.event_type == EventType.MC_LOOP_START and opener.task_id == 0
+        (opener[1], close_ns)
+        for opener, close_ns in pair_events(track(result.events.rows()), result.ct_ns)
+        if opener[0] == EventType.MC_LOOP_START and opener[3] == 0
     ]
     regions.setdefault(0, []).extend(mc_spans)
     for spans in regions.values():

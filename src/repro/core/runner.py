@@ -9,7 +9,7 @@ everything the analysis modules need.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -17,7 +17,7 @@ from repro.apps.base import AppModel
 from repro.hardware.config import CedarConfig, paper_configuration
 from repro.hardware.machine import CedarMachine
 from repro.hpm.activity import ActivityBoard
-from repro.hpm.events import TraceEvent
+from repro.hpm.events import EventList
 from repro.hpm.monitor import CedarHpm
 from repro.hpm.statfx import Statfx
 from repro.obs.hostclock import WallTimer
@@ -57,9 +57,10 @@ class RunResult:
     extrapolation: float
     #: Simulated completion time in nanoseconds (not extrapolated).
     ct_ns: int
-    #: The off-loaded cedarhpm trace buffer: a list on a live run, a
-    #: lazily decoded :class:`~repro.hpm.events.EventList` on a snapshot.
-    events: Sequence[TraceEvent]
+    #: The off-loaded cedarhpm trace buffer: the monitor's own columnar
+    #: :class:`~repro.hpm.events.EventList`, the same object on a live
+    #: run, its snapshot and a pickled copy (as ``hpm.events``).
+    events: EventList
     accounting: TimeAccounting
     fault_stats: FaultStats
     statfx: Statfx
@@ -67,7 +68,7 @@ class RunResult:
     machine: CedarMachine
     kernel: XylemKernel
     runtime: CedarFortranRuntime
-    #: The cedarhpm monitor itself (buffer capacity, drop counts).
+    #: The cedarhpm monitor itself (resolution and trace buffer).
     hpm: CedarHpm | None = None
     #: Host wall-clock seconds spent inside the event loop.
     wall_s: float = 0.0
@@ -121,7 +122,7 @@ class RunResult:
         :func:`~repro.core.concurrency.loop_index`, so the index is
         built where the result is pickled -- in the pool worker, or at
         a cache put -- and a served result answers both tables without
-        decoding its events.  A trace the scan rejects carries no
+        scanning its events.  A trace the scan rejects carries no
         index: the reader rescans it and raises as the scan did.
         """
         from repro.core.concurrency import loop_index

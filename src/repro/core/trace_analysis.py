@@ -1,11 +1,13 @@
 """Reconstruction of activity intervals from cedarhpm event traces.
 
 The paper's Sections 5-7 analyses all start from the off-loaded event
-traces; this module pairs the flat event list's enter/exit events
-(per processor, per kind).  :func:`pair_events` is the one pairing
-routine: :func:`extract_intervals` builds the :class:`Interval` list
-the breakdown and exporter modules consume from it, and the
-concurrency module's one-pass loop index reads the same pairs.
+traces; this module pairs the trace's enter/exit events (per
+processor, per kind).  :func:`pair_events` is the one pairing routine:
+:func:`extract_intervals` builds the :class:`Interval` list the
+breakdown and exporter modules consume from it, and the concurrency
+module's one-pass loop index reads the same pairs.  Both read the
+trace's columns as rows (:meth:`~repro.hpm.events.EventList.rows`)
+and build no :class:`~repro.hpm.events.TraceEvent`.
 """
 
 from __future__ import annotations
@@ -13,8 +15,9 @@ from __future__ import annotations
 import enum
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import Any
 
-from repro.hpm.events import EventType, TraceEvent
+from repro.hpm.events import EventList, EventType, Row
 
 __all__ = ["IntervalKind", "Interval", "extract_intervals", "intervals_of", "pair_events"]
 
@@ -89,44 +92,42 @@ class Interval:
 
 
 def pair_events(
-    events: Iterable[TraceEvent], end_ns: int | None = None
-) -> Iterator[tuple[TraceEvent, int]]:
-    """Pair enter/exit events: yield ``(opener, close_ns)`` per interval.
+    rows: Iterable[Row], end_ns: int | None = None
+) -> Iterator[tuple[Row, int]]:
+    """Pair enter/exit rows: yield ``(opener, close_ns)`` per interval.
 
-    Events are paired per (processor, kind), LIFO when the same kind
-    nests on one processor (e.g. serialised OS services recorded
-    back-to-back), and yielded as each close is read; after the last
-    event every unclosed opener is yielded with *end_ns* when given,
-    otherwise dropped.  Raises ``ValueError`` on a close without a
-    matching open, which would indicate corrupt instrumentation.
+    *rows* are trace records as :meth:`~repro.hpm.events.EventList.rows`
+    gives them.  Events are paired per (processor, kind), LIFO when the
+    same kind nests on one processor (e.g. serialised OS services
+    recorded back-to-back), and yielded as each close is read; after
+    the last row every unclosed opener is yielded with *end_ns* when
+    given, otherwise dropped.  Raises ``ValueError`` on a close without
+    a matching open, which would indicate corrupt instrumentation.
 
     The one pairing routine: :func:`extract_intervals` and the
     concurrency module's loop index both consume it.
     """
-    open_events: dict[tuple[int, EventType], list[TraceEvent]] = {}
-    for event in events:
-        etype = event.event_type
+    open_rows: dict[tuple[Any, int], list[Row]] = {}
+    for row in rows:
+        etype = row[0]
         if etype in _PAIRS:
-            key = (event.processor_id, etype)
-            open_events.setdefault(key, []).append(event)
+            open_rows.setdefault((row[2], etype), []).append(row)
         elif etype in _CLOSERS:
             opener_type = _CLOSERS[etype]
-            stack = open_events.get((event.processor_id, opener_type))
+            stack = open_rows.get((row[2], opener_type))
             if not stack:
                 raise ValueError(
-                    f"{etype.name} without matching {opener_type.name} on "
-                    f"processor {event.processor_id} at t={event.timestamp_ns}"
+                    f"{EventType(etype).name} without matching {opener_type.name} on "
+                    f"processor {row[2]} at t={row[1]}"
                 )
-            yield stack.pop(), event.timestamp_ns
+            yield stack.pop(), row[1]
     if end_ns is not None:
-        for stack in open_events.values():
+        for stack in open_rows.values():
             for opener in stack:
                 yield opener, end_ns
 
 
-def extract_intervals(
-    events: Iterable[TraceEvent], end_ns: int | None = None
-) -> list[Interval]:
+def extract_intervals(events: EventList, end_ns: int | None = None) -> list[Interval]:
     """Pair enter/exit events into intervals sorted by (start, end).
 
     Pairing follows :func:`pair_events`: LIFO per (processor, kind), an
@@ -135,14 +136,16 @@ def extract_intervals(
     """
     intervals = [
         Interval(
-            kind=_PAIRS[opener.event_type][1],
-            processor_id=opener.processor_id,
-            task_id=opener.task_id,
-            start_ns=opener.timestamp_ns,
+            kind=_PAIRS[etype][1],
+            processor_id=processor,
+            task_id=task,
+            start_ns=start,
             end_ns=close_ns,
-            payload=opener.payload,
+            payload=payload,
         )
-        for opener, close_ns in pair_events(events, end_ns)
+        for (etype, start, processor, task, payload), close_ns in pair_events(
+            events.rows(), end_ns
+        )
     ]
     intervals.sort(key=lambda iv: (iv.start_ns, iv.end_ns))
     return intervals

@@ -12,15 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.apps import resolve_app
 from repro.core.runner import DEFAULT_SCALE, RunResult, run_application
 from repro.faults.injector import FaultInjector, FaultLedger
 from repro.faults.spec import CampaignSpec
 from repro.xylem.params import XylemParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from collections.abc import Callable
-
-    from repro.apps.base import AppModel
     from repro.hardware.machine import CedarMachine
     from repro.obs.instrument import Observability
     from repro.runtime.library import CedarFortranRuntime
@@ -45,12 +43,6 @@ class CampaignRunOutcome:
         return self.injector.ledger
 
 
-def _resolve_app(app: str) -> "Callable[..., AppModel]":
-    from repro.analyze.sanitize import _resolve_builder
-
-    return _resolve_builder(app)
-
-
 def run_with_campaign(
     spec: CampaignSpec,
     app: str,
@@ -70,7 +62,7 @@ def run_with_campaign(
     *statfx_interval_ns* is forwarded to the runner so campaign cells
     honour the same sampling cadence as healthy ones.
     """
-    builder = _resolve_app(app)
+    builder = resolve_app(app)
     injectors: list[FaultInjector] = []
 
     def hook(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.apps import resolve_app
 from repro.core.breakdown import ct_breakdown, memory_decomposition
 from repro.core.report import render_table
 from repro.core.runner import RunResult, run_application
@@ -120,8 +121,6 @@ def degraded_mode_experiment(
     reruns.  The per-run :attr:`DegradedModeReport.outcomes` (which
     carry live fault injectors) are only available on the serial path.
     """
-    from repro.analyze.sanitize import _resolve_builder
-
     spec = campaign if campaign is not None else degraded_campaign(seed)
     report = DegradedModeReport(
         n_processors=n_processors, scale=scale, seed=seed, campaign=spec
@@ -158,7 +157,7 @@ def degraded_mode_experiment(
         return report
     for app in apps:
         healthy = run_application(
-            _resolve_builder(app)(),
+            resolve_app(app)(),
             n_processors,
             scale=scale,
             os_params=XylemParams(seed=seed),

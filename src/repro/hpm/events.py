@@ -9,12 +9,11 @@ external ``cedarhpm`` monitor.
 from __future__ import annotations
 
 import enum
-import gc
 from array import array
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any, overload
 
-__all__ = ["EventType", "TraceEvent", "EventList", "RTL_EVENTS", "OS_EVENTS"]
+__all__ = ["EventType", "TraceEvent", "EventList", "Row", "RTL_EVENTS", "OS_EVENTS"]
 
 
 class EventType(enum.IntEnum):
@@ -138,6 +137,10 @@ class TraceEvent:
         )
 
 
+#: One trace record as :meth:`EventList.rows` yields it:
+#: ``(type byte, timestamp, processor, task, payload)``.
+Row = tuple[int, Any, Any, Any, Any]
+
 #: Event type by its one-byte wire value.
 _EVENT_TYPES = {event_type.value: event_type for event_type in EventType}
 
@@ -151,7 +154,7 @@ _INT_CODES = tuple(
 )
 
 
-def _int_column(values: list[Any]) -> Sequence[Any]:
+def _int_column(values: Sequence[Any]) -> Sequence[Any]:
     """*values* as the narrowest signed ``array`` that holds them exactly.
 
     Falls back to the plain list when a value is not an ``int`` in the
@@ -166,66 +169,82 @@ def _int_column(values: list[Any]) -> Sequence[Any]:
 
 
 class EventList(Sequence[TraceEvent]):
-    """A read-only sequence of :class:`TraceEvent` that pickles as columns.
+    """A cedarhpm trace buffer, held as one column per record field.
 
-    Pickling an event list one object at a time costs a few hundred
-    bytes of opcodes per event; a cell's trace holds tens of thousands,
-    and every pooled or cached cell crosses a process boundary or the
-    disk.  This list pickles instead as the event types (one byte
-    each), ``array`` columns of timestamps, processors and tasks, and
-    the distinct payload objects with an index column.  Payloads are
+    The monitor appends each record straight into the columns: the
+    event-type byte, the timestamp (a 64-bit ``array``), the processor,
+    the task and a slot in the table of distinct payloads.  Payloads are
     interned by identity, so the table holds exactly the objects the
-    events shared and every payload comes back equal in type and value.
+    events shared.  The same list is the run's trace from the first
+    record to the result cache: :meth:`rows` hands the analysis plain
+    ``(type byte, timestamp, processor, task, payload)`` tuples, and a
+    :class:`TraceEvent` is built only when a caller indexes or iterates
+    the list.
 
-    Loading is lazy.  An unpickled list holds just its columns: ``len``
-    is answered from the type column, and the :class:`TraceEvent`
-    objects are built once, on the first element access or iteration.
-    A list that was never decoded pickles its columns again unchanged,
-    so storing a result that just arrived from a pool worker re-encodes
-    nothing.  The load still validates the columns eagerly: unequal
+    Pickling hands over the columns, each int column narrowed to the
+    smallest ``array`` that holds it exactly, so a cell's trace costs a
+    few bytes per event across a process boundary or on disk.  A loaded
+    list keeps those narrowed columns, pickles them again unchanged,
+    and is not appended to.  The load validates the columns: unequal
     lengths, an unknown event-type byte or a payload index out of range
-    fail the load with ``ValueError``, never the first access.
+    fail it with ``ValueError``, never a later read.
     """
 
-    __slots__ = ("_events", "_columns")
+    __slots__ = ("types", "timestamps", "processors", "tasks", "payloads", "index", "_slot_of")
 
     def __init__(self, events: Iterable[TraceEvent] = ()) -> None:
-        self._events: list[TraceEvent] | None = list(events)
-        #: The pickled columns, kept until the first decode.
-        self._columns: tuple[Any, ...] | None = None
+        self.types: bytearray | bytes = bytearray()
+        self.timestamps: Any = array("q")
+        self.processors: Any = []
+        self.tasks: Any = []
+        self.payloads: list[Any] = []
+        self.index: Any = []
+        #: Payload slot by ``id(payload)``, for interning while recording.
+        self._slot_of: dict[int, int] = {}
+        for event in events:
+            self.append(
+                event.event_type,
+                event.timestamp_ns,
+                event.processor_id,
+                event.task_id,
+                event.payload,
+            )
 
-    def _decoded(self) -> list[TraceEvent]:
-        """The events, built from the columns on the first call."""
-        if self._events is None:
-            assert self._columns is not None
-            types, timestamps, processors, tasks, payloads, index = self._columns
-            # The new events hold no reference cycles, but allocating tens
-            # of thousands of them with the collector on makes it rescan
-            # the growing heap many times over: about two thirds of the
-            # decode time.
-            collecting = gc.isenabled()
-            gc.disable()
-            try:
-                self._events = list(
-                    map(
-                        TraceEvent,
-                        map(_EVENT_TYPES.__getitem__, types),
-                        timestamps,
-                        processors,
-                        tasks,
-                        map(payloads.__getitem__, index),
-                    )
-                )
-            finally:
-                if collecting:
-                    gc.enable()
-            self._columns = None
-        return self._events
+    def append(
+        self,
+        event_type: int,
+        timestamp_ns: int,
+        processor_id: int,
+        task_id: int = -1,
+        payload: object = None,
+    ) -> None:
+        """Append one record to the columns."""
+        slot = self._slot_of.get(id(payload))
+        if slot is None:
+            slot = self._slot_of[id(payload)] = len(self.payloads)
+            self.payloads.append(payload)
+        try:
+            self.timestamps.append(timestamp_ns)
+        except (TypeError, OverflowError):
+            # Not an int64: only hand-built traces hold such a field.
+            self.timestamps = [*self.timestamps, timestamp_ns]
+        self.types.append(event_type)  # type: ignore[union-attr]
+        self.processors.append(processor_id)
+        self.tasks.append(task_id)
+        self.index.append(slot)
+
+    def rows(self) -> Iterator[Row]:
+        """One :data:`Row` per event, in record order; builds no event object."""
+        return zip(
+            self.types,
+            self.timestamps,
+            self.processors,
+            self.tasks,
+            map(self.payloads.__getitem__, self.index),
+        )
 
     def __len__(self) -> int:
-        if self._columns is not None:
-            return len(self._columns[0])
-        return len(self._decoded())
+        return len(self.types)
 
     @overload
     def __getitem__(self, index: int) -> TraceEvent: ...
@@ -234,44 +253,57 @@ class EventList(Sequence[TraceEvent]):
     def __getitem__(self, index: slice) -> list[TraceEvent]: ...
 
     def __getitem__(self, index: int | slice) -> TraceEvent | list[TraceEvent]:
-        return self._decoded()[index]
+        if isinstance(index, slice):
+            return [self[i] for i in range(*index.indices(len(self)))]
+        return TraceEvent(
+            _EVENT_TYPES[self.types[index]],
+            self.timestamps[index],
+            self.processors[index],
+            self.tasks[index],
+            self.payloads[self.index[index]],
+        )
 
     def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._decoded())
+        return map(
+            TraceEvent,
+            map(_EVENT_TYPES.__getitem__, self.types),
+            self.timestamps,
+            self.processors,
+            self.tasks,
+            map(self.payloads.__getitem__, self.index),
+        )
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, EventList):
-            other = other._decoded()
-        if not isinstance(other, list):
+        if not isinstance(other, (EventList, list)):
             return NotImplemented
-        return self._decoded() == other
+        return list(self) == list(other)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"EventList(<{len(self)} events>)"
 
     def __reduce__(self) -> tuple[Any, ...]:
-        if self._columns is not None:
-            return (_events_from_columns, self._columns)
-        events = self._decoded()
-        payloads: list[Any] = []
-        slot_of: dict[int, int] = {}
-        index: list[int] = []
-        for event in events:
-            payload = event.payload
-            slot = slot_of.get(id(payload))
-            if slot is None:
-                slot = slot_of[id(payload)] = len(payloads)
-                payloads.append(payload)
-            index.append(slot)
+        if isinstance(self.types, bytes):
+            # Loaded: the columns are narrowed already and go out as they came.
+            return (
+                _events_from_columns,
+                (
+                    self.types,
+                    self.timestamps,
+                    self.processors,
+                    self.tasks,
+                    self.payloads,
+                    self.index,
+                ),
+            )
         return (
             _events_from_columns,
             (
-                bytes([event.event_type for event in events]),
-                _int_column([event.timestamp_ns for event in events]),
-                _int_column([event.processor_id for event in events]),
-                _int_column([event.task_id for event in events]),
-                payloads,
-                _int_column(index),
+                bytes(self.types),
+                _int_column(self.timestamps),
+                _int_column(self.processors),
+                _int_column(self.tasks),
+                self.payloads,
+                _int_column(self.index),
             ),
         )
 
@@ -284,7 +316,7 @@ def _events_from_columns(
     payloads: list[Any],
     index: Sequence[int],
 ) -> EventList:
-    """An undecoded :class:`EventList` over its pickled columns.
+    """An :class:`EventList` over its pickled columns.
 
     Validates the columns here, at load, so a damaged trace fails the
     unpickling rather than a later read.
@@ -296,8 +328,7 @@ def _events_from_columns(
         raise ValueError("unknown event type byte")
     if n and not 0 <= min(index) <= max(index) < len(payloads):
         raise ValueError("payload index out of range")
-    events = EventList.__new__(EventList)
-    events._events = None
-    events._columns = (types, timestamps, processors, tasks, payloads, index)
+    events = EventList()
+    events.types, events.timestamps, events.processors = types, timestamps, processors
+    events.tasks, events.payloads, events.index = tasks, payloads, index
     return events
-

@@ -11,9 +11,7 @@ simulated time for recording.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
-
-from repro.hpm.events import EventType, TraceEvent
+from repro.hpm.events import EventList, EventType
 from repro.sim import Simulator
 
 __all__ = ["CedarHpm"]
@@ -28,25 +26,15 @@ class CedarHpm:
         Simulator whose clock timestamps the events.
     resolution_ns:
         Timestamp quantisation (50 ns for the real monitor).
-    buffer_capacity:
-        Maximum number of events kept (the hardware buffers are finite;
-        ``None`` means unbounded).
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        resolution_ns: int = 50,
-        buffer_capacity: int | None = None,
-    ) -> None:
+    def __init__(self, sim: Simulator, resolution_ns: int = 50) -> None:
         if resolution_ns <= 0:
             raise ValueError(f"resolution_ns must be positive, got {resolution_ns}")
         self.sim = sim
         self.resolution_ns = resolution_ns
-        self.buffer_capacity = buffer_capacity
-        self._events: list[TraceEvent] = []
-        self.dropped = 0
-        self._subscribers: list[Callable[[TraceEvent], None]] = []
+        #: The trace buffer, written in columns as events are recorded.
+        self.events = EventList()
 
     def record(
         self,
@@ -54,49 +42,17 @@ class CedarHpm:
         processor_id: int,
         task_id: int = -1,
         payload: object = None,
-    ) -> TraceEvent | None:
-        """Record one event at the current simulated time.
+    ) -> None:
+        """Record one event at the current simulated time."""
+        resolution = self.resolution_ns
+        self.events.append(
+            event_type,
+            (self.sim.now // resolution) * resolution,
+            processor_id,
+            task_id,
+            payload,
+        )
 
-        Returns the recorded event, or ``None`` if the buffer was full
-        (the event is counted in :attr:`dropped`).
-        """
-        if self.buffer_capacity is not None and len(self._events) >= self.buffer_capacity:
-            self.dropped += 1
-            return None
-        quantised = (self.sim.now // self.resolution_ns) * self.resolution_ns
-        event = TraceEvent(event_type, quantised, processor_id, task_id, payload)
-        self._events.append(event)
-        for subscriber in self._subscribers:
-            subscriber(event)
-        return event
-
-    def subscribe(self, callback: Callable[[TraceEvent], None]) -> None:
-        """Invoke *callback* for every subsequently recorded event."""
-        self._subscribers.append(callback)
-
-    # -- off-loading (trace access) --------------------------------------
-
-    def offload(self) -> list[TraceEvent]:
-        """All recorded events in record order (the off-loaded buffer)."""
-        return list(self._events)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def events_of(self, *event_types: EventType) -> Iterator[TraceEvent]:
-        """Iterate over events of the given types, in record order."""
-        wanted = set(event_types)
-        return (e for e in self._events if e.event_type in wanted)
-
-    def events_on(self, processor_id: int) -> Iterator[TraceEvent]:
-        """Iterate over the events recorded on one processor."""
-        return (e for e in self._events if e.processor_id == processor_id)
-
-    def events_for_task(self, task_id: int) -> Iterator[TraceEvent]:
-        """Iterate over the events recorded for one task."""
-        return (e for e in self._events if e.task_id == task_id)
-
-    def clear(self) -> None:
-        """Discard the trace buffer contents."""
-        self._events.clear()
-        self.dropped = 0
+    def offload(self) -> EventList:
+        """The trace buffer, in record order (the off-loaded buffer)."""
+        return self.events

@@ -18,7 +18,7 @@ prefix       contents
              spin
 ``runtime.`` loop protocol counters, CC-bus traffic, per-CE busy time,
              measured concurrency
-``hpm.``     monitor buffer fill, drops, per-event-type counts
+``hpm.``     recorded events, per-event-type counts
 ``kernel.``  event-kernel fast paths: Timeout-pool reuse counters and
              the runtime/OS lean/exact split
 ``run.``     completion time, host wall time, event counts
@@ -28,16 +28,15 @@ prefix       contents
 from __future__ import annotations
 
 from collections import Counter as _TallyCounter
-from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
+from repro.hpm.events import EventType
 from repro.obs.profile import ProcessProfiler
 from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import KernelTraceBuffer, MultiSink, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import RunResult
-    from repro.hpm.events import TraceEvent
     from repro.hpm.monitor import CedarHpm
     from repro.parallel.snapshot import HpmView
 
@@ -198,22 +197,18 @@ def _collect_runtime(result: "RunResult", reg: MetricsRegistry) -> None:
 
 
 def collect_hpm_metrics(
-    hpm: "CedarHpm | HpmView",
-    reg: MetricsRegistry,
-    events: "Sequence[TraceEvent] | None" = None,
+    hpm: "CedarHpm | HpmView", reg: MetricsRegistry
 ) -> MetricsRegistry:
-    """Harvest a ``cedarhpm`` monitor's buffer state into ``hpm.*``.
+    """Harvest a ``cedarhpm`` monitor's trace buffer into ``hpm.*``.
 
-    *events* overrides the event list to tally (e.g. the off-loaded
-    buffer kept on a :class:`~repro.core.runner.RunResult`).
+    Counts the events by type from the buffer's type column, without
+    building an event object.
     """
-    tallied = events if events is not None else hpm.offload()
-    reg.counter("hpm.events_recorded").inc(len(tallied))
-    reg.counter("hpm.dropped_events").inc(hpm.dropped)
-    if hpm.buffer_capacity is not None:
-        reg.gauge("hpm.buffer_capacity").set(hpm.buffer_capacity)
+    events = hpm.offload()
+    reg.counter("hpm.events_recorded").inc(len(events))
     for name, count in sorted(
-        _TallyCounter(e.event_type.name.lower() for e in tallied).items()
+        (EventType(etype).name.lower(), count)
+        for etype, count in _TallyCounter(events.types).items()
     ):
         reg.counter(f"hpm.events.{name}").inc(count)
     return reg
@@ -247,5 +242,5 @@ def collect_run_metrics(
     _collect_runtime(result, reg)
     _collect_kernel(result, reg)
     if result.hpm is not None:
-        collect_hpm_metrics(result.hpm, reg, events=result.events)
+        collect_hpm_metrics(result.hpm, reg)
     return reg

@@ -147,7 +147,8 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
     collected, and skipping the per-event metrics harvest keeps the
     sink-free cell on the fast path end to end.
     """
-    from repro.analyze.sanitize import DeterminismSink, _resolve_builder
+    from repro.analyze.sanitize import DeterminismSink
+    from repro.apps import resolve_app
     from repro.obs.instrument import Observability
 
     sink = DeterminismSink(order_capacity=0) if spec.fingerprint_schedule else None
@@ -190,7 +191,7 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
         from repro.xylem.params import XylemParams
 
         result = run_application(
-            _resolve_builder(spec.app)(),
+            resolve_app(spec.app)(),
             spec.n_processors,
             scale=spec.scale,
             os_params=XylemParams(seed=spec.seed),

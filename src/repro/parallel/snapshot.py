@@ -10,22 +10,23 @@ exactly like the live classes for everything the analysis layer and the
 
 * ``result.accounting`` / ``result.fault_stats`` -- plain data,
   deep-copied verbatim;
-* ``result.events`` -- the same events in a
-  :class:`~repro.hpm.events.EventList`, which pickles as columns: the
-  one encoding for both places a result crosses a process boundary,
-  the pool's result transport and the result cache.  An unpickled
-  list decodes its events only when one is read, and the pickled
-  snapshot carries its Tables 3-4 loop index, so a served result
-  answers those tables without decoding.  ``result.events is
-  result.hpm.events`` holds before and after a round trip;
+* ``result.events`` -- the run's own
+  :class:`~repro.hpm.events.EventList`, not copied: the monitor
+  recorded it as columns, and it pickles as those columns narrowed,
+  the one encoding for both places a result crosses a process
+  boundary, the pool's result transport and the result cache.  The
+  pickled snapshot carries its Tables 3-4 loop index, so a served
+  result answers those tables without reading its events.
+  ``result.events is result.hpm.events`` holds before and after a
+  round trip;
 * ``result.statfx`` / ``result.board`` -- concurrency queries answered
   from values frozen at end-of-run simulated time;
 * ``result.machine`` -- the memory ledger, the streaming-load tracker
   and the per-cluster CC buses;
 * ``result.kernel`` -- OS parameters, critical-section lock counters
   and the VM fault counters;
-* ``result.runtime`` / ``result.hpm`` -- protocol counters and monitor
-  buffer state.
+* ``result.runtime`` / ``result.hpm`` -- protocol counters and the
+  monitor's resolution and trace buffer.
 
 The contract -- enforced by ``tests/parallel/test_snapshot.py`` -- is
 that every table/figure function and :func:`repro.obs.instrument.
@@ -45,7 +46,6 @@ the first three are the only fields the span reads back out of it.
 from __future__ import annotations
 
 import copy
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -53,7 +53,6 @@ from repro.core.runner import RunResult
 from repro.hpm.events import EventList
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.hpm.events import TraceEvent
     from repro.xylem.locks import KernelLock
     from repro.xylem.params import XylemParams
 
@@ -187,12 +186,10 @@ class RuntimeView:
 class HpmView:
     """Stand-in for the cedarhpm monitor's post-run buffer state."""
 
-    dropped: int
-    buffer_capacity: int | None
     resolution_ns: int
-    events: Sequence[TraceEvent] = field(default_factory=list, repr=False)
+    events: EventList = field(default_factory=EventList, repr=False)
 
-    def offload(self) -> Sequence[TraceEvent]:
+    def offload(self) -> EventList:
         """The retained event buffer (already off-loaded at snapshot)."""
         return self.events
 
@@ -248,7 +245,7 @@ def snapshot_result(result: RunResult) -> RunResult:
     sections = result.kernel.critical_sections
     statfx = result.statfx
     board = result.board
-    events = EventList(result.events)
+    events = result.events
     hpm = result.hpm
     return RunResult(
         app_name=result.app_name,
@@ -285,12 +282,7 @@ def snapshot_result(result: RunResult) -> RunResult:
             vm=VmView(stats=fault_stats),
         ),
         runtime=RuntimeView(stats=copy.deepcopy(result.runtime.stats)),
-        hpm=HpmView(
-            dropped=hpm.dropped,
-            buffer_capacity=hpm.buffer_capacity,
-            resolution_ns=hpm.resolution_ns,
-            events=events,
-        )
+        hpm=HpmView(resolution_ns=hpm.resolution_ns, events=events)
         if hpm is not None
         else None,
         wall_s=result.wall_s,

@@ -58,7 +58,7 @@ def test_fingerprint_covers_statfx_and_loop_regions():
     """Tables 1, 3 and 4 read the statfx sums and the loop regions."""
     import dataclasses
 
-    from repro.hpm.events import EventType, TraceEvent
+    from repro.hpm.events import EventList, EventType, TraceEvent
 
     snap = run_application(
         _flo52(), 4, scale=SMALL_SCALE, os_params=XylemParams(seed=7)
@@ -86,7 +86,9 @@ def test_fingerprint_covers_statfx_and_loop_regions():
         post.task_id,
         post.payload,
     )
-    shifted = fingerprint_result(dataclasses.replace(snap, events=events, _cache={}))
+    shifted = fingerprint_result(
+        dataclasses.replace(snap, events=EventList(events), _cache={})
+    )
     assert shifted.digest != base.digest
     assert shifted.diff(base)
 

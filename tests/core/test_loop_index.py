@@ -22,7 +22,7 @@ from repro.core.experiments import table3, table4
 from repro.core.reference import APPS, CONFIGS
 from repro.core.runner import run_application
 from repro.core.trace_analysis import IntervalKind, extract_intervals
-from repro.hpm.events import EventType, TraceEvent
+from repro.hpm.events import EventList, EventType, TraceEvent
 from repro.xylem.params import XylemParams
 
 SCALE = 0.002
@@ -135,7 +135,7 @@ def small():
 
 
 def _with_events(result, events):
-    return dataclasses.replace(result, events=events, _cache={})
+    return dataclasses.replace(result, events=EventList(events), _cache={})
 
 
 def test_table3_raises_on_an_orphan_close(small):

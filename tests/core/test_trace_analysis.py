@@ -8,7 +8,7 @@ from repro.core.trace_analysis import (
     extract_intervals,
     intervals_of,
 )
-from repro.hpm.events import EventType, TraceEvent
+from repro.hpm.events import EventList, EventType, TraceEvent
 
 
 def ev(event_type, t, ce=0, task=0, payload=None):
@@ -20,7 +20,7 @@ def test_simple_pairing():
         ev(EventType.SERIAL_START, 100),
         ev(EventType.SERIAL_END, 250),
     ]
-    [interval] = extract_intervals(events)
+    [interval] = extract_intervals(EventList(events))
     assert interval.kind is IntervalKind.SERIAL
     assert interval.start_ns == 100
     assert interval.end_ns == 250
@@ -34,7 +34,7 @@ def test_pairing_is_per_processor():
         ev(EventType.ITER_END, 30, ce=1),
         ev(EventType.ITER_END, 50, ce=0),
     ]
-    intervals = extract_intervals(events)
+    intervals = extract_intervals(EventList(events))
     by_ce = {iv.processor_id: iv for iv in intervals}
     assert by_ce[0].duration_ns == 40
     assert by_ce[1].duration_ns == 10
@@ -47,23 +47,23 @@ def test_nested_same_kind_pairs_lifo():
         ev(EventType.INTERRUPT_EXIT, 30),
         ev(EventType.INTERRUPT_EXIT, 50),
     ]
-    intervals = extract_intervals(events)
+    intervals = extract_intervals(EventList(events))
     durations = sorted(iv.duration_ns for iv in intervals)
     assert durations == [10, 40]
 
 
 def test_unmatched_close_raises():
     with pytest.raises(ValueError):
-        extract_intervals([ev(EventType.ITER_END, 10)])
+        extract_intervals(EventList([ev(EventType.ITER_END, 10)]))
 
 
 def test_unclosed_interval_dropped_without_end():
-    intervals = extract_intervals([ev(EventType.ITER_START, 10)])
+    intervals = extract_intervals(EventList([ev(EventType.ITER_START, 10)]))
     assert intervals == []
 
 
 def test_unclosed_interval_closed_at_end_ns():
-    [interval] = extract_intervals([ev(EventType.ITER_START, 10)], end_ns=100)
+    [interval] = extract_intervals(EventList([ev(EventType.ITER_START, 10)]), end_ns=100)
     assert interval.end_ns == 100
 
 
@@ -73,7 +73,7 @@ def test_point_events_ignored():
         ev(EventType.HELPER_JOIN, 20),
         ev(EventType.LOOP_DETACH, 30),
     ]
-    assert extract_intervals(events) == []
+    assert extract_intervals(EventList(events)) == []
 
 
 def test_intervals_sorted_by_start():
@@ -83,7 +83,7 @@ def test_intervals_sorted_by_start():
         ev(EventType.ITER_START, 10, ce=1),
         ev(EventType.ITER_END, 20, ce=1),
     ]
-    intervals = extract_intervals(events)
+    intervals = extract_intervals(EventList(events))
     assert [iv.start_ns for iv in intervals] == [10, 50]
 
 
@@ -92,7 +92,7 @@ def test_payload_accessors():
         ev(EventType.PICKUP_ENTER, 10, payload=(3, "xdoall", "loop-a", 1)),
         ev(EventType.PICKUP_EXIT, 15),
     ]
-    [interval] = extract_intervals(events)
+    [interval] = extract_intervals(EventList(events))
     assert interval.construct == "xdoall"
     assert interval.loop_seq == 3
 

@@ -43,63 +43,6 @@ def test_resolution_validation():
         CedarHpm(sim, resolution_ns=0)
 
 
-def test_buffer_capacity_drops_overflow():
-    sim = Simulator()
-    hpm = CedarHpm(sim, buffer_capacity=2)
-    assert hpm.record(EventType.ITER_START, 0) is not None
-    assert hpm.record(EventType.ITER_END, 0) is not None
-    assert hpm.record(EventType.ITER_START, 1) is None
-    assert len(hpm) == 2
-    assert hpm.dropped == 1
-
-
-def test_events_of_filters_types():
-    sim = Simulator()
-    hpm = CedarHpm(sim)
-    hpm.record(EventType.ITER_START, 0)
-    hpm.record(EventType.ITER_END, 0)
-    hpm.record(EventType.ITER_START, 1)
-    starts = list(hpm.events_of(EventType.ITER_START))
-    assert len(starts) == 2
-    assert all(e.event_type == EventType.ITER_START for e in starts)
-
-
-def test_events_on_filters_processor():
-    sim = Simulator()
-    hpm = CedarHpm(sim)
-    hpm.record(EventType.ITER_START, 0)
-    hpm.record(EventType.ITER_START, 5)
-    assert len(list(hpm.events_on(5))) == 1
-
-
-def test_events_for_task_filters_task():
-    sim = Simulator()
-    hpm = CedarHpm(sim)
-    hpm.record(EventType.LOOP_POST, 0, task_id=0)
-    hpm.record(EventType.HELPER_JOIN, 8, task_id=1)
-    assert len(list(hpm.events_for_task(1))) == 1
-
-
-def test_subscribe_sees_events():
-    sim = Simulator()
-    hpm = CedarHpm(sim)
-    seen = []
-    hpm.subscribe(seen.append)
-    hpm.record(EventType.BARRIER_ENTER, 2)
-    assert len(seen) == 1
-    assert seen[0].event_type == EventType.BARRIER_ENTER
-
-
-def test_clear_resets_buffer():
-    sim = Simulator()
-    hpm = CedarHpm(sim, buffer_capacity=1)
-    hpm.record(EventType.ITER_START, 0)
-    hpm.record(EventType.ITER_START, 0)  # dropped
-    hpm.clear()
-    assert len(hpm) == 0
-    assert hpm.dropped == 0
-
-
 def test_trace_event_equality():
     a = TraceEvent(EventType.ITER_START, 100, 0, 1, None)
     b = TraceEvent(EventType.ITER_START, 100, 0, 1, None)

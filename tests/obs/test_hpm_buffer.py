@@ -1,8 +1,8 @@
-"""Buffer-capacity behaviour of the cedarhpm monitor model.
+"""The cedarhpm monitor's trace buffer as the metrics registry sees it.
 
-The real monitor's trace buffers are finite; the model must drop (and
-count) deterministically at capacity and expose the drop count through
-the metrics registry.
+The monitor keeps every event (there is no capacity and nothing is
+dropped), so ``hpm.*`` carries the event count and the per-type tally
+only.
 """
 
 from repro.hpm.events import EventType
@@ -11,56 +11,12 @@ from repro.obs import MetricsRegistry, collect_hpm_metrics
 from repro.sim import Simulator
 
 
-def fill(hpm, n, event_type=EventType.ITER_START):
-    recorded = []
-    for i in range(n):
-        recorded.append(hpm.record(event_type, processor_id=i % 4))
-    return recorded
-
-
-def test_capacity_refuses_deterministically():
-    sim = Simulator()
-    hpm = CedarHpm(sim, buffer_capacity=5)
-    recorded = fill(hpm, 8)
-    assert [e is not None for e in recorded] == [True] * 5 + [False] * 3
-    assert len(hpm) == 5
-    assert hpm.dropped == 3
-
-
-def test_drops_are_reproducible_across_runs():
-    def run_once():
-        sim = Simulator()
-        hpm = CedarHpm(sim, buffer_capacity=3)
-        fill(hpm, 10)
-        return (len(hpm), hpm.dropped, [e.event_type for e in hpm.offload()])
-
-    assert run_once() == run_once()
-
-
-def test_clear_resets_drop_count():
-    hpm = CedarHpm(Simulator(), buffer_capacity=2)
-    fill(hpm, 4)
-    assert hpm.dropped == 2
-    hpm.clear()
-    assert hpm.dropped == 0
-    assert len(hpm) == 0
-    assert fill(hpm, 1) != [None]
-
-
-def test_dropped_events_exposed_through_registry():
-    sim = Simulator()
-    hpm = CedarHpm(sim, buffer_capacity=4)
-    fill(hpm, 7, EventType.BARRIER_ENTER)
-    reg = collect_hpm_metrics(hpm, MetricsRegistry())
-    assert reg.value("hpm.events_recorded") == 4
-    assert reg.value("hpm.dropped_events") == 3
-    assert reg.value("hpm.buffer_capacity") == 4
-    assert reg.value("hpm.events.barrier_enter") == 4
-
-
 def test_unbounded_buffer_reports_no_capacity_gauge():
     hpm = CedarHpm(Simulator())
-    fill(hpm, 3)
+    for i in range(3):
+        hpm.record(EventType.BARRIER_ENTER, processor_id=i % 4)
     reg = collect_hpm_metrics(hpm, MetricsRegistry())
-    assert reg.value("hpm.dropped_events") == 0
+    assert reg.value("hpm.events_recorded") == 3
+    assert reg.value("hpm.events.barrier_enter") == 3
     assert "hpm.buffer_capacity" not in reg
+    assert "hpm.dropped_events" not in reg

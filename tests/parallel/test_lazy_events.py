@@ -1,11 +1,12 @@
-"""Served results answer Tables 3-4 without decoding their trace.
+"""Served results answer Tables 3-4 without reading their trace.
 
 An unpickled :class:`~repro.hpm.events.EventList` holds only its
-columns until someone reads an event, and a pickled snapshot carries
-the :func:`~repro.core.concurrency.loop_index` Tables 3 and 4 read.  A
+narrowed columns and builds a :class:`TraceEvent` only when someone
+reads an event, and a pickled snapshot carries the
+:func:`~repro.core.concurrency.loop_index` Tables 3 and 4 read.  A
 warm ``tables`` run therefore builds no :class:`TraceEvent` at all.
 These tests pin that down, and that the carried index is exactly the
-one a rescan of the decoded events gives.
+one a rescan of the events gives.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def _round_trip(obj):
 def sweep():
     """The 25 cells, through a pool when the host has the cores for one.
 
-    Pooled results arrive pickled, with undecoded events and a carried
+    Pooled results arrive pickled, with columnar events and a carried
     index, exactly as served ones do.
     """
     jobs = min(2, os.cpu_count() or 1)

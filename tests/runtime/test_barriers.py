@@ -51,10 +51,9 @@ def test_both_organisations_complete_all_loops():
     config = paper_configuration(32)
     for params in (None, RuntimeParams(barrier_fanout=2)):
         ct, hpm = run_loop(config, params)
-        detaches = list(hpm.events_of(EventType.LOOP_DETACH))
-        barriers = list(hpm.events_of(EventType.BARRIER_EXIT))
-        assert len(detaches) == 3 * 3  # 3 helpers x 3 loops
-        assert len(barriers) == 3
+        types = [e.event_type for e in hpm.offload()]
+        assert types.count(EventType.LOOP_DETACH) == 3 * 3  # 3 helpers x 3 loops
+        assert types.count(EventType.BARRIER_EXIT) == 3
 
 
 def _barrier_makespan(n_tasks: int, fanout: int | None) -> int:
@@ -117,7 +116,8 @@ def test_combining_tree_single_helper():
     """Degenerate tree: one helper still detaches correctly."""
     config = paper_configuration(16)
     ct, hpm = run_loop(config, RuntimeParams(barrier_fanout=4), n_loops=1)
-    assert len(list(hpm.events_of(EventType.LOOP_DETACH))) == 1
+    types = [e.event_type for e in hpm.offload()]
+    assert types.count(EventType.LOOP_DETACH) == 1
 
 
 def test_analytic_combining_restores_bandwidth():

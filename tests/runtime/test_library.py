@@ -283,12 +283,14 @@ def test_lead_ces_stay_active_during_serial():
     sim, runtime = make_runtime(32)
 
     observed = []
+    record = runtime.hpm.record
 
-    def on_event(event):
-        if event.event_type == EventType.SERIAL_START:
+    def observing_record(event_type, *args, **kwargs):
+        if event_type == EventType.SERIAL_START:
             observed.append(runtime.board.active_total())
+        record(event_type, *args, **kwargs)
 
-    runtime.hpm.subscribe(on_event)
+    runtime.hpm.record = observing_record
     run(sim, runtime, [SerialPhase(work_ns=1_000_000)])
     assert observed == [4]
 
