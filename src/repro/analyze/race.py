@@ -554,10 +554,10 @@ class ResultFingerprint:
     Figure-3 per-cluster breakdown, the Table-2 per-activity times and
     occurrence counts, the statfx samples and per-cluster concurrency
     that feed Tables 1 and 3, the loop regions and main cluster-only
-    loop spans that feed Tables 3 and 4, the fault statistics and the
-    analytic memory ledger.  Two runs with equal :attr:`digest` publish
-    byte-identical tables.  Figures 5-9 are gated separately, by
-    ``tests/golden/test_golden_figures.py``.
+    loop spans that feed Tables 3 and 4, the monitor's pickup/iteration
+    summary and every task's user-time breakdown that feed Figures 5-9,
+    the fault statistics and the analytic memory ledger.  Two runs with
+    equal :attr:`digest` publish byte-identical tables and figures.
     """
 
     payload: str
@@ -587,6 +587,7 @@ def fingerprint_result(result: "RunResult") -> ResultFingerprint:
     Raises ``ValueError`` on a trace :func:`~repro.core.concurrency.loop_index`
     rejects, as Table 3 does.
     """
+    from repro.core.breakdown import user_breakdowns
     from repro.core.concurrency import loop_index
     from repro.xylem.categories import OsActivity
 
@@ -640,6 +641,8 @@ def fingerprint_result(result: "RunResult") -> ResultFingerprint:
             "regions": {str(task): spans for task, spans in loops.regions.items()},
             "mc_spans": loops.mc_spans,
         },
+        "summary": {"/".join(map(str, key)): v for key, v in result.hpm.summary.items()},
+        "user_time": [b.as_dict() for b in user_breakdowns(result)],
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     digest = hashlib.blake2b(canonical.encode("utf-8"), digest_size=16).hexdigest()

@@ -15,7 +15,7 @@ Run as ``python -m repro.cli <command>``:
   seeded fuzz scenarios.
 * ``sweep APP`` -- run one application on all five configurations and
   print its Table 1/3/4 columns.
-* ``tables`` -- run everything and print Tables 1-4 and Figure 3.
+* ``tables`` -- run everything and print Tables 1-4 and Figures 3, 5-9.
 * ``trace APP N_PROC -o FILE`` -- run and off-load the cedarhpm trace
   buffer to a JSON-lines file whose first line is a ``{"meta": ...}``
   header recording the machine configuration, seed and application.
@@ -86,7 +86,9 @@ from repro.core import (
     user_breakdown,
 )
 from repro.core.experiments import (
+    USER_BREAKDOWN_FIGURES,
     figure3,
+    figure_user_breakdown,
     table1,
     table2,
     table3,
@@ -447,6 +449,10 @@ def _cmd_tables(args: argparse.Namespace) -> None:
             _, text = build(payload)
             print(text)
             print()
+        for app in USER_BREAKDOWN_FIGURES:
+            _, text = figure_user_breakdown(app, sweep[app])
+            print(text)
+            print()
     if args.stats:
         reports = [
             sweep[app][n] for app in sorted(sweep) for n in sorted(sweep[app])
@@ -489,7 +495,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
     builder = _app_builder(args.app)
     result = run_application(
-        builder(), args.processors, scale=args.scale, os_params=_os_params(args)
+        builder(), args.processors, args.scale, os_params=_os_params(args), iteration_events=True
     )
     header = {
         "app": result.app_name,
@@ -1041,7 +1047,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_durable_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
-    tables = sub.add_parser("tables", help="regenerate Tables 1-4 and Figure 3")
+    tables = sub.add_parser("tables", help="regenerate Tables 1-4 and Figures 3, 5-9")
     tables.add_argument("--scale", type=float, default=0.02)
     tables.add_argument("--seed", type=int, default=1994, help="OS jitter seed")
     tables.add_argument(

@@ -8,15 +8,17 @@ Two views, mirroring the paper:
   task split into useful work (serial code, main cluster-only loops,
   s(x)doall iteration execution) and parallelization overheads (loop
   setup, iteration pickup, barrier wait, helper busy-wait), computed
-  from the cedarhpm event traces exactly as the paper does.
+  from the cedarhpm traces and the monitor's pickup/iteration summary.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 
 from repro.core.runner import RunResult
-from repro.core.trace_analysis import Interval, IntervalKind, extract_intervals
+from repro.core.trace_analysis import pair_events
+from repro.hpm.events import EventType
 from repro.runtime.loops import LoopConstruct
 from repro.xylem.categories import TimeCategory
 
@@ -26,23 +28,22 @@ __all__ = [
     "ct_breakdown",
     "memory_decomposition",
     "user_breakdown",
-    "task_ids",
+    "user_breakdowns",
 ]
 
 _MC_CONSTRUCTS = {LoopConstruct.CLUSTER_ONLY.value, LoopConstruct.CDOACROSS.value}
 
+#: Task-level trace intervals, by opening event -> component.
+_TRACED = {
+    EventType.SERIAL_START: "serial_ns",
+    EventType.MC_LOOP_START: "mc_loop_ns",
+    EventType.SETUP_ENTER: "setup_ns",
+    EventType.BARRIER_ENTER: "barrier_ns",
+    EventType.WAIT_WORK_ENTER: "helper_wait_ns",
+}
 
-def _intervals(result: RunResult) -> list[Interval]:
-    cached = result._cache.get("intervals")
-    if cached is None:
-        cached = extract_intervals(result.events, end_ns=result.ct_ns)
-        result._cache["intervals"] = cached
-    return cached
-
-
-def task_ids(result: RunResult) -> list[int]:
-    """Task ids of the run: 0 is the main task, 1.. are helpers."""
-    return list(range(result.config.n_clusters))
+#: Per-CE components, averaged over the cluster's CEs.
+_PER_CE = ("iter_sdoall_ns", "iter_xdoall_ns", "pickup_xdoall_ns")
 
 
 def ct_breakdown(result: RunResult, cluster_id: int) -> dict[TimeCategory, int]:
@@ -140,11 +141,6 @@ class MemoryDecomposition:
         return sum(self.busy_ns)
 
     @property
-    def total_ideal_ns(self) -> int:
-        """Machine-wide uncontended streaming time."""
-        return sum(self.ideal_ns)
-
-    @property
     def total_stall_ns(self) -> int:
         """Machine-wide contention stall time."""
         return sum(self.stall_ns)
@@ -173,51 +169,43 @@ def memory_decomposition(result: RunResult) -> MemoryDecomposition:
     )
 
 
+def user_breakdowns(result: RunResult) -> tuple[UserTimeBreakdown, ...]:
+    """The Figure 4 breakdown of every task, indexed by task id.
+
+    Task-level intervals pair from the trace, pickup and iteration time
+    come from the monitor's summary; each component is summed in integer
+    ns and divided once.  An interval still open at the end closes at the
+    end's quantised timestamp, as its close would have been recorded, so
+    whether a helper's last same-instant wake-up ran before the run
+    stopped does not matter.  Cached, and carried by a pickled snapshot.
+    """
+    cached = result._cache.get("user_breakdowns")
+    if cached is None:
+        totals: list[Counter[str]] = [Counter() for _ in range(result.config.n_clusters)]
+        end_ns = result.ct_ns - result.ct_ns % result.hpm.resolution_ns
+        pairs = pair_events(result.events.rows(), end_ns)
+        for (etype, start, _, task, _), close_ns in pairs:
+            if etype in _TRACED:
+                totals[task][_TRACED[etype]] += close_ns - start
+        for (task, kind, construct), (_, ns) in result.hpm.summary.items():
+            flat = construct == LoopConstruct.XDOALL.value
+            if kind == "pickup":
+                totals[task]["pickup_xdoall_ns" if flat else "pickup_sdoall_ns"] += ns
+            elif construct not in _MC_CONSTRUCTS:  # inside the MC_LOOP interval
+                totals[task]["iter_xdoall_ns" if flat else "iter_sdoall_ns"] += ns
+        per_ce = result.config.ces_per_cluster
+        names = [f.name for f in fields(UserTimeBreakdown)][2:]
+        cached = result._cache["user_breakdowns"] = tuple(
+            UserTimeBreakdown(
+                task,
+                result.ct_ns,
+                *(parts[n] / (per_ce if n in _PER_CE else 1) for n in names),
+            )
+            for task, parts in enumerate(totals)
+        )
+    return cached
+
+
 def user_breakdown(result: RunResult, task_id: int) -> UserTimeBreakdown:
-    """Compute the Figure 4 breakdown for one task from the traces."""
-    intervals = _intervals(result)
-    per_cluster = result.config.ces_per_cluster
-    serial = mc = setup = barrier = wait = 0.0
-    iter_sd = iter_xd = pick_sd = pick_xd = 0.0
-    for interval in intervals:
-        if interval.task_id != task_id:
-            continue
-        kind = interval.kind
-        if kind is IntervalKind.SERIAL:
-            serial += interval.duration_ns
-        elif kind is IntervalKind.MC_LOOP:
-            mc += interval.duration_ns
-        elif kind is IntervalKind.SETUP:
-            setup += interval.duration_ns
-        elif kind is IntervalKind.BARRIER:
-            barrier += interval.duration_ns
-        elif kind is IntervalKind.HELPER_WAIT:
-            wait += interval.duration_ns
-        elif kind is IntervalKind.ITERATION:
-            construct = interval.construct
-            if construct in _MC_CONSTRUCTS:
-                continue  # contained in the MC_LOOP interval
-            if construct == LoopConstruct.XDOALL.value:
-                iter_xd += interval.duration_ns / per_cluster
-            else:
-                iter_sd += interval.duration_ns / per_cluster
-        elif kind is IntervalKind.PICKUP:
-            if interval.construct == LoopConstruct.XDOALL.value:
-                pick_xd += interval.duration_ns / per_cluster
-            else:
-                # SDOALL outer pickups happen on the lead CE only: they
-                # are task-level events, not averaged.
-                pick_sd += interval.duration_ns
-    return UserTimeBreakdown(
-        task_id=task_id,
-        wall_ns=result.ct_ns,
-        serial_ns=serial,
-        mc_loop_ns=mc,
-        iter_sdoall_ns=iter_sd,
-        iter_xdoall_ns=iter_xd,
-        setup_ns=setup,
-        pickup_sdoall_ns=pick_sd,
-        pickup_xdoall_ns=pick_xd,
-        barrier_ns=barrier,
-        helper_wait_ns=wait,
-    )
+    """The Figure 4 breakdown of one task of the run."""
+    return user_breakdowns(result)[task_id]

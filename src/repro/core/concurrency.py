@@ -60,7 +60,7 @@ def loop_index(result: RunResult) -> LoopIndex:
     :func:`~repro.core.trace_analysis.pair_events`, so it validates the
     trace exactly as interval extraction does (``ValueError`` on a close
     without an open) and closes an unclosed main cluster-only loop at
-    the completion time.  Cached on the result beside its intervals.
+    the completion time.  Cached on the result beside its user-time breakdowns.
     """
     cached = result._cache.get("loop_index")
     if cached is not None:

@@ -11,7 +11,7 @@ from :mod:`repro.core.reference`.
 from __future__ import annotations
 
 from repro.core import reference
-from repro.core.breakdown import ct_breakdown, user_breakdown
+from repro.core.breakdown import ct_breakdown, user_breakdowns
 from repro.core.concurrency import parallel_loop_concurrency
 from repro.core.contention import contention_overhead
 from repro.core.report import render_table
@@ -26,7 +26,11 @@ __all__ = [
     "table4",
     "figure3",
     "figure_user_breakdown",
+    "USER_BREAKDOWN_FIGURES",
 ]
+
+#: The paper's figure number for each application's user-time breakdown.
+USER_BREAKDOWN_FIGURES = {"FLO52": 5, "MDG": 6, "ARC2D": 7, "OCEAN": 8, "ADM": 9}
 
 
 # -- Table 1: CTs, speedups, average concurrency ----------------------------
@@ -203,25 +207,10 @@ def figure_user_breakdown(
     """
     rows: list[list] = []
     for n_proc, result in sorted(by_config.items()):
-        for task_id in range(result.config.n_clusters):
-            b = user_breakdown(result, task_id)
-            name = "Main" if task_id == 0 else f"helper{task_id}"
-            rows.append(
-                [
-                    n_proc,
-                    name,
-                    b.fraction(b.serial_ns) * 100.0,
-                    b.fraction(b.mc_loop_ns) * 100.0,
-                    b.fraction(b.iter_sdoall_ns) * 100.0,
-                    b.fraction(b.iter_xdoall_ns) * 100.0,
-                    b.fraction(b.setup_ns) * 100.0,
-                    b.fraction(b.pickup_sdoall_ns) * 100.0,
-                    b.fraction(b.pickup_xdoall_ns) * 100.0,
-                    b.fraction(b.barrier_ns) * 100.0,
-                    b.fraction(b.helper_wait_ns) * 100.0,
-                    b.overhead_fraction * 100.0,
-                ]
-            )
+        for b in user_breakdowns(result):
+            name = "Main" if b.task_id == 0 else f"helper{b.task_id}"
+            shares = [b.fraction(ns) * 100.0 for ns in b.as_dict().values()]
+            rows.append([n_proc, name, *shares, b.overhead_fraction * 100.0])
     headers = [
         "procs",
         "task",
@@ -236,4 +225,5 @@ def figure_user_breakdown(
         "hlp wait%",
         "par ovhd%",
     ]
-    return rows, render_table(headers, rows, title=f"User Time Breakdown for {app}")
+    prefix = f"Figure {USER_BREAKDOWN_FIGURES[app]}: " if app in USER_BREAKDOWN_FIGURES else ""
+    return rows, render_table(headers, rows, title=f"{prefix}User Time Breakdown for {app}")

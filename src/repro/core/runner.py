@@ -68,8 +68,8 @@ class RunResult:
     machine: CedarMachine
     kernel: XylemKernel
     runtime: CedarFortranRuntime
-    #: The cedarhpm monitor itself (resolution and trace buffer).
-    hpm: CedarHpm | None = None
+    #: The cedarhpm monitor itself (resolution, trace buffer, summary).
+    hpm: CedarHpm
     #: Host wall-clock seconds spent inside the event loop.
     wall_s: float = 0.0
     #: Domain-tagged BLAKE2 digest of the processed-event order, filled
@@ -116,15 +116,17 @@ class RunResult:
         return ns / self.ct_ns
 
     def __getstate__(self) -> dict:
-        """Pickle state: a snapshot carries its loop index, nothing else cached.
+        """Pickle state: a snapshot carries what its tables read, nothing else.
 
         Tables 3 and 4 read a run's trace only through
-        :func:`~repro.core.concurrency.loop_index`, so the index is
-        built where the result is pickled -- in the pool worker, or at
-        a cache put -- and a served result answers both tables without
-        scanning its events.  A trace the scan rejects carries no
-        index: the reader rescans it and raises as the scan did.
+        :func:`~repro.core.concurrency.loop_index`, and Figures 5-9
+        only through :func:`~repro.core.breakdown.user_breakdowns`, so
+        both are built where the result is pickled -- in the pool
+        worker, or at a cache put -- and a served result answers them
+        without scanning its events.  A trace the scan rejects carries
+        neither: the reader rescans it and raises as the scan did.
         """
+        from repro.core.breakdown import user_breakdowns
         from repro.core.concurrency import loop_index
         from repro.parallel.snapshot import is_snapshot
 
@@ -132,6 +134,7 @@ class RunResult:
         if is_snapshot(self):
             try:
                 carried["loop_index"] = loop_index(self)
+                carried["user_breakdowns"] = user_breakdowns(self)
             except ValueError:
                 pass
         return {**self.__dict__, "_cache": carried}
@@ -164,6 +167,7 @@ def run_phases(
     max_events: int | None = None,
     max_sim_time: int | None = None,
     tie_break_seed: int | None = None,
+    iteration_events: bool = False,
 ) -> RunResult:
     """Run an explicit phase list on a configuration (low-level entry).
 
@@ -183,13 +187,16 @@ def run_phases(
     assembled: same-instant event order is permuted by the seed, and a
     hazard-free model must produce byte-identical results for every
     seed.  Used by the ``cedar-repro race`` sanitizer.
+
+    *iteration_events* also records the per-iteration pickup and
+    iteration events; the analysis reads only ``result.hpm.summary``.
     """
     sim = Simulator(trace_sink=obs.sink if obs is not None else None)
     if tie_break_seed is not None:
         sim.perturb_tie_breaks(tie_break_seed)
     cfg = config if config is not None else paper_configuration(n_processors)
     machine = CedarMachine(sim, cfg)
-    hpm = CedarHpm(sim)
+    hpm = CedarHpm(sim, iteration_events=iteration_events)
     board = ActivityBoard(sim, cfg)
     statfx = Statfx(sim, board, interval_ns=statfx_interval_ns)
     statfx.start()
@@ -274,6 +281,7 @@ def run_application(
     max_events: int | None = None,
     max_sim_time: int | None = None,
     tie_break_seed: int | None = None,
+    iteration_events: bool = False,
 ) -> RunResult:
     """Run an application model at *scale* on a paper configuration.
 
@@ -301,4 +309,5 @@ def run_application(
         max_events=max_events,
         max_sim_time=max_sim_time,
         tie_break_seed=tie_break_seed,
+        iteration_events=iteration_events,
     )

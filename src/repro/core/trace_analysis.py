@@ -4,10 +4,10 @@ The paper's Sections 5-7 analyses all start from the off-loaded event
 traces; this module pairs the trace's enter/exit events (per
 processor, per kind).  :func:`pair_events` is the one pairing routine:
 :func:`extract_intervals` builds the :class:`Interval` list the
-breakdown and exporter modules consume from it, and the concurrency
-module's one-pass loop index reads the same pairs.  Both read the
-trace's columns as rows (:meth:`~repro.hpm.events.EventList.rows`)
-and build no :class:`~repro.hpm.events.TraceEvent`.
+exporter module consumes from it, and the breakdown and concurrency
+modules' one-pass scans read the same pairs.  All read the trace's
+columns as rows (:meth:`~repro.hpm.events.EventList.rows`) and build
+no :class:`~repro.hpm.events.TraceEvent`.
 """
 
 from __future__ import annotations
@@ -104,8 +104,8 @@ def pair_events(
     given, otherwise dropped.  Raises ``ValueError`` on a close without
     a matching open, which would indicate corrupt instrumentation.
 
-    The one pairing routine: :func:`extract_intervals` and the
-    concurrency module's loop index both consume it.
+    The one pairing routine: :func:`extract_intervals`, the user-time
+    breakdown and the concurrency module's loop index consume it.
     """
     open_rows: dict[tuple[Any, int], list[Row]] = {}
     for row in rows:

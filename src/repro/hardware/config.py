@@ -19,7 +19,7 @@ and global memory; only the number of active processors changes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 __all__ = ["CedarConfig", "paper_configuration", "PAPER_PROCESSOR_COUNTS"]
 

@@ -471,11 +471,6 @@ class LoadTracker:
             return self._settled_rate_sum / self._settled_active
         return self.mean_rate
 
-    @property
-    def busiest_cluster_count(self) -> int:
-        """Streaming-CE count of the busiest cluster."""
-        return max(self._per_cluster, default=0)
-
     def _accumulate(self) -> None:
         now = self._sim.now
         self._weighted_sum += self._active * (now - self._last_change_ns)

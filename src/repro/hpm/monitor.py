@@ -26,15 +26,23 @@ class CedarHpm:
         Simulator whose clock timestamps the events.
     resolution_ns:
         Timestamp quantisation (50 ns for the real monitor).
+    iteration_events:
+        Also record the per-iteration ``PICKUP_*``/``ITER_*`` events.
     """
 
-    def __init__(self, sim: Simulator, resolution_ns: int = 50) -> None:
+    def __init__(
+        self, sim: Simulator, resolution_ns: int = 50, iteration_events: bool = False
+    ) -> None:
         if resolution_ns <= 0:
             raise ValueError(f"resolution_ns must be positive, got {resolution_ns}")
         self.sim = sim
         self.resolution_ns = resolution_ns
+        self.iteration_events = iteration_events
         #: The trace buffer, written in columns as events are recorded.
         self.events = EventList()
+        #: ``[intervals, ns]`` by ``(task, "pickup"|"iteration", construct)``, added
+        #: by the runtime's loop frames, each end quantised as :meth:`record` does.
+        self.summary: dict[tuple[int, str, str], list[int]] = {}
 
     def record(
         self,

@@ -119,7 +119,8 @@ def chrome_trace(result: "RunResult") -> dict:
 
     Timestamps are microseconds (the format's unit); one simulated
     nanosecond maps to 0.001 us.  Process 0 holds one track per CE with
-    "X" (complete) events for every reconstructed activity interval.
+    "X" (complete) events for every reconstructed activity interval,
+    pickups and iterations only if the run had ``iteration_events=True``.
     """
     from repro.core.trace_analysis import extract_intervals
 

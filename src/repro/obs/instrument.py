@@ -241,6 +241,5 @@ def collect_run_metrics(
     _collect_xylem(result, reg)
     _collect_runtime(result, reg)
     _collect_kernel(result, reg)
-    if result.hpm is not None:
-        collect_hpm_metrics(result.hpm, reg)
+    collect_hpm_metrics(result.hpm, reg)
     return reg

@@ -15,8 +15,9 @@ exactly like the live classes for everything the analysis layer and the
   recorded it as columns, and it pickles as those columns narrowed,
   the one encoding for both places a result crosses a process
   boundary, the pool's result transport and the result cache.  The
-  pickled snapshot carries its Tables 3-4 loop index, so a served
-  result answers those tables without reading its events.
+  pickled snapshot carries its Tables 3-4 loop index and every task's
+  Figures 5-9 breakdown, so a served result answers those without
+  reading its events.
   ``result.events is result.hpm.events`` holds before and after a
   round trip;
 * ``result.statfx`` / ``result.board`` -- concurrency queries answered
@@ -26,7 +27,7 @@ exactly like the live classes for everything the analysis layer and the
 * ``result.kernel`` -- OS parameters, critical-section lock counters
   and the VM fault counters;
 * ``result.runtime`` / ``result.hpm`` -- protocol counters and the
-  monitor's resolution and trace buffer.
+  monitor's resolution, trace buffer and pickup/iteration summary.
 
 The contract -- enforced by ``tests/parallel/test_snapshot.py`` -- is
 that every table/figure function and :func:`repro.obs.instrument.
@@ -188,6 +189,7 @@ class HpmView:
 
     resolution_ns: int
     events: EventList = field(default_factory=EventList, repr=False)
+    summary: dict = field(default_factory=dict, repr=False)
 
     def offload(self) -> EventList:
         """The retained event buffer (already off-loaded at snapshot)."""
@@ -282,9 +284,7 @@ def snapshot_result(result: RunResult) -> RunResult:
             vm=VmView(stats=fault_stats),
         ),
         runtime=RuntimeView(stats=copy.deepcopy(result.runtime.stats)),
-        hpm=HpmView(resolution_ns=hpm.resolution_ns, events=events)
-        if hpm is not None
-        else None,
+        hpm=HpmView(hpm.resolution_ns, events, hpm.summary),
         wall_s=result.wall_s,
         schedule_hash=result.schedule_hash,
         kernel_stats=dict(result.kernel_stats),

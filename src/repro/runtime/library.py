@@ -21,7 +21,8 @@ Implements the execution protocol of Section 2:
 
 All protocol steps post the instrumentation events of Section 4 to the
 ``cedarhpm`` monitor, so the analysis in :mod:`repro.core` can run the
-paper's methodology on the traces.
+paper's methodology on the traces; pickups and iterations are summed
+into the monitor's summary, and posted only if it keeps them.
 """
 
 from __future__ import annotations
@@ -205,6 +206,9 @@ class CedarFortranRuntime:
         self._loop_seq = 0
         self.process: XylemProcess | None = None
         self.stats = RuntimeStats()
+        #: Per-iteration events are summed at the monitor's resolution.
+        self._iteration_events = hpm is not None and hpm.iteration_events
+        self._resolution = hpm.resolution_ns if hpm is not None else 1
 
     # -- small helpers ------------------------------------------------------
 
@@ -216,6 +220,13 @@ class CedarFortranRuntime:
     ) -> None:
         if self.hpm is not None:
             self.hpm.record(event_type, ce_id, task_id=task.cluster_id, payload=payload)
+
+    def _summarise(self, task: ClusterTask, kind: str, construct: str, n: int, ticks: int) -> None:
+        """Flush a frame's *n* intervals of *ticks* resolution units."""
+        if self.hpm is not None and n:
+            entry = self.hpm.summary.setdefault((task.cluster_id, kind, construct), [0, 0])
+            entry[0] += n
+            entry[1] += ticks * self._resolution
 
     def _set_active(self, ce_id: int) -> None:
         if self.board is not None:
@@ -258,11 +269,7 @@ class CedarFortranRuntime:
         return self.config.cycles_to_ns(cycles)
 
     def _pickup_hold_ns(self, _waiting: int = 0) -> int:
-        """Self-scheduling pickup hold, priced at the grant tick.
-
-        Same arithmetic (and the same ``global_round_trip_ns`` ledger
-        side effect) as the exact path's post-grant pricing.
-        """
+        """Self-scheduling pickup hold, priced at the grant tick."""
         return self._round_trips_ns(self.params.pickup_round_trips) + self._cycles_ns(
             self.params.pickup_overhead_cycles
         )
@@ -425,7 +432,6 @@ class CedarFortranRuntime:
         self.stats.barriers += 1
 
     def _helper_loop(self, task: ClusterTask, first_post: Event) -> Generator:
-        sim = self.sim
         lead = self._lead_ce(task)
         post = first_post
         while True:
@@ -463,7 +469,6 @@ class CedarFortranRuntime:
         and only the last arriver of a group ascends, trading a few
         extra round trips of depth for the removal of the hot spot.
         """
-        sim = self.sim
         fanout = self.params.barrier_fanout
         rmw_ns = self._round_trips_ns(self.params.detach_round_trips)
         if fanout is None:
@@ -510,9 +515,14 @@ class CedarFortranRuntime:
         """Cluster task self-schedules outer iterations, one at a time."""
         sim = self.sim
         lead = self._lead_ce(task)
-        payload = (state.seq, state.loop.construct.value, state.loop.label)
+        construct = state.loop.construct.value
+        keep = self._iteration_events
+        payload = (state.seq, construct, state.loop.label) if keep else None
+        picks = ticks = 0
         while True:
-            self._record(EventType.PICKUP_ENTER, lead, task, payload=payload)
+            if keep:
+                self._record(EventType.PICKUP_ENTER, lead, task, payload=payload)
+            start = sim.now // self._resolution
             fp = self.fastpath
             if fp.on and self.params.pickup_deadline_ns is None:
                 fp.stats.lean_pickups += 1
@@ -524,16 +534,18 @@ class CedarFortranRuntime:
                     fp.stats.fallback_shape += 1
                 request = self._outer_lock.request(key=task.task_id)
                 yield from self._await_pickup(request, self._outer_lock, state, "sdoall")
-                hold_ns = self._round_trips_ns(self.params.pickup_round_trips)
-                hold_ns += self._cycles_ns(self.params.pickup_overhead_cycles)
-                yield hold_ns
+                yield self._pickup_hold_ns()
                 outer = state.take_outer()
                 self._outer_lock.release(request)
             self.stats.sdoall_pickups += 1
-            self._record(EventType.PICKUP_EXIT, lead, task, payload=payload)
+            picks += 1
+            ticks += sim.now // self._resolution - start
+            if keep:
+                self._record(EventType.PICKUP_EXIT, lead, task, payload=payload)
             if outer is None:
-                return
+                break
             yield from self._run_cdoall(task, state.loop, outer=outer, seq=state.seq)
+        self._summarise(task, "pickup", construct, picks, ticks)
 
     def _run_cdoall(
         self, task: ClusterTask, loop: ParallelLoop, outer: int, seq: int | None
@@ -588,9 +600,12 @@ class CedarFortranRuntime:
         """One CE's contiguous chunk of an inner CDOALL."""
         sim = self.sim
         n_iters = hi - lo
-        payload = (seq, loop.construct.value, loop.label, n_iters)
+        keep = self._iteration_events
+        payload = (seq, loop.construct.value, loop.label, n_iters) if keep else None
         self._set_active(ce_id)
-        self._record(EventType.ITER_START, ce_id, task, payload=payload)
+        if keep:
+            self._record(EventType.ITER_START, ce_id, task, payload=payload)
+        start = sim.now // self._resolution
         pages = self._pages_for_chunk(loop, outer, lo, hi)
         if pages:
             yield from self._run_child(self.kernel.vm.touch_many(task.cluster_id, pages))
@@ -617,7 +632,10 @@ class CedarFortranRuntime:
             slice_work = work_ns // slices + (1 if index < work_ns % slices else 0)
             if slice_work > 0:
                 yield from self._run_child(self.kernel.execute(task.cluster_id, slice_work))
-        self._record(EventType.ITER_END, ce_id, task, payload=payload)
+        ticks = sim.now // self._resolution - start
+        self._summarise(task, "iteration", loop.construct.value, 1, ticks)
+        if keep:
+            self._record(EventType.ITER_END, ce_id, task, payload=payload)
         self._set_idle(ce_id, task)
 
     @staticmethod
@@ -654,7 +672,11 @@ class CedarFortranRuntime:
     def _xdoall_ce(self, task: ClusterTask, state: _LoopState, ce_id: int) -> Generator:
         sim = self.sim
         loop = state.loop
-        payload = (state.seq, loop.construct.value, loop.label, 1)
+        construct = loop.construct.value
+        keep = self._iteration_events
+        payload = (state.seq, construct, loop.label, 1) if keep else None
+        res = self._resolution
+        picks = pick_ticks = iters = iter_ticks = 0
         while True:
             if not self.kernel.ce_available(ce_id):
                 # The CE was deconfigured mid-loop: it stops picking up
@@ -668,7 +690,9 @@ class CedarFortranRuntime:
             # count as "active" for statfx, which is why the measured
             # parallel-loop concurrency of XDOALL codes drops below 8
             # per cluster (Table 3).
-            self._record(EventType.PICKUP_ENTER, ce_id, task, payload=payload)
+            if keep:
+                self._record(EventType.PICKUP_ENTER, ce_id, task, payload=payload)
+            start = sim.now // res
             fp = self.fastpath
             if fp.on and self.params.pickup_deadline_ns is None:
                 # Lean pickup: the post-grant queue length the inflation
@@ -684,18 +708,14 @@ class CedarFortranRuntime:
                     fp.stats.fallback_shape += 1
                 request = self._iter_lock.request(key=ce_id)
                 yield from self._await_pickup(request, self._iter_lock, state, "xdoall")
-                hold_ns = self._round_trips_ns(self.params.pickup_round_trips)
-                hold_ns += self._cycles_ns(self.params.pickup_overhead_cycles)
-                # CEs spinning for the lock keep hammering its module
-                # with test&set reads, slowing the holder's RMW down
-                # (hot spot).
-                waiting = self._iter_lock.queue_length
-                hold_ns = int(hold_ns * (1.0 + self.params.pickup_retry_factor * waiting))
-                yield hold_ns
+                yield self._xdoall_hold_ns(self._iter_lock.queue_length)
                 index = state.take_iteration()
                 self._iter_lock.release(request)
             self.stats.xdoall_pickups += 1
-            self._record(EventType.PICKUP_EXIT, ce_id, task, payload=payload)
+            picks += 1
+            pick_ticks += sim.now // res - start
+            if keep:
+                self._record(EventType.PICKUP_EXIT, ce_id, task, payload=payload)
             if index is None:
                 break
             page = loop.page_for_iteration(0, index)
@@ -709,7 +729,9 @@ class CedarFortranRuntime:
             if stall_ns > 0:
                 yield stall_ns
             self._set_active(ce_id)
-            self._record(EventType.ITER_START, ce_id, task, payload=payload)
+            if keep:
+                self._record(EventType.ITER_START, ce_id, task, payload=payload)
+            start = sim.now // res
             if loop.mem_words_per_iter > 0:
                 yield from self._run_child(
                     self.machine.memory_burst(
@@ -721,5 +743,10 @@ class CedarFortranRuntime:
                     loop.work_ns_per_iter * loop.work_multiplier(index, salt=state.seq)
                 )
                 yield from self._run_child(self.kernel.execute(task.cluster_id, work_ns))
-            self._record(EventType.ITER_END, ce_id, task, payload=payload)
+            iters += 1
+            iter_ticks += sim.now // res - start
+            if keep:
+                self._record(EventType.ITER_END, ce_id, task, payload=payload)
             self._set_idle(ce_id, task)
+        self._summarise(task, "pickup", construct, picks, pick_ticks)
+        self._summarise(task, "iteration", construct, iters, iter_ticks)

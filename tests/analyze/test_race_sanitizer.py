@@ -93,6 +93,50 @@ def test_fingerprint_covers_statfx_and_loop_regions():
     assert shifted.diff(base)
 
 
+def test_fingerprint_covers_the_pickup_iteration_summary():
+    """Figures 5-9 read pickup and iteration time from the summary."""
+    import dataclasses
+
+    snap = run_application(
+        _flo52(), 4, scale=SMALL_SCALE, os_params=XylemParams(seed=7)
+    ).portable()
+    base = fingerprint_result(snap)
+    summary = {key: list(totals) for key, totals in snap.hpm.summary.items()}
+    key = next(k for k in summary if k[1] == "iteration" and k[2] == "sdoall")
+    summary[key][1] += 1
+    hpm = dataclasses.replace(snap.hpm, summary=summary)
+    bumped = fingerprint_result(dataclasses.replace(snap, hpm=hpm, _cache={}))
+    assert bumped.digest != base.digest
+    assert any(line.startswith("summary.") for line in bumped.diff(base, limit=50))
+
+
+def test_breakdowns_do_not_depend_on_whether_helpers_wake_before_the_end():
+    """The helpers' last wake-up shares the program end's instant.
+
+    A perturbed order can stop the run first, leaving their final waits
+    open; those must close where the recorded close would have been.
+    """
+    from repro.core.breakdown import user_breakdowns
+    from repro.hpm.events import EventType
+
+    def run(tie_break_seed):
+        return run_application(
+            _flo52(),
+            32,
+            scale=SMALL_SCALE,
+            os_params=XylemParams(seed=1994),
+            tie_break_seed=tie_break_seed,
+        )
+
+    def wait_exits(result):
+        return sum(t == EventType.WAIT_WORK_EXIT for t in result.events.types)
+
+    base, perturbed = run(None), run(1)
+    assert wait_exits(perturbed) < wait_exits(base)
+    assert user_breakdowns(perturbed) == user_breakdowns(base)
+    assert fingerprint_result(perturbed).digest == fingerprint_result(base).digest
+
+
 def test_perturbed_schedule_differs_but_results_do_not():
     """The permutation really permutes; the results really hold still."""
     from repro.analyze.sanitize import DeterminismSink

@@ -32,7 +32,13 @@ def _refuse(*args, **kwargs):
 def test_a_cell_goes_from_record_to_cache_without_a_trace_event(monkeypatch):
     monkeypatch.setattr(TraceEvent, "__init__", _refuse)
     live = {
-        n: run_application(flo52(), n, scale=SCALE, os_params=XylemParams(seed=1994))
+        n: run_application(
+            flo52(),
+            n,
+            scale=SCALE,
+            os_params=XylemParams(seed=1994),
+            iteration_events=True,
+        )
         for n in (1, 8)
     }
     snaps = {n: result.portable() for n, result in live.items()}

@@ -64,7 +64,7 @@ def test_round_trip_from_real_run(tmp_path):
     from repro.core import run_application
 
     app = synthetic_app(n_steps=1, loops_per_step=1, n_outer=4, n_inner=8)
-    result = run_application(app, 8, scale=1.0)
+    result = run_application(app, 8, scale=1.0, iteration_events=True)
     path = tmp_path / "run.jsonl"
     save_trace(result.events, path)
     assert load_trace(path) == result.events

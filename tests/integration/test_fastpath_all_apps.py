@@ -5,8 +5,8 @@ twice through :func:`repro.parallel.executor.run_cell`: once as users
 run it, with every fast path armed, and once with
 ``CEDAR_REPRO_FASTPATH=off`` forcing the exact paths.  The two must
 publish the same :func:`~repro.analyze.race.fingerprint_result` digest
--- every table and breakdown the run feeds.  Figures 5-9 are gated by
-``tests/golden/test_golden_figures.py`` instead.
+-- every table and breakdown the run feeds, the Figures 5-9 pickup and
+iteration summary and user-time breakdowns included.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ from repro.xylem.categories import OsActivity, TimeCategory
 
 @pytest.fixture(scope="module")
 def flo52_run():
-    return run_application(flo52(), 32, scale=0.01)
+    return run_application(flo52(), 32, scale=0.01, iteration_events=True)
 
 
 def test_run_produces_complete_result(flo52_run):
@@ -112,7 +112,7 @@ def test_cluster_only_app_runs_on_one_cluster():
         n_inner=24,
         iter_time_ns=500_000,
     )
-    result = run_application(app, 32, scale=1.0)
+    result = run_application(app, 32, scale=1.0, iteration_events=True)
     intervals = extract_intervals(result.events, result.ct_ns)
     iter_ces = {
         iv.processor_id for iv in intervals if iv.kind is IntervalKind.ITERATION

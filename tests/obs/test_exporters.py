@@ -32,7 +32,13 @@ def result():
         ),
         SerialPhase(work_ns=20_000),
     ]
-    return run_phases(phases, 4, app_name="synthetic", config=paper_configuration(4))
+    return run_phases(
+        phases,
+        4,
+        app_name="synthetic",
+        config=paper_configuration(4),
+        iteration_events=True,
+    )
 
 
 def test_report_round_trips_through_json(result, tmp_path):
@@ -74,7 +80,7 @@ def test_chrome_trace_schema(result):
         assert set(event) >= {"ph", "ts", "pid", "tid", "name"}
         assert event["ph"] in {"M", "X"}
     durations = [e for e in events if e["ph"] == "X"]
-    assert durations
+    assert {"pickup", "iteration"} <= {e["name"] for e in durations}
     for event in durations:
         assert event["dur"] >= 0
         assert 0 <= event["ts"] <= result.ct_ns / 1000

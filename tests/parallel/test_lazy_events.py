@@ -1,9 +1,10 @@
-"""Served results answer Tables 3-4 without reading their trace.
+"""Served results answer Tables 3-4 and Figures 5-9 without reading their trace.
 
 An unpickled :class:`~repro.hpm.events.EventList` holds only its
 narrowed columns and builds a :class:`TraceEvent` only when someone
 reads an event, and a pickled snapshot carries the
-:func:`~repro.core.concurrency.loop_index` Tables 3 and 4 read.  A
+:func:`~repro.core.concurrency.loop_index` Tables 3 and 4 read and the
+:func:`~repro.core.breakdown.user_breakdowns` Figures 5-9 read.  A
 warm ``tables`` run therefore builds no :class:`TraceEvent` at all.
 These tests pin that down, and that the carried index is exactly the
 one a rescan of the events gives.
@@ -18,9 +19,9 @@ from array import array
 
 import pytest
 
-from repro.core.breakdown import user_breakdown
+from repro.core.breakdown import user_breakdowns
 from repro.core.concurrency import loop_index
-from repro.core.experiments import table3, table4
+from repro.core.experiments import figure_user_breakdown, table3, table4
 from repro.core.reference import APPS, CONFIGS
 from repro.core.resilience import resilient_sweep
 from repro.core.trace_analysis import IntervalKind, extract_intervals
@@ -78,6 +79,16 @@ def test_warm_read_decodes_nothing(sweep, tmp_path, monkeypatch):
     assert rows4 == [row for row in expected4 if row[1] in (1, 8)]
 
 
+def test_warm_figures_scan_no_events(sweep, tmp_path, monkeypatch):
+    cache = ResultCache(tmp_path)
+    for n in (1, 32):
+        cache.put(_spec("ADM", n).key(), sweep["ADM"][n])
+    expected = figure_user_breakdown("ADM", {n: sweep["ADM"][n] for n in (1, 32)})
+    monkeypatch.setattr(EventList, "rows", _refuse_to_build)
+    served = {n: cache.get(_spec("ADM", n).key()) for n in (1, 32)}
+    assert figure_user_breakdown("ADM", served) == expected
+
+
 def test_carried_index_is_the_index_of_the_decoded_events(sweep):
     for app, by_config in sweep.items():
         for n, snap in by_config.items():
@@ -116,12 +127,14 @@ def test_orphan_close_still_fails_after_a_cache_round_trip(sweep, tmp_path):
         table3({"FLO52": {4: served}})
 
 
-def test_only_the_loop_index_is_carried(sweep):
+def test_only_the_loop_index_and_breakdowns_are_carried(sweep):
     snap = _with_events(sweep["MDG"][8], sweep["MDG"][8].events)
-    user_breakdown(snap, 0)
-    assert "intervals" in snap._cache
+    snap._cache["intervals"] = []
     revived = _round_trip(snap)
-    assert set(revived._cache) == {"loop_index"}
+    assert set(revived._cache) == {"loop_index", "user_breakdowns"}
+    assert revived._cache["user_breakdowns"] == user_breakdowns(
+        dataclasses.replace(revived, _cache={})
+    )
     assert revived.events is revived.hpm.events
 
 

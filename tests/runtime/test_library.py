@@ -25,7 +25,7 @@ def make_runtime(n_proc=32, os_params=QUIET_OS):
     sim = Simulator()
     config = paper_configuration(n_proc)
     machine = CedarMachine(sim, config)
-    hpm = CedarHpm(sim)
+    hpm = CedarHpm(sim, iteration_events=True)
     board = ActivityBoard(sim, config)
     kernel = XylemKernel(sim, config, os_params, hpm=hpm)
     runtime = CedarFortranRuntime(sim, machine, kernel, hpm=hpm, board=board)
