@@ -8,8 +8,8 @@ Measures three layers (the same layers the fast-path work targets):
    event counts are known analytically, so ``events/sec`` is exact.
 2. **Contention cells** -- barrier-heavy (many short spread loops) and
    pickup-heavy (high-P small-chunk XDOALL) full-stack workloads that
-   stress the runtime-layer fast paths (``repro.runtime.fastpath``).
-   Each cell is timed with the fast paths hot *and* with
+   stress the runtime's arbitrated pickup and finish-barrier locks.
+   Each cell is timed with the fast path hot *and* with
    ``CEDAR_REPRO_FASTPATH=off``, and the two completion times must be
    identical -- the bench doubles as an end-to-end exactness check.
 3. **Cold sweep cells** -- ``run_cell`` wall time for FLO52/OCEAN at
@@ -37,6 +37,14 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_kernel.py [--quick]
         [--output BENCH_kernel.json] [--baseline FILE] [--check FILE]
+    PYTHONPATH=src python scripts/bench_kernel.py --ablate [--output FILE]
+
+``--ablate`` measures only each remaining fast-path layer's marginal
+win: the 25 paper cells at scale 0.02, in ``ABLATE_ROUNDS`` interleaved
+rounds of one sweep with the default policy and one with that layer
+forced exact.  It reports each sweep's summed event-loop wall
+(``RunResult.wall_s``) and refuses (exit 1) unless both policies give
+the same combined :func:`~repro.analyze.race.fingerprint_result` digest.
 
 ``--baseline FILE`` embeds FILE's ``current`` section as the baseline
 and reports speed-up ratios, for one-off comparisons; the committed
@@ -51,6 +59,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import hashlib
 import json
 import os
 import platform
@@ -88,6 +97,9 @@ REPEATS_QUICK = 3
 #: samples to dodge preemption windows on a time-shared host.
 REPEATS_CELLS = 9
 REPEATS_CELLS_QUICK = 3
+
+#: Interleaved default/exact sweep pairs per ablated layer.
+ABLATE_ROUNDS = 3
 
 
 @contextmanager
@@ -226,7 +238,7 @@ class _ExactMismatch(RuntimeError):
 
 @contextmanager
 def _fastpaths_off():
-    """Force every layer exact (the unified kill switch) for a block."""
+    """Force the switchable fast path exact (the kill switch) for a block."""
     saved = os.environ.get("CEDAR_REPRO_FASTPATH")
     os.environ["CEDAR_REPRO_FASTPATH"] = "off"
     try:
@@ -297,15 +309,12 @@ def run_contention(quick: bool) -> dict:
             raise _ExactMismatch(
                 f"{name}: fast ct_ns {fast.ct_ns} != exact ct_ns {exact.ct_ns}"
             )
-        stats = fast.runtime.fastpath.stats
         out[name] = {
             "ct_ns": fast.ct_ns,
             "wall_s": round(wall_fast, 4),
             "wall_over_cal": round(wall_fast / cal, 3),
             "fastpath_off_wall_s": round(wall_exact, 4),
             "fastpath_speedup": round(wall_exact / wall_fast, 2),
-            "lean_barrier_detaches": stats.lean_barrier_detaches,
-            "lean_pickups": stats.lean_pickups,
         }
     return out
 
@@ -380,6 +389,54 @@ def run_cells(quick: bool) -> dict:
     return out
 
 
+# -- per-layer ablation ------------------------------------------------------
+
+#: How to force each remaining fast-path layer exact.  The kill switch
+#: governs only the push-mode statfx sampler, so it is that layer's.
+ABLATE_LAYERS = {"statfx": _fastpaths_off}
+
+
+def _paper_sweep() -> tuple[float, str]:
+    """Summed loop wall and combined fingerprint of the 25 paper cells."""
+    from repro.analyze.race import fingerprint_result
+    from repro.core.reference import APPS, CONFIGS
+
+    loop_wall = 0.0
+    digests = []
+    with _gc_paused():
+        for app in APPS:
+            for n_processors in CONFIGS:
+                result = run_cell(CellSpec(app, n_processors, scale=0.02, seed=1994))
+                loop_wall += result.wall_s
+                digests.append(fingerprint_result(result).digest)
+    combined = hashlib.blake2b("".join(digests).encode(), digest_size=16).hexdigest()
+    return loop_wall, combined
+
+
+def run_ablation() -> dict:
+    """Each layer's marginal win over the paper sweep, interleaved."""
+    out = {}
+    for layer, forced_exact in ABLATE_LAYERS.items():
+        default_walls, exact_walls = [], []
+        for _ in range(ABLATE_ROUNDS):
+            wall, default_digest = _paper_sweep()
+            default_walls.append(round(wall, 3))
+            with forced_exact():
+                wall, exact_digest = _paper_sweep()
+            exact_walls.append(round(wall, 3))
+            if exact_digest != default_digest:
+                raise _ExactMismatch(f"{layer} forced exact changed the paper sweep's results")
+        default_s = statistics.median(default_walls)
+        exact_s = statistics.median(exact_walls)
+        out[layer] = {
+            "fingerprint": default_digest,
+            "default_loop_wall_s": default_walls,
+            "exact_loop_wall_s": exact_walls,
+            "marginal_win": round(exact_s / default_s, 2),
+        }
+    return out
+
+
 # -- assembly ----------------------------------------------------------------
 
 
@@ -438,6 +495,11 @@ def _ratios(current: dict, baseline: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI-sized run")
+    parser.add_argument(
+        "--ablate",
+        action="store_true",
+        help="measure only each fast-path layer's marginal win over the paper sweep",
+    )
     parser.add_argument("--output", type=Path, default=None, help="write JSON here")
     parser.add_argument(
         "--baseline",
@@ -449,10 +511,28 @@ def main() -> int:
         "--check",
         type=Path,
         default=None,
-        help=f"regression gate: fail on >{MAX_REGRESSION:.0%} normalised "
+        help=f"regression gate: fail on >{MAX_REGRESSION:.0%}% normalised "
         "micro events/sec drop versus FILE",
     )
     args = parser.parse_args()
+
+    if args.ablate:
+        try:
+            ablation = run_ablation()
+        except _ExactMismatch as mismatch:
+            print(f"ablate: {mismatch}", file=sys.stderr)
+            return 1
+        for layer, figures in ablation.items():
+            print(
+                f"ablate {layer}: loop wall {figures['default_loop_wall_s']}s default / "
+                f"{figures['exact_loop_wall_s']}s exact "
+                f"(x{figures['marginal_win']} marginal win, same fingerprint)"
+            )
+        if args.output is not None:
+            args.output.parent.mkdir(parents=True, exist_ok=True)
+            args.output.write_text(json.dumps({"ablate": ablation}, indent=2) + "\n")
+            print(f"wrote {args.output}")
+        return 0
 
     report = {"current": run_all(args.quick)}
     if args.baseline is not None:

@@ -4,8 +4,8 @@
 Runs the bundled tiny campaign (``examples/campaigns/smoke.json``)
 against FLO52 on 4 processors at a small scale, checks that faults were
 actually injected, that the degraded run costs more than a healthy
-one, and that the campaign ran on the runtime fast path yet published
-the same results as a ``CEDAR_REPRO_FASTPATH=off`` rerun.  Exits
+one, and that the campaign ran on the push-mode statfx fast path yet
+published the same results as a ``CEDAR_REPRO_FASTPATH=off`` rerun.  Exits
 non-zero on any violation.  Kept fast (a few seconds) so it can gate
 every push.
 """
@@ -50,7 +50,7 @@ def main() -> int:
         ("every fault applied", ledger.injected == len(spec.faults)),
         ("degraded run costs more", outcome.result.ct_ns > healthy.ct_ns),
         ("faults.injected metric emitted", obs.registry.value("faults.injected") > 0),
-        ("runtime fast path armed", outcome.result.fastpath_modes["runtime"] == "batched"),
+        ("statfx fast path armed", outcome.result.fastpath_modes["statfx"] == "push"),
         (
             "fast run fingerprints like the exact rerun",
             fingerprint_result(outcome.result).digest

@@ -56,11 +56,13 @@ __all__ = [
 #: path later changed only packet-level memory streams, which no app
 #: cell builds, so v3 stood; v3 -> v4: the runtime, xylem and statfx
 #: fast paths stay armed under a sink, so hashed streams lose the fused
-#: children, the lean-lock handoffs and the statfx sampler wakes).
+#: children, the lean-lock handoffs and the statfx sampler wakes;
+#: v4 -> v5: the lean locks went, so every pickup and barrier detach
+#: is an arbitrated request, grant, hold and release again).
 #: Hashes from different domains are *incomparable*:
 #: :func:`same_schedule` raises instead of reporting them as
 #: nondeterminism.
-SCHEDULE_HASH_DOMAIN = "cedar-repro/schedule/v4"
+SCHEDULE_HASH_DOMAIN = "cedar-repro/schedule/v5"
 
 #: Domain assumed for hashes recorded before versioning existed.
 _LEGACY_DOMAIN = "cedar-repro/schedule/v1"

@@ -867,9 +867,9 @@ def build_parser() -> argparse.ArgumentParser:
             # parser already parsed (the subparser's default would win
             # otherwise -- the classic argparse parent/child pitfall).
             default=argparse.SUPPRESS if trailing else False,
-            help="route every layer through its exact path (sets "
-            "CEDAR_REPRO_FASTPATH=off for this invocation; results are "
-            "bit-identical either way, see docs/benchmarking.md)"
+            help="sample statfx with its exact sampler process instead of "
+            "push mode (sets CEDAR_REPRO_FASTPATH=off for this invocation; "
+            "results are bit-identical either way, see docs/architecture.md)"
             if not trailing
             else argparse.SUPPRESS,
         )
@@ -1217,8 +1217,8 @@ def main(argv: list[str] | None = None) -> None:
     parser = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "no_fastpath", False):
-        # One switch kills every fast path -- the policy module and the
-        # per-layer engines all consult this variable.
+        # The one fast-path switch: push-mode statfx consults this
+        # variable, through repro.sim.policy, when the stack is built.
         os.environ["CEDAR_REPRO_FASTPATH"] = "off"
     from repro.parallel.durable import CampaignInterrupted
     from repro.parallel.journal import JournalError

@@ -78,18 +78,15 @@ class RunResult:
     #: across recordings: the ``cedar-repro/schedule/vN`` prefix
     #: versions the event-stream definition.
     schedule_hash: str | None = None
-    #: Kernel fast-path counters harvested at end of run: Timeout-pool
-    #: reuse (``pool.*``) and the runtime/OS-layer fast-path activity
-    #: (``runtime.fastpath.*`` / ``xylem.fastpath.*``).  Keys match the
+    #: Kernel fast-path counters harvested at end of run: the
+    #: Timeout-pool reuse counters (``pool.*``).  Keys match the
     #: ``kernel.*`` metric suffixes emitted by
     #: :mod:`repro.obs.instrument`.
     kernel_stats: dict = field(default_factory=dict)
-    #: Which execution mode each acceleration layer ran in:
-    #: ``runtime`` / ``xylem`` are ``"batched"`` or ``"exact"``, and
-    #: ``statfx`` is ``"push"`` or ``"exact"``.  Every
-    #: mode produces bit-identical results by construction; the record
-    #: exists so run reports and regression triage can see which paths
-    #: were active.
+    #: Which execution mode each switchable layer ran in: ``statfx`` is
+    #: ``"push"`` or ``"exact"``.  Every mode produces bit-identical
+    #: results by construction; the record exists so run reports and
+    #: regression triage can see which path was active.
     fastpath_modes: dict = field(default_factory=dict)
 
     #: Lazily-filled cache used by the analysis helpers.
@@ -227,45 +224,16 @@ def run_phases(
         runtime=runtime,
         hpm=hpm,
         wall_s=wall.elapsed_s,
-        kernel_stats=_harvest_kernel_stats(sim, kernel, runtime),
-        fastpath_modes=_fastpath_modes(kernel, runtime, statfx),
+        kernel_stats={
+            "pool.timeouts_created": sim.timeouts_created,
+            "pool.timeouts_reused": sim.timeouts_reused,
+            "pool.ticks_rearmed": sim.ticks_rearmed,
+        },
+        fastpath_modes={"statfx": statfx.mode or "exact"},
     )
     if obs is not None:
         obs.collect(result)
     return result
-
-
-def _harvest_kernel_stats(
-    sim: Simulator, kernel: XylemKernel, runtime: CedarFortranRuntime
-) -> dict:
-    """Kernel fast-path counters for ``RunResult.kernel_stats``."""
-    rfp = runtime.fastpath.stats
-    xfp = kernel.fastpath.stats
-    return {
-        "pool.timeouts_created": sim.timeouts_created,
-        "pool.timeouts_reused": sim.timeouts_reused,
-        "pool.ticks_rearmed": sim.ticks_rearmed,
-        "runtime.fastpath.lean_pickups": rfp.lean_pickups,
-        "runtime.fastpath.exact_pickups": rfp.exact_pickups,
-        "runtime.fastpath.lean_barrier_detaches": rfp.lean_barrier_detaches,
-        "runtime.fastpath.exact_barrier_detaches": rfp.exact_barrier_detaches,
-        "runtime.fastpath.fused_spawns": rfp.fused_spawns,
-        "runtime.fastpath.lean_fraction": rfp.lean_fraction,
-        "xylem.fastpath.fused_spawns": xfp.fused_spawns,
-        "xylem.fastpath.warm_elisions": xfp.warm_elisions,
-        "xylem.fastpath.exact_spawns": xfp.exact_spawns,
-    }
-
-
-def _fastpath_modes(
-    kernel: XylemKernel, runtime: CedarFortranRuntime, statfx: Statfx
-) -> dict:
-    """Which mode each acceleration layer ran in (``RunResult.fastpath_modes``)."""
-    return {
-        "runtime": runtime.fastpath.mode,
-        "xylem": kernel.fastpath.mode,
-        "statfx": statfx.mode or "exact",
-    }
 
 
 def run_application(

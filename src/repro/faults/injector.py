@@ -98,10 +98,11 @@ class FaultInjector:
     def arm(self) -> None:
         """Spawn one injection process per scheduled fault (idempotent).
 
-        Arming disables no fast path: every fault kind changes state
-        that the runtime and OS layers' lean and exact paths read at
-        the same instants, so a campaign publishes the same results
-        either way (docs/fault-injection.md, "Fast paths under faults").
+        Arming disables no fast path: push-mode ``statfx`` reads only
+        the activity board, which every fault kind reaches through code
+        both sampler modes share, so a campaign publishes the same
+        results either way (docs/fault-injection.md, "Fast paths under
+        faults").
         """
         if self._armed:
             return

@@ -29,9 +29,10 @@ monitor run in either of two modes with identical sums:
     (one wake per 200 us of simulated time) while producing the exact
     sampler's sums and sample counts to the bit.
 
-Push mode arms whenever the fast-path policy allows it
-(:func:`repro.sim.policy.fastpath_policy`), trace sinks and tie-break
-perturbation included; the exact sampler serves
+Push mode is the one fast path ``CEDAR_REPRO_FASTPATH`` governs.  It
+arms whenever the policy allows it
+(:func:`repro.sim.policy.fastpath_policy`), trace sinks, tie-break
+perturbation and fault campaigns included; the exact sampler serves
 ``CEDAR_REPRO_FASTPATH=off`` runs and is the reference the push mode
 is checked against.
 """

@@ -106,7 +106,7 @@ class CellSpan:
     #: :func:`~repro.analyze.race.fingerprint_result` digest of the
     #: cell's result, set on every successful worker attempt.
     result_fingerprint: str | None = None
-    #: ``RunResult.kernel_stats``: Timeout-pool + fastpath counters.
+    #: ``RunResult.kernel_stats``: the Timeout-pool counters.
     kernel_stats: Mapping[str, float] = field(default_factory=dict)
     #: The worker registry's :meth:`~repro.obs.registry.MetricsRegistry.
     #: snapshot`, when telemetry shipping was on.

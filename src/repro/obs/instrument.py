@@ -19,8 +19,7 @@ prefix       contents
 ``runtime.`` loop protocol counters, CC-bus traffic, per-CE busy time,
              measured concurrency
 ``hpm.``     recorded events, per-event-type counts
-``kernel.``  event-kernel fast paths: Timeout-pool reuse counters and
-             the runtime/OS lean/exact split
+``kernel.``  event-kernel fast paths: Timeout-pool reuse counters
 ``run.``     completion time, host wall time, event counts
 ===========  ===========================================================
 """
@@ -215,17 +214,9 @@ def collect_hpm_metrics(
 
 
 def _collect_kernel(result: "RunResult", reg: MetricsRegistry) -> None:
-    """Fold ``RunResult.kernel_stats`` into ``kernel.*`` metrics.
-
-    Ratio-valued entries (``*_fraction``) become gauges; everything
-    else is a monotone counter.
-    """
+    """Fold ``RunResult.kernel_stats`` into ``kernel.*`` counters."""
     for key, value in sorted(result.kernel_stats.items()):
-        name = f"kernel.{key}"
-        if key.endswith("_fraction"):
-            reg.gauge(name).set(value)
-        else:
-            reg.counter(name).inc(value)
+        reg.counter(f"kernel.{key}").inc(value)
 
 
 def collect_run_metrics(

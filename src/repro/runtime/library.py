@@ -33,7 +33,6 @@ from repro.hardware.machine import CedarMachine
 from repro.hpm.activity import ActivityBoard
 from repro.hpm.events import EventType
 from repro.hpm.monitor import CedarHpm
-from repro.runtime.fastpath import LeanLock, RuntimeFastPath
 from repro.runtime.loops import LoopConstruct, ParallelLoop, Phase, SerialPhase
 from repro.runtime.params import RuntimeParams
 from repro.sim import ArbitratedResource, DeadlockSuspected, Event, Resource, Simulator
@@ -95,7 +94,6 @@ class _LoopState:
         "detaches",
         "all_detached",
         "barrier_lock",
-        "lean_barrier",
         "_tree_nodes",
         "_sim",
     )
@@ -114,9 +112,6 @@ class _LoopState:
         #: about for a flat 32-task machine.  Arbitrated so same-instant
         #: detaches resolve by task id, not event-queue insertion order.
         self.barrier_lock = ArbitratedResource(sim, capacity=1)
-        #: Closed-form twin of ``barrier_lock``, used when the runtime
-        #: fast path is armed (flat barriers only).
-        self.lean_barrier = LeanLock(sim)
         self._tree_nodes: dict[tuple[int, int], _CombiningNode] = {}
         self._sim = sim
         if n_helpers == 0:
@@ -196,12 +191,6 @@ class CedarFortranRuntime:
         #: Lock protecting the SDOALL outer iteration index (same
         #: tie-stable arbitration, keyed by cluster task id).
         self._outer_lock = ArbitratedResource(sim, capacity=1)
-        #: Analytic fast-path engine: lean locks and spawn fusion, armed
-        #: unless the environment policy forces the exact paths.
-        self.fastpath = RuntimeFastPath()
-        #: Closed-form twins of the two self-scheduling locks above.
-        self._lean_outer = LeanLock(sim)
-        self._lean_iter = LeanLock(sim)
         self._post_event: Event = sim.event()
         self._loop_seq = 0
         self.process: XylemProcess | None = None
@@ -268,7 +257,7 @@ class CedarFortranRuntime:
     def _cycles_ns(self, cycles: int) -> int:
         return self.config.cycles_to_ns(cycles)
 
-    def _pickup_hold_ns(self, _waiting: int = 0) -> int:
+    def _pickup_hold_ns(self) -> int:
         """Self-scheduling pickup hold, priced at the grant tick."""
         return self._round_trips_ns(self.params.pickup_round_trips) + self._cycles_ns(
             self.params.pickup_overhead_cycles
@@ -280,32 +269,6 @@ class CedarFortranRuntime:
         hold_ns = self._pickup_hold_ns()
         return int(hold_ns * (1.0 + self.params.pickup_retry_factor * waiting))
 
-    def _run_child(self, gen: Generator) -> Generator:
-        """Run a strictly-sequential child generator.
-
-        When the fast path is armed the child is handed straight back
-        to the caller's ``yield from`` -- no process object, no
-        ``Initialize`` event, no termination event, and (because this
-        is a plain function, not a generator) no wrapper frame on the
-        delegation chain either -- which is exact for children awaited
-        immediately: every delay the child yields still elapses at the
-        same times, only the same-tick spawn/termination bookkeeping
-        events disappear.  Otherwise the child is spawned as a process,
-        reproducing the exact event shape.  Call sites must ``yield
-        from`` the return value immediately (the arming check happens
-        here, at call time).
-        """
-        fp = self.fastpath
-        if fp.on:
-            fp.stats.fused_spawns += 1
-            return gen
-        return self._spawn_child(gen)
-
-    def _spawn_child(self, gen: Generator) -> Generator:
-        """Exact-path child execution: a real process, full event shape."""
-        result = yield self.sim.process(gen)
-        return result
-
     # -- program execution -----------------------------------------------------
 
     def run_program(self, phases: Sequence[Phase]):
@@ -315,9 +278,7 @@ class CedarFortranRuntime:
     def _main(self, phases: list[Phase]) -> Generator:
         sim = self.sim
         self.kernel.start_daemons()
-        process = yield sim.process(
-            create_process(sim, self.config, self.kernel), name="create-process"
-        )
+        process = yield from create_process(self.config, self.kernel)
         self.process = process
         main = process.main_task
         self._record(EventType.PROGRAM_START, self._lead_ce(main), main)
@@ -356,16 +317,16 @@ class CedarFortranRuntime:
         self._record(EventType.SERIAL_START, lead, main, payload=phase.label)
         self.stats.serial_sections += 1
         for _ in range(phase.syscalls):
-            yield from self._run_child(self.kernel.cluster_syscall(main.cluster_id))
+            yield from self.kernel.cluster_syscall(main.cluster_id)
         if phase.n_pages > 0 and phase.page_base >= 0:
             pages = range(phase.page_base, phase.page_base + phase.n_pages)
-            yield from self._run_child(self.kernel.vm.touch_many(main.cluster_id, pages))
+            yield from self.kernel.vm.touch_many(main.cluster_id, pages)
         if phase.mem_words > 0:
-            yield from self._run_child(
-                self.machine.memory_burst(phase.mem_words, phase.mem_rate, main.cluster_id)
+            yield from self.machine.memory_burst(
+                phase.mem_words, phase.mem_rate, main.cluster_id
             )
         if phase.work_ns > 0:
-            yield from self._run_child(self.kernel.execute(main.cluster_id, phase.work_ns))
+            yield from self.kernel.execute(main.cluster_id, phase.work_ns)
         self._record(EventType.SERIAL_END, lead, main, payload=phase.label)
 
     # -- main cluster-only loops ----------------------------------------------------
@@ -472,24 +433,11 @@ class CedarFortranRuntime:
         fanout = self.params.barrier_fanout
         rmw_ns = self._round_trips_ns(self.params.detach_round_trips)
         if fanout is None:
-            fp = self.fastpath
-            if fp.on:
-                # Closed form: the serialised RMWs settle through the
-                # lean lock, one completion event per detacher instead
-                # of request/grant/hold/arbitration round trips.  The
-                # RMW cost was priced at entry (above), exactly like
-                # the exact path's captured constant.
-                fp.stats.lean_barrier_detaches += 1
-                yield from state.lean_barrier.serve(task.task_id, lambda _w: rmw_ns)
-                return
-            fp.stats.exact_barrier_detaches += 1
             request = state.barrier_lock.request(key=task.task_id)
             yield request
             yield rmw_ns
             state.barrier_lock.release(request)
             return
-        self.fastpath.stats.exact_barrier_detaches += 1
-        self.fastpath.stats.fallback_shape += 1
         n_tasks = state.expected_detaches
         level = 0
         index = task.task_id - 1 if task.task_id > 0 else 0
@@ -523,20 +471,11 @@ class CedarFortranRuntime:
             if keep:
                 self._record(EventType.PICKUP_ENTER, lead, task, payload=payload)
             start = sim.now // self._resolution
-            fp = self.fastpath
-            if fp.on and self.params.pickup_deadline_ns is None:
-                fp.stats.lean_pickups += 1
-                yield from self._lean_outer.serve(task.task_id, self._pickup_hold_ns)
-                outer = state.take_outer()
-            else:
-                fp.stats.exact_pickups += 1
-                if fp.on:
-                    fp.stats.fallback_shape += 1
-                request = self._outer_lock.request(key=task.task_id)
-                yield from self._await_pickup(request, self._outer_lock, state, "sdoall")
-                yield self._pickup_hold_ns()
-                outer = state.take_outer()
-                self._outer_lock.release(request)
+            request = self._outer_lock.request(key=task.task_id)
+            yield from self._await_pickup(request, self._outer_lock, state, "sdoall")
+            yield self._pickup_hold_ns()
+            outer = state.take_outer()
+            self._outer_lock.release(request)
             self.stats.sdoall_pickups += 1
             picks += 1
             ticks += sim.now // self._resolution - start
@@ -584,7 +523,7 @@ class CedarFortranRuntime:
         # CDOACROSS: the serialised residue runs on the lead CE.
         if loop.serial_fraction > 0.0:
             residue = int(loop.n_inner * loop.work_ns_per_iter * loop.serial_fraction)
-            yield from self._run_child(self.kernel.execute(task.cluster_id, residue))
+            yield from self.kernel.execute(task.cluster_id, residue)
         yield cluster.ccbus.synchronise_ns()
 
     def _cdoall_chunk(
@@ -608,7 +547,7 @@ class CedarFortranRuntime:
         start = sim.now // self._resolution
         pages = self._pages_for_chunk(loop, outer, lo, hi)
         if pages:
-            yield from self._run_child(self.kernel.vm.touch_many(task.cluster_id, pages))
+            yield from self.kernel.vm.touch_many(task.cluster_id, pages)
         words = n_iters * loop.mem_words_per_iter
         parallel_fraction = 1.0 - loop.serial_fraction
         multiplier = loop.work_multiplier(outer, salt=seq or 0)
@@ -626,12 +565,10 @@ class CedarFortranRuntime:
         for index in range(slices):
             slice_words = words // slices + (1 if index < words % slices else 0)
             if slice_words > 0:
-                yield from self._run_child(
-                    self.machine.memory_burst(slice_words, loop.mem_rate, task.cluster_id)
-                )
+                yield from self.machine.memory_burst(slice_words, loop.mem_rate, task.cluster_id)
             slice_work = work_ns // slices + (1 if index < work_ns % slices else 0)
             if slice_work > 0:
-                yield from self._run_child(self.kernel.execute(task.cluster_id, slice_work))
+                yield from self.kernel.execute(task.cluster_id, slice_work)
         ticks = sim.now // self._resolution - start
         self._summarise(task, "iteration", loop.construct.value, 1, ticks)
         if keep:
@@ -693,24 +630,11 @@ class CedarFortranRuntime:
             if keep:
                 self._record(EventType.PICKUP_ENTER, ce_id, task, payload=payload)
             start = sim.now // res
-            fp = self.fastpath
-            if fp.on and self.params.pickup_deadline_ns is None:
-                # Lean pickup: the post-grant queue length the inflation
-                # term needs is known at the lean lock's grant commit,
-                # so the whole request/grant/hold/release exchange
-                # collapses to one completion event.
-                fp.stats.lean_pickups += 1
-                yield from self._lean_iter.serve(ce_id, self._xdoall_hold_ns)
-                index = state.take_iteration()
-            else:
-                fp.stats.exact_pickups += 1
-                if fp.on:
-                    fp.stats.fallback_shape += 1
-                request = self._iter_lock.request(key=ce_id)
-                yield from self._await_pickup(request, self._iter_lock, state, "xdoall")
-                yield self._xdoall_hold_ns(self._iter_lock.queue_length)
-                index = state.take_iteration()
-                self._iter_lock.release(request)
+            request = self._iter_lock.request(key=ce_id)
+            yield from self._await_pickup(request, self._iter_lock, state, "xdoall")
+            yield self._xdoall_hold_ns(self._iter_lock.queue_length)
+            index = state.take_iteration()
+            self._iter_lock.release(request)
             self.stats.xdoall_pickups += 1
             picks += 1
             pick_ticks += sim.now // res - start
@@ -720,7 +644,7 @@ class CedarFortranRuntime:
                 break
             page = loop.page_for_iteration(0, index)
             if page is not None:
-                yield from self._run_child(self.kernel.vm.touch(task.cluster_id, page))
+                yield from self.kernel.vm.touch(task.cluster_id, page)
             stall_ns = self.machine.cache_stall_ns(
                 task.cluster_id,
                 bytes_accessed=loop.cluster_ws_bytes // loop.n_inner,
@@ -733,16 +657,14 @@ class CedarFortranRuntime:
                 self._record(EventType.ITER_START, ce_id, task, payload=payload)
             start = sim.now // res
             if loop.mem_words_per_iter > 0:
-                yield from self._run_child(
-                    self.machine.memory_burst(
-                        loop.mem_words_per_iter, loop.mem_rate, task.cluster_id
-                    )
+                yield from self.machine.memory_burst(
+                    loop.mem_words_per_iter, loop.mem_rate, task.cluster_id
                 )
             if loop.work_ns_per_iter > 0:
                 work_ns = int(
                     loop.work_ns_per_iter * loop.work_multiplier(index, salt=state.seq)
                 )
-                yield from self._run_child(self.kernel.execute(task.cluster_id, work_ns))
+                yield from self.kernel.execute(task.cluster_id, work_ns)
             iters += 1
             iter_ticks += sim.now // res - start
             if keep:

@@ -1,16 +1,18 @@
-"""The one fast-path kill switch shared by every layer.
+"""The fast-path kill switch.
 
-Three layers of the simulator carry an analytic fast path beside
-their exact model: lean runtime locks and fused protocol steps
-(:mod:`repro.runtime.fastpath`), fused OS service paths
-(:mod:`repro.xylem.fastpath`) and the push-mode ``statfx`` sampler
-(:mod:`repro.hpm.statfx`).  They are all governed by one environment
-variable so a single switch reproduces the fully exact tree:
+One layer of the simulator carries an analytic fast path beside its
+exact model: the push-mode ``statfx`` sampler (:mod:`repro.hpm.statfx`),
+which accrues samples at activity flips instead of waking a sampler
+process every interval.  The exact sampler stays as its reference, and
+one environment variable chooses between them:
 
 ``CEDAR_REPRO_FASTPATH=off`` (or ``exact``)
-    Every fast path is disabled at construction time; all layers run
-    their exact code.  The ``cedar-repro --no-fastpath`` CLI flag sets
-    this for one invocation.
+    The fast path is disabled at construction time, and ``statfx``
+    samples with its process.  The ``cedar-repro --no-fastpath`` CLI
+    flag sets this for one invocation.
+
+Sequential children (memory bursts, execute slices, OS services) are
+not governed here: they run inline by ``yield from`` on every path.
 
 The policy is read at *stack construction*, not per event, so flipping
 the variable mid-run has no effect -- which is what makes a run's
@@ -29,5 +31,5 @@ _DISABLED = {"off", "exact", "0"}
 
 
 def fastpath_policy() -> bool:
-    """Whether the analytic fast paths are allowed by the environment."""
+    """Whether the analytic fast path is allowed by the environment."""
     return os.environ.get("CEDAR_REPRO_FASTPATH", "").strip().lower() not in _DISABLED

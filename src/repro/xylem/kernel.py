@@ -34,7 +34,6 @@ from repro.hpm.monitor import CedarHpm
 from repro.sim import ArbitratedResource, Gate, SimulationError, Simulator
 from repro.xylem.accounting import TimeAccounting
 from repro.xylem.categories import OsActivity
-from repro.xylem.fastpath import XylemFastPath
 from repro.xylem.locks import CriticalSections
 from repro.xylem.params import XylemParams
 from repro.xylem.vm import VirtualMemory
@@ -111,13 +110,7 @@ class XylemKernel:
         self.params = params or XylemParams()
         self.hpm = hpm
         self.accounting = TimeAccounting(config)
-        #: Analytic fast-path engine shared by the OS layer (kernel,
-        #: critical sections, virtual memory): child services are
-        #: inlined instead of spawned when armed.
-        self.fastpath = XylemFastPath()
-        self.critical_sections = CriticalSections(
-            sim, self.accounting, config.n_clusters, fastpath=self.fastpath
-        )
+        self.critical_sections = CriticalSections(sim, self.accounting, config.n_clusters)
         self.clusters = [ClusterState(sim, i) for i in range(config.n_clusters)]
         self.vm = VirtualMemory(
             sim,
@@ -125,7 +118,6 @@ class XylemKernel:
             self.params,
             critical_sections=self.critical_sections,
             cpi_handler=self.cpi_gather,
-            fastpath=self.fastpath,
         )
         # The jitter streams are part of the calibrated operating point
         # (EXPERIMENTS.md): swapping the RNG backend or the keying would
@@ -200,32 +192,6 @@ class XylemKernel:
             # OS events are recorded against the cluster's first CE.
             self.hpm.record(event_type, cluster_id * self.config.ces_per_cluster)
 
-    def _run_child(self, gen: Generator, name: str) -> Generator:
-        """Run a strictly-sequential OS child generator.
-
-        When the fast path is armed the child generator is returned
-        as-is for the caller's ``yield from`` -- the child is awaited
-        immediately, so skipping the process spawn and its
-        Initialize/termination events leaves every yielded delay -- and
-        therefore every charge and freeze window -- at identical times,
-        and returning the child directly (instead of delegating through
-        a wrapper generator) keeps the resume chain one frame shorter.
-        Spawned as a named process otherwise (exact event shape).  Call
-        sites must ``yield from`` the return value immediately (the
-        arming check happens here, at call time).
-        """
-        fp = self.fastpath
-        if fp.on:
-            fp.stats.fused_spawns += 1
-            return gen
-        fp.stats.exact_spawns += 1
-        return self._spawn_child(gen, name)
-
-    def _spawn_child(self, gen: Generator, name: str) -> Generator:
-        """Exact-path child execution: a named process, full event shape."""
-        result = yield self.sim.process(gen, name=name)
-        return result
-
     # -- daemons -------------------------------------------------------------
 
     def start_daemons(self) -> None:
@@ -269,7 +235,7 @@ class XylemKernel:
         rng = self.jitter_stream("ctx", cluster_id)
         while True:
             yield self._jittered(rng, params.ctx_interval_ns)
-            yield from self._run_child(self.context_switch(cluster_id), "ctx")
+            yield from self.context_switch(cluster_id)
 
     def _sched_daemon(self, cluster_id: int) -> Generator:
         """Explicit resource-scheduling requests.
@@ -286,28 +252,20 @@ class XylemKernel:
         while True:
             yield self._jittered(rng, params.sched_interval_ns)
             self._record(EventType.SCHED_ENTER, cluster_id)
-            yield from self._run_child(
-                self.cpi_gather(cluster_id, key=_SERVICE_SCHED_GATHER), "sched-cpi"
-            )
+            yield from self.cpi_gather(cluster_id, key=_SERVICE_SCHED_GATHER)
             state = self.clusters[cluster_id]
             lock = self._service_locks[cluster_id]
             request = lock.request(key=_SERVICE_SCHED_CRSECT)
             yield request
             state.freeze()
             try:
-                yield from self._run_child(
-                    self.critical_sections.access_cluster(
-                        cluster_id, params.crsect_cluster_cost_ns
-                    ),
-                    "sched-crsect",
+                yield from self.critical_sections.access_cluster(
+                    cluster_id, params.crsect_cluster_cost_ns
                 )
                 count += 1
                 if count % 8 == 0:
-                    yield from self._run_child(
-                        self.critical_sections.access_global(
-                            cluster_id, params.crsect_global_cost_ns
-                        ),
-                        "sched-gcrsect",
+                    yield from self.critical_sections.access_global(
+                        cluster_id, params.crsect_global_cost_ns
                     )
             finally:
                 state.unfreeze()
@@ -345,9 +303,7 @@ class XylemKernel:
         """
         params = self.params
         self._record(EventType.CTX_SWITCH_ENTER, cluster_id)
-        yield from self._run_child(
-            self.cpi_gather(cluster_id, key=_SERVICE_CTX_GATHER), "ctx-cpi"
-        )
+        yield from self.cpi_gather(cluster_id, key=_SERVICE_CTX_GATHER)
         state = self.clusters[cluster_id]
         lock = self._service_locks[cluster_id]
         request = lock.request(key=_SERVICE_CTX_SWITCH)
@@ -357,11 +313,8 @@ class XylemKernel:
             yield params.ctx_cost_ns
             self.accounting.charge(cluster_id, OsActivity.CTX, params.ctx_cost_ns)
             for _ in range(params.crsect_per_ctx):
-                yield from self._run_child(
-                    self.critical_sections.access_cluster(
-                        cluster_id, params.crsect_cluster_cost_ns
-                    ),
-                    "ctx-crsect",
+                yield from self.critical_sections.access_cluster(
+                    cluster_id, params.crsect_cluster_cost_ns
                 )
         finally:
             state.unfreeze()
@@ -404,7 +357,7 @@ class XylemKernel:
         )
         self._syscall_counter += 1
         if self._needs_syscall_cpi():
-            yield from self._run_child(self.cpi_gather(cluster_id), "syscall-cpi")
+            yield from self.cpi_gather(cluster_id)
         self._record(EventType.SYSCALL_EXIT, cluster_id)
 
     def _needs_syscall_cpi(self) -> bool:
@@ -425,9 +378,8 @@ class XylemKernel:
         self.accounting.charge(
             cluster_id, OsActivity.SYSCALL_GLOBAL, params.syscall_global_cost_ns
         )
-        yield from self._run_child(
-            self.critical_sections.access_global(cluster_id, params.crsect_global_cost_ns),
-            "gsc-crsect",
+        yield from self.critical_sections.access_global(
+            cluster_id, params.crsect_global_cost_ns
         )
         self._record(EventType.SYSCALL_EXIT, cluster_id)
 

@@ -71,13 +71,9 @@ class CriticalSections:
         sim: Simulator,
         accounting: TimeAccounting,
         n_clusters: int,
-        fastpath=None,
     ) -> None:
         self.sim = sim
         self.accounting = accounting
-        #: Shared :class:`repro.xylem.fastpath.XylemFastPath` engine
-        #: (``None`` when constructed standalone: always exact).
-        self.fastpath = fastpath
         self.cluster_locks = [
             KernelLock(sim, accounting, name=f"cluster-{i}") for i in range(n_clusters)
         ]
@@ -101,29 +97,11 @@ class CriticalSections:
     def access_cluster(self, cluster_id: int, hold_ns: int) -> Generator:
         """Process: one cluster critical-section access; charges SYSTEM."""
         hold = self._effective_hold_ns(hold_ns)
-        fp = self.fastpath
-        if fp is not None and fp.on:
-            # Inlined critical section: same acquire/hold/release
-            # delays, no spawn events.
-            fp.stats.fused_spawns += 1
-            yield from self.cluster_locks[cluster_id].critical_section(cluster_id, hold)
-        else:
-            yield self.sim.process(
-                self.cluster_locks[cluster_id].critical_section(cluster_id, hold),
-                name="crsect-clus",
-            )
+        yield from self.cluster_locks[cluster_id].critical_section(cluster_id, hold)
         self.accounting.charge(cluster_id, OsActivity.CRSECT_CLUSTER, hold)
 
     def access_global(self, cluster_id: int, hold_ns: int) -> Generator:
         """Process: one global critical-section access; charges SYSTEM."""
         hold = self._effective_hold_ns(hold_ns)
-        fp = self.fastpath
-        if fp is not None and fp.on:
-            fp.stats.fused_spawns += 1
-            yield from self.global_lock.critical_section(cluster_id, hold)
-        else:
-            yield self.sim.process(
-                self.global_lock.critical_section(cluster_id, hold),
-                name="crsect-glbl",
-            )
+        yield from self.global_lock.critical_section(cluster_id, hold)
         self.accounting.charge(cluster_id, OsActivity.CRSECT_GLOBAL, hold)

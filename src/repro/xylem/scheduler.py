@@ -92,7 +92,6 @@ class BackgroundWorkload:
             )
 
     def _slice_loop(self, cluster_id: int, offset_ns: int) -> Generator:
-        sim = self.kernel.sim
         state = self.kernel.clusters[cluster_id]
         gap_ns = self.period_ns - self.quantum_ns
         if offset_ns > 0:
@@ -101,7 +100,7 @@ class BackgroundWorkload:
             yield gap_ns
             # Switch the application out (ctx + CPI through the kernel,
             # charged to the OS ledger like any other switch) ...
-            yield sim.process(self.kernel.context_switch(cluster_id), name="bg-ctx")
+            yield from self.kernel.context_switch(cluster_id)
             # ... run the competitor for its slice (the application's
             # gang is frozen on this cluster) ...
             state.freeze()
@@ -111,4 +110,4 @@ class BackgroundWorkload:
             finally:
                 state.unfreeze()
             # ... and switch the application back in.
-            yield sim.process(self.kernel.context_switch(cluster_id), name="bg-ctx")
+            yield from self.kernel.context_switch(cluster_id)

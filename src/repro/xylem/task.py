@@ -13,7 +13,6 @@ import enum
 from collections.abc import Generator
 
 from repro.hardware.config import CedarConfig
-from repro.sim import Simulator
 
 __all__ = ["TaskKind", "ClusterTask", "XylemProcess", "create_process"]
 
@@ -77,7 +76,7 @@ class XylemProcess:
         raise KeyError(f"no task on cluster {cluster_id}")
 
 
-def create_process(sim: Simulator, config: CedarConfig, kernel) -> Generator:
+def create_process(config: CedarConfig, kernel) -> Generator:
     """Process: create the Xylem process for an application run.
 
     The main task starts on cluster 0; the runtime (with OS help)
@@ -86,6 +85,6 @@ def create_process(sim: Simulator, config: CedarConfig, kernel) -> Generator:
     """
     tasks = [ClusterTask(task_id=0, cluster_id=0, kind=TaskKind.MAIN)]
     for cluster_id in range(1, config.n_clusters):
-        yield sim.process(kernel.global_syscall(0), name="task-create")
+        yield from kernel.global_syscall(0)
         tasks.append(ClusterTask(task_id=cluster_id, cluster_id=cluster_id, kind=TaskKind.HELPER))
     return XylemProcess(tasks)

@@ -67,16 +67,12 @@ class VirtualMemory:
         critical_sections=None,
         cpi_handler=None,
         max_resident_pages: int | None = None,
-        fastpath=None,
     ) -> None:
         self.sim = sim
         self.accounting = accounting
         self.params = params
         self.critical_sections = critical_sections
         self.cpi_handler = cpi_handler
-        #: Shared :class:`repro.xylem.fastpath.XylemFastPath` engine
-        #: (``None`` when constructed standalone: always exact).
-        self.fastpath = fastpath
         if max_resident_pages is not None and max_resident_pages <= 0:
             raise ValueError(
                 f"max_resident_pages must be positive, got {max_resident_pages}"
@@ -120,20 +116,10 @@ class VirtualMemory:
         fault = _InFlightFault(self.sim.event(), cluster_id)
         self._in_flight[page] = fault
         if self.critical_sections is not None:
-            fp = self.fastpath
             for _ in range(params.crsect_per_fault):
-                if fp is not None and fp.on:
-                    fp.stats.fused_spawns += 1
-                    yield from self.critical_sections.access_cluster(
-                        cluster_id, params.crsect_cluster_cost_ns
-                    )
-                else:
-                    yield self.sim.process(
-                        self.critical_sections.access_cluster(
-                            cluster_id, params.crsect_cluster_cost_ns
-                        ),
-                        name="vm-crsect",
-                    )
+                yield from self.critical_sections.access_cluster(
+                    cluster_id, params.crsect_cluster_cost_ns
+                )
         yield params.pgflt_sequential_cost_ns
         # Classify and resolve at the end of the tick: a CE touching the
         # page in the same nanosecond the service completes would
@@ -174,12 +160,7 @@ class VirtualMemory:
     ) -> Generator:
         """Process: run the fault-triggered CPI gather, then resolve."""
         assert self.cpi_handler is not None
-        fp = self.fastpath
-        if fp is not None and fp.on:
-            fp.stats.fused_spawns += 1
-            yield from self.cpi_handler(cluster_id)
-        else:
-            yield self.sim.process(self.cpi_handler(cluster_id), name="vm-cpi-gather")
+        yield from self.cpi_handler(cluster_id)
         self.sim.call_at_tail(lambda _event: self._resolve(page, fault))
 
     def _resolve(self, page: int, fault: _InFlightFault) -> None:
@@ -216,25 +197,9 @@ class VirtualMemory:
         return self.stats.concurrent % period == 0
 
     def touch_many(self, cluster_id: int, pages: Iterable[int]) -> Generator:
-        """Process: touch several pages in sequence.
-
-        With the fast path armed, warm pages (already resident) are
-        elided outright -- a warm sweep costs zero events -- and cold
-        pages run the touch path inline instead of via per-page spawns.
-        """
-        fp = self.fastpath
-        if fp is not None and fp.on:
-            resident = self._resident
-            stats = fp.stats
-            for page in pages:
-                if page in resident:
-                    stats.warm_elisions += 1
-                    continue
-                stats.fused_spawns += 1
-                yield from self.touch(cluster_id, page)
-            return
+        """Process: touch several pages in sequence."""
         for page in pages:
-            yield self.sim.process(self.touch(cluster_id, page), name="vm-touch")
+            yield from self.touch(cluster_id, page)
 
     def prefault(self, pages: Iterable[int]) -> None:
         """Mark pages resident without cost (e.g. program text at load)."""

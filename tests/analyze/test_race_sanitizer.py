@@ -159,8 +159,7 @@ def test_perturbed_schedule_differs_but_results_do_not():
     assert base_sink.schedule_hash != pert_sink.schedule_hash
     assert fingerprint_result(base).digest == fingerprint_result(perturbed).digest
     # The sanitizer perturbs the program a default run executes.
-    armed = {"runtime": "batched", "xylem": "batched", "statfx": "push"}
-    assert perturbed.fastpath_modes == armed
+    assert perturbed.fastpath_modes == {"statfx": "push"}
 
 
 # -- acceptance: the five Perfect-Club apps ----------------------------------

@@ -14,19 +14,12 @@ import dataclasses
 
 import pytest
 
-from repro.apps import PAPER_APPS
 from repro.core import concurrency, contention
 from repro.core.concurrency import loop_index, loop_regions
 from repro.core.contention import t1_split_ns, tp_actual_ns
 from repro.core.experiments import table3, table4
-from repro.core.reference import APPS, CONFIGS
-from repro.core.runner import run_application
 from repro.core.trace_analysis import IntervalKind, extract_intervals
 from repro.hpm.events import EventList, EventType, TraceEvent
-from repro.xylem.params import XylemParams
-
-SCALE = 0.002
-SEED = 1994
 
 
 def _seq(payload):
@@ -79,16 +72,8 @@ def reference_t1_split_ns(result):
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    return {
-        app: {
-            n: run_application(
-                PAPER_APPS[app](), n, scale=SCALE, os_params=XylemParams(seed=SEED)
-            )
-            for n in CONFIGS
-        }
-        for app in APPS
-    }
+def sweep(default_paper_cells):
+    return default_paper_cells
 
 
 def test_index_matches_the_per_task_scan(sweep):
@@ -128,10 +113,8 @@ def test_index_is_built_once_per_result(sweep):
 
 
 @pytest.fixture(scope="module")
-def small():
-    return run_application(
-        PAPER_APPS["FLO52"](), 4, scale=SCALE, os_params=XylemParams(seed=SEED)
-    )
+def small(default_paper_cells):
+    return default_paper_cells["FLO52"][4]
 
 
 def _with_events(result, events):

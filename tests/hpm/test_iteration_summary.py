@@ -84,10 +84,13 @@ def _mid_iteration_ns(result, ce_id: int) -> int:
 
 
 @pytest.fixture(scope="module")
-def cells():
-    """``(retained, default)`` runs: 5 apps x P 1/8/32, plus ADM P 8 faulted."""
+def cells(paper_cells):
+    """``(retained, default)`` runs: 5 apps x P 1/8/32, plus ADM P 8 faulted.
+
+    The retained runs are the session's shared ``paper_cells``.
+    """
     out = {
-        (app, n): (_run(app, n, True), _run(app, n, False))
+        (app, n): (paper_cells[app][n], _run(app, n, False))
         for app in APPS
         for n in PROCESSORS
     }

@@ -1,9 +1,9 @@
-"""The fast paths publish the exact paths' results under fault campaigns.
+"""The fast path publishes the exact path's results under fault campaigns.
 
-Arming a campaign leaves the runtime and OS fast paths on.  Each
+Arming a campaign leaves the push-mode statfx sampler on.  Each
 faulted cell here runs twice through
 :func:`repro.faults.run_with_campaign`: once as users run it, and once
-with ``CEDAR_REPRO_FASTPATH=off`` forcing the exact paths.  The two
+with ``CEDAR_REPRO_FASTPATH=off`` forcing the exact sampler.  The two
 must publish the same :func:`~repro.analyze.race.fingerprint_result`
 digest.
 
@@ -15,8 +15,9 @@ Two kinds of campaign drive the cells:
   duration).  Strikes and reverts sit at fixed fractions of the healthy
   cell's completion time, so they land inside parallel loops.
 
-Every test also checks that it is not vacuous: the fast run really ran
-lean, and every fault in the ledger struck before the cell completed.
+Every test also checks that it is not vacuous: the fast run really
+sampled in push mode, and every fault in the ledger struck before the
+cell completed.
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _transient_campaign(ct_ns: int) -> CampaignSpec:
     )
 
 
-def _run(specs, app: str, n_proc: int, lean: bool):
+def _run(specs, app: str, n_proc: int, fast: bool):
     outcomes = []
     for spec in specs:
         outcome = run_with_campaign(spec, app, n_proc, scale=SCALE, seed=SEED)
@@ -75,18 +76,17 @@ def _run(specs, app: str, n_proc: int, lean: bool):
         records = outcome.ledger.records
         assert records, (spec.name, app, n_proc)
         assert all(r.applied_ns < result.ct_ns for r in records), spec.name
-        if lean:
-            assert result.fastpath_modes["runtime"] == "batched"
-            assert result.runtime.fastpath.stats.lean_pickups > 0
+        if fast:
+            assert result.fastpath_modes["statfx"] == "push"
         outcomes.append(outcome)
     return outcomes
 
 
 def _assert_fast_matches_exact(specs, app, n_proc, monkeypatch):
     """Run *specs* fast, then exact; return the fast outcomes."""
-    fast = _run(specs, app, n_proc, lean=True)
+    fast = _run(specs, app, n_proc, fast=True)
     monkeypatch.setenv("CEDAR_REPRO_FASTPATH", "off")
-    exact = _run(specs, app, n_proc, lean=False)
+    exact = _run(specs, app, n_proc, fast=False)
     assert [fingerprint_result(o.result).digest for o in exact] == [
         fingerprint_result(o.result).digest for o in fast
     ]

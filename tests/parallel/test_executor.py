@@ -120,12 +120,11 @@ def test_validation_errors():
 
 
 def test_default_pooled_cells_run_the_fast_paths():
-    """A default cell carries no sink, so the pool runs it batched."""
+    """A default cell carries no sink, so the pool samples statfx in push mode."""
     spec = CellSpec(app="FLO52", n_processors=4, scale=SCALE, seed=SEED)
     results, failures = execute_cells([spec], jobs=2)
     assert not failures
-    modes = results[spec].fastpath_modes
-    assert modes["runtime"] == modes["xylem"] == "batched"
+    assert results[spec].fastpath_modes == {"statfx": "push"}
     assert results[spec].schedule_hash is None
 
 

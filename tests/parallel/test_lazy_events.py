@@ -13,7 +13,6 @@ one a rescan of the events gives.
 from __future__ import annotations
 
 import dataclasses
-import os
 import pickle
 from array import array
 
@@ -22,12 +21,12 @@ import pytest
 from repro.core.breakdown import user_breakdowns
 from repro.core.concurrency import loop_index
 from repro.core.experiments import figure_user_breakdown, table3, table4
-from repro.core.reference import APPS, CONFIGS
-from repro.core.resilience import resilient_sweep
+from repro.core.reference import APPS
 from repro.core.trace_analysis import IntervalKind, extract_intervals
 from repro.hpm import events as events_module
 from repro.hpm.events import EventList, EventType, TraceEvent
 from repro.parallel import CellSpec, ResultCache
+from repro.parallel.snapshot import snapshot_result
 from tests.core.test_loop_index import reference_loop_regions
 
 SCALE = 0.002
@@ -43,16 +42,16 @@ def _round_trip(obj):
 
 
 @pytest.fixture(scope="module")
-def sweep():
-    """The 25 cells, through a pool when the host has the cores for one.
+def sweep(default_paper_cells):
+    """The 25 cells as a pool delivers them: pickle round trips of snapshots.
 
-    Pooled results arrive pickled, with columnar events and a carried
-    index, exactly as served ones do.
+    Like pooled and served results, each arrives with columnar events
+    and a carried index.
     """
-    jobs = min(2, os.cpu_count() or 1)
-    outcome = resilient_sweep(APPS, CONFIGS, scale=SCALE, seed=SEED, jobs=jobs)
-    assert outcome.ok, outcome.failures
-    return outcome.results
+    return {
+        app: {n: _round_trip(snapshot_result(result)) for n, result in by_config.items()}
+        for app, by_config in default_paper_cells.items()
+    }
 
 
 def _refuse_to_build(*args, **kwargs):

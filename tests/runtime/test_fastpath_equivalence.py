@@ -1,17 +1,16 @@
-"""Property tests: the runtime/OS fast paths match the exact paths.
+"""Property tests: the fast path matches the exact path.
 
-The batched engines (:mod:`repro.runtime.fastpath`,
-:mod:`repro.xylem.fastpath` and the push-mode statfx sampler) exist
-purely for host speed: on every run they arm for (trace sinks and
-tie-break perturbation included) they must reproduce the exact paths'
-observable results bit for bit -- completion time, every
+The push-mode statfx sampler exists purely for host speed: on every
+run it arms for (trace sinks and tie-break perturbation included) it
+must reproduce the exact sampler's observable results bit for bit --
+and the run around it must not move either: completion time, every
 ``RuntimeStats`` counter, the per-category Xylem time accounting, the
 statfx concurrency integrals and the page-fault statistics.
 
 Hypothesis drives random phase lists (spread loops, XDOALLs,
 cluster-only loops, serial sections, paging patterns) through a full
-stack twice -- once with every fast path armed, once with everything
-forced exact via ``CEDAR_REPRO_FASTPATH=off`` -- and compares.
+stack twice -- once with the fast path armed, once forced exact via
+``CEDAR_REPRO_FASTPATH=off`` -- and compares.
 """
 
 from __future__ import annotations
@@ -84,7 +83,7 @@ _phase_lists = st.lists(
 
 
 def _run(phases, n_processors: int, exact: bool):
-    """One full-stack run; *exact* kills every fast path via the env."""
+    """One full-stack run; *exact* kills the fast path via the env."""
     env = {"CEDAR_REPRO_FASTPATH": "off"} if exact else {}
     with mock.patch.dict(os.environ, env, clear=False):
         if not exact:
@@ -139,9 +138,7 @@ def _fingerprint(result) -> dict:
 def test_batched_matches_exact(phases, n_processors):
     fast = _run(phases, n_processors, exact=False)
     slow = _run(phases, n_processors, exact=True)
-    assert fast.fastpath_modes["runtime"] == "batched"
     assert fast.fastpath_modes["statfx"] == "push"
-    assert slow.fastpath_modes["runtime"] == "exact"
     assert slow.fastpath_modes["statfx"] == "exact"
     assert _fingerprint(fast) == _fingerprint(slow)
 
@@ -164,24 +161,15 @@ def _barrier_workload():
 def test_env_kill_switch_forces_exact(monkeypatch):
     monkeypatch.setenv("CEDAR_REPRO_FASTPATH", "off")
     result = run_phases(_barrier_workload(), 32)
-    assert result.fastpath_modes == {
-        "runtime": "exact",
-        "xylem": "exact",
-        "statfx": "exact",
-    }
-    stats = result.runtime.fastpath.stats
-    assert stats.lean_pickups == 0
-    assert stats.lean_barrier_detaches == 0
-    assert stats.exact_pickups > 0
+    assert result.fastpath_modes == {"statfx": "exact"}
 
 
-_ARMED = {"runtime": "batched", "xylem": "batched", "statfx": "push"}
+_ARMED = {"statfx": "push"}
 
 
 def test_tie_perturbation_keeps_fast_paths_armed():
     result = run_phases(_barrier_workload(), 32, tie_break_seed=7)
     assert result.fastpath_modes == _ARMED
-    assert result.runtime.fastpath.stats.lean_pickups > 0
 
 
 def test_trace_sink_keeps_fast_paths_armed():
@@ -191,41 +179,15 @@ def test_trace_sink_keeps_fast_paths_armed():
     obs = Observability(extra_sinks=[DeterminismSink(order_capacity=0)])
     result = run_phases(_barrier_workload(), 32, obs=obs)
     assert result.fastpath_modes == _ARMED
-    assert result.runtime.fastpath.stats.lean_pickups > 0
-
-
-def test_fault_campaign_keeps_lean_paths_armed():
-    from repro.faults import CampaignSpec, FaultEvent, FaultInjector
-
-    spec = CampaignSpec(
-        name="fp-armed",
-        faults=[FaultEvent(kind="lock_inflate", at_ns=1_000, factor=2.0)],
-    )
-
-    modes = {}
-
-    def hook(sim, machine, kernel, runtime):
-        FaultInjector(sim, machine, kernel, runtime, spec).arm()
-        modes["runtime"] = runtime.fastpath.mode
-        modes["xylem"] = kernel.fastpath.mode
-
-    result = run_phases(_barrier_workload(), 32, pre_run_hook=hook)
-    assert modes == {"runtime": "batched", "xylem": "batched"}
-    assert result.runtime.fastpath.stats.lean_pickups > 0
-    assert result.kernel.fastpath.stats.fused_spawns > 0
 
 
 def test_policy_alone_decides_arming(monkeypatch):
-    """Only ``CEDAR_REPRO_FASTPATH`` disarms the fast paths: under the
-    kill switch a perturbed, sink-attached run is exact on every layer."""
+    """Only ``CEDAR_REPRO_FASTPATH`` disarms the fast path: under the
+    kill switch a perturbed, sink-attached run samples statfx exactly."""
     from repro.analyze.sanitize import DeterminismSink
     from repro.obs import Observability
 
     monkeypatch.setenv("CEDAR_REPRO_FASTPATH", "exact")
     obs = Observability(extra_sinks=[DeterminismSink(order_capacity=0)])
     result = run_phases(_barrier_workload(), 32, obs=obs, tie_break_seed=7)
-    assert result.fastpath_modes == {
-        "runtime": "exact",
-        "xylem": "exact",
-        "statfx": "exact",
-    }
+    assert result.fastpath_modes == {"statfx": "exact"}

@@ -118,7 +118,7 @@ def test_create_process_makes_one_helper_per_extra_cluster():
     sim = Simulator()
     config = paper_configuration(32)
     kernel = XylemKernel(sim, config)
-    proc = sim.process(create_process(sim, config, kernel))
+    proc = sim.process(create_process(config, kernel))
     process = sim.run(until=proc)
     assert len(process.tasks) == 4
     assert len(process.helper_tasks) == 3
@@ -130,7 +130,7 @@ def test_create_process_single_cluster_has_no_helpers():
     sim = Simulator()
     config = paper_configuration(8)
     kernel = XylemKernel(sim, config)
-    proc = sim.process(create_process(sim, config, kernel))
+    proc = sim.process(create_process(config, kernel))
     process = sim.run(until=proc)
     assert process.helper_tasks == []
     assert kernel.accounting.activity_ns(0, OsActivity.SYSCALL_GLOBAL) == 0
