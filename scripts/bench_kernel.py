@@ -9,9 +9,11 @@ Measures three layers (the same layers the fast-path work targets):
 2. **Contention cells** -- barrier-heavy (many short spread loops) and
    pickup-heavy (high-P small-chunk XDOALL) full-stack workloads that
    stress the runtime's arbitrated pickup and finish-barrier locks.
-   Each cell is timed with the fast path hot *and* with
-   ``CEDAR_REPRO_FASTPATH=off``, and the two completion times must be
-   identical -- the bench doubles as an end-to-end exactness check.
+   Each cell is timed in the default configuration; one untimed run
+   with ``CEDAR_REPRO_FASTPATH=off`` must give the same completion
+   time -- the bench doubles as an end-to-end exactness check.  No
+   exact-path timing is kept: no fast path these cells exercise can
+   be switched off, so the pair would time the same program twice.
 3. **Cold sweep cells** -- ``run_cell`` wall time for FLO52/OCEAN at
    P=8 and P=32 (no cache), the end-to-end quantity users feel.  The
    timed run is sink-free (every fast path hot), and ``loop_wall_s`` is
@@ -229,7 +231,7 @@ def run_micro(quick: bool) -> dict:
     return out
 
 
-# -- contention cells (runtime-layer fast paths) -----------------------------
+# -- contention cells (runtime-layer locks) ----------------------------------
 
 
 class _ExactMismatch(RuntimeError):
@@ -281,7 +283,7 @@ def _pickup_heavy_phases(quick: bool) -> list:
 
 
 def run_contention(quick: bool) -> dict:
-    """Time the barrier/pickup-heavy cells hot and exact; require equal CT."""
+    """Time the barrier/pickup-heavy cells; require an equal exact CT."""
     cases = {
         "barrier_heavy_P32": _barrier_heavy_phases(quick),
         "pickup_heavy_P32": _pickup_heavy_phases(quick),
@@ -298,13 +300,7 @@ def run_contention(quick: bool) -> dict:
                 fast = run_phases(list(phases), 32)
                 wall_fast = min(wall_fast, perf_counter() - begin)
         with _fastpaths_off():
-            run_phases(list(phases), 32)  # warm-up on the exact paths too
-            wall_exact = float("inf")
-            with _gc_paused():
-                for _ in range(repeats):
-                    begin = perf_counter()
-                    exact = run_phases(list(phases), 32)
-                    wall_exact = min(wall_exact, perf_counter() - begin)
+            exact = run_phases(list(phases), 32)
         if fast.ct_ns != exact.ct_ns:
             raise _ExactMismatch(
                 f"{name}: fast ct_ns {fast.ct_ns} != exact ct_ns {exact.ct_ns}"
@@ -313,8 +309,6 @@ def run_contention(quick: bool) -> dict:
             "ct_ns": fast.ct_ns,
             "wall_s": round(wall_fast, 4),
             "wall_over_cal": round(wall_fast / cal, 3),
-            "fastpath_off_wall_s": round(wall_exact, 4),
-            "fastpath_speedup": round(wall_exact / wall_fast, 2),
         }
     return out
 
@@ -548,9 +542,8 @@ def main() -> int:
     )
     for cell, figures in report["current"].get("contention", {}).items():
         print(
-            f"contention {cell}: {figures['wall_s']}s hot / "
-            f"{figures['fastpath_off_wall_s']}s exact "
-            f"(x{figures['fastpath_speedup']} fast-path speedup)"
+            f"contention {cell}: {figures['wall_s']}s "
+            f"(x{figures['wall_over_cal']} cal, same ct_ns exact)"
         )
     for cell, figures in report["current"]["cells"].items():
         print(

@@ -35,8 +35,8 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from collections.abc import Callable, Generator, Iterator, Sequence
-from dataclasses import dataclass, field
+from collections.abc import Generator, Iterator, Sequence
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 from repro.analyze.findings import Finding
@@ -49,10 +49,9 @@ from repro.analyze.rules import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.apps.base import AppModel
     from repro.core.runner import PreRunHook, RunResult
-    from repro.hardware.config import CedarConfig
     from repro.hardware.machine import CedarMachine
+    from repro.parallel.executor import CellSpec
     from repro.runtime.library import CedarFortranRuntime
     from repro.sim import Simulator
     from repro.xylem.kernel import XylemKernel
@@ -728,46 +727,37 @@ class RaceReport:
 
 
 def race_model(
-    builder: "Callable[[], AppModel]",
-    name: str,
-    n_processors: int = 8,
-    scale: float = 0.02,
+    spec: "CellSpec",
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
-    os_seed: int = 1994,
     order_capacity: int = 100_000,
-    pre_run_hook: "PreRunHook | None" = None,
-    config: "CedarConfig | None" = None,
 ) -> RaceReport:
-    """Hunt order-dependence hazards in a model by perturbing tie-breaks.
+    """Hunt order-dependence hazards in a cell by perturbing tie-breaks.
 
-    The general engine behind :func:`race_app`: *builder* is any
-    zero-argument callable producing a fresh
-    :class:`~repro.apps.base.AppModel` -- a hand-coded app builder or a
-    compiled scenario's :meth:`~repro.scenario.compiler.CompiledScenario.
-    builder` -- and *config* optionally overrides the machine topology
-    (``None`` keeps the paper configuration for *n_processors*).
+    The general engine behind :func:`race_app`: *spec* is any
+    :class:`~repro.parallel.executor.CellSpec` without a fault campaign
+    -- a named app or a compiled scenario -- and every run goes through
+    :func:`~repro.parallel.executor.run_cell`.
 
     Runs a baseline (natural insertion-order tie-break), then one run
-    per entry of *seeds* with
-    :meth:`~repro.sim.Simulator.perturb_tie_breaks` armed, and compares
+    per entry of *seeds* with the spec's ``tie_break_seed`` set, which
+    arms :meth:`~repro.sim.Simulator.perturb_tie_breaks`, and compares
     :func:`fingerprint_result` byte-for-byte.  The perturbed *schedule*
     legitimately differs -- the permutation is the whole point -- so
     schedule hashes are never asserted equal; they serve only to locate
     the first divergent event when the *results* differ.
 
-    *pre_run_hook* is forwarded to every run; pass
-    :func:`plant_order_hazard` to self-test the detector.
+    Set ``order_hazard`` on *spec* to self-test the detector with
+    :func:`plant_order_hazard`.
     """
     from repro.analyze.sanitize import DeterminismSink
-    from repro.core.runner import run_application
     from repro.obs.hazard import TieBreakAuditSink
     from repro.obs.instrument import Observability
-    from repro.xylem.params import XylemParams
+    from repro.parallel.executor import run_cell
 
     report = RaceReport(
-        app=name,
-        n_processors=n_processors,
-        scale=scale,
+        app=spec.app,
+        n_processors=spec.n_processors,
+        scale=spec.scale,
         seeds=tuple(seeds),
     )
     audit = TieBreakAuditSink()
@@ -781,15 +771,9 @@ def race_model(
             # Audit only the baseline: that is the schedule whose
             # insertion-order decisions the perturbations second-guess.
             extra.append(audit)
-        result = run_application(
-            builder(),
-            n_processors,
-            scale=scale,
-            config=config,
-            os_params=XylemParams(seed=os_seed),
+        result = run_cell(
+            replace(spec, tie_break_seed=tie_break_seed),
             obs=Observability(extra_sinks=extra),
-            pre_run_hook=pre_run_hook,
-            tie_break_seed=tie_break_seed,
         )
         return fingerprint_result(result), sink
 
@@ -827,27 +811,26 @@ def race_app(
     seeds: Sequence[int] = (1, 2, 3, 4, 5),
     os_seed: int = 1994,
     order_capacity: int = 100_000,
-    pre_run_hook: "PreRunHook | None" = None,
+    order_hazard: bool = False,
 ) -> RaceReport:
     """Hunt order-dependence hazards in a *named* app (see
     :func:`race_model`).
 
     Resolves *app* through the builder registry (the five Perfect apps
     plus the synthetic workload) and runs the perturbation campaign on
-    the stock paper configuration.
+    the stock paper configuration; *order_hazard* plants
+    :func:`plant_order_hazard` in every run.
     """
-    from repro.apps import resolve_app
+    from repro.parallel.executor import CellSpec
 
-    return race_model(
-        resolve_app(app),
-        name=app.upper(),
+    spec = CellSpec(
+        app=app.upper(),
         n_processors=n_processors,
         scale=scale,
-        seeds=seeds,
-        os_seed=os_seed,
-        order_capacity=order_capacity,
-        pre_run_hook=pre_run_hook,
+        seed=os_seed,
+        order_hazard=order_hazard,
     )
+    return race_model(spec, seeds=seeds, order_capacity=order_capacity)
 
 
 # ---------------------------------------------------------------------------

@@ -296,26 +296,17 @@ def sanitize_app(
     """Run *app* ``runs`` times under one seed and diff the schedules."""
     if runs < 2:
         raise ValueError(f"need at least 2 runs to compare, got {runs}")
-    from repro.apps import resolve_app
-    from repro.core.runner import run_application
     from repro.obs.instrument import Observability
-    from repro.xylem.params import XylemParams
+    from repro.parallel.executor import CellSpec, run_cell
 
-    builder = resolve_app(app)
+    spec = CellSpec(app=app, n_processors=n_processors, scale=scale, seed=seed)
     report = SanitizeReport(
         app=app.upper(), n_processors=n_processors, scale=scale, seed=seed
     )
     sinks: list[DeterminismSink] = []
     for _ in range(runs):
         sink = DeterminismSink(order_capacity=order_capacity)
-        obs = Observability(extra_sinks=[sink])
-        result = run_application(
-            builder(),
-            n_processors,
-            scale=scale,
-            os_params=XylemParams(seed=seed),
-            obs=obs,
-        )
+        result = run_cell(spec, obs=Observability(extra_sinks=[sink]))
         sinks.append(sink)
         report.digests.append(
             RunDigest(

@@ -81,7 +81,6 @@ from repro.core import (
     render_partial_table,
     resilient_sweep,
     resume_sweep,
-    run_application,
     save_failure_report,
     user_breakdown,
 )
@@ -102,7 +101,6 @@ from repro.obs import (
 )
 from repro.sim import DeadlockSuspected, RunawaySimulation
 from repro.xylem.categories import TimeCategory
-from repro.xylem.params import XylemParams
 
 __all__ = ["CLIError", "main"]
 
@@ -111,15 +109,12 @@ class CLIError(Exception):
     """Bad user input: the CLI prints one line and exits with status 2."""
 
 
-def _app_builder(name: str):
+def _app_name(name: str) -> str:
+    """The canonical (upper-case) name of a paper application."""
     key = name.upper()
     if key not in PAPER_APPS:
         raise CLIError(f"unknown application {name!r}; pick from {list(PAPER_APPS)}")
-    return PAPER_APPS[key]
-
-
-def _os_params(args: argparse.Namespace) -> XylemParams:
-    return XylemParams(seed=args.seed)
+    return key
 
 
 def _write_stats(results, path, registry=None) -> None:
@@ -132,16 +127,22 @@ def _write_stats(results, path, registry=None) -> None:
         print(f"wrote run report to {path}")
 
 
-def _parallel_requested(args: argparse.Namespace) -> bool:
-    return getattr(args, "jobs", 1) != 1 or getattr(args, "cache_dir", None) is not None
-
-
 def _telemetry_requested(args: argparse.Namespace) -> bool:
     return bool(
         getattr(args, "log", None)
         or getattr(args, "perfetto", None)
         or getattr(args, "progress", False)
     )
+
+
+def _exit_cell_failure(failure) -> None:
+    """Report a cell that exhausted its attempts; exit with status 1."""
+    print(
+        f"error: {failure.app} P={failure.n_processors} failed after "
+        f"{failure.attempts} attempt(s): {failure.error_type}: {failure.message}",
+        file=sys.stderr,
+    )
+    raise SystemExit(1)
 
 
 def _durable_options(args: argparse.Namespace):
@@ -241,15 +242,16 @@ def _print_metric_block(registry, prefixes, title: str) -> None:
 
 
 def _resolve_run_workload(args: argparse.Namespace):
-    """``(compiled, builder, app_name, processors, scale, seed)`` for ``run``.
+    """The :class:`~repro.parallel.executor.CellSpec` that ``run`` runs.
 
     The workload comes either from a named built-in application
     (positional ``APP`` or ``--app``) or from a scenario document
     (``--scenario``); processor count, scale and seed fall back to the
     scenario's ``defaults`` section when a scenario supplies them, and
-    to the historical CLI defaults (0.02, 1994) otherwise.  Exactly one
-    of *compiled* / *builder* is non-``None``.
+    to the historical CLI defaults (0.02, 1994) otherwise.
     """
+    from repro.parallel import CellSpec
+
     if args.app is not None and args.app_opt is not None:
         raise CLIError("give the application positionally or via --app, not both")
     app = args.app if args.app is not None else args.app_opt
@@ -261,90 +263,59 @@ def _resolve_run_workload(args: argparse.Namespace):
     if args.scenario is not None:
         if app is not None:
             raise CLIError("--scenario replaces the application; drop APP/--app")
-        from repro.scenario import compile_scenario, load_scenario
+        from repro.scenario import (
+            canonical_scenario_json,
+            compile_scenario,
+            load_scenario,
+        )
 
         doc = load_scenario(args.scenario)
         compiled = compile_scenario(doc)
-        return (
-            compiled,
-            None,
-            doc.name,
-            processors if processors is not None else doc.defaults.n_processors,
-            args.scale if args.scale is not None else doc.defaults.scale,
-            args.seed if args.seed is not None else doc.defaults.seed,
+        processors = processors if processors is not None else doc.defaults.n_processors
+        # A topology that cannot host the run is an input error (exit
+        # 2), reported before any cell runs.
+        compiled.config(processors)
+        return CellSpec(
+            app=doc.name,
+            n_processors=processors,
+            scale=args.scale if args.scale is not None else doc.defaults.scale,
+            seed=args.seed if args.seed is not None else doc.defaults.seed,
+            scenario=canonical_scenario_json(doc),
         )
     if app is None:
         raise CLIError("give an application (APP or --app) or --scenario FILE")
     if processors is None:
         raise CLIError("give a processor count (N_PROC or --p N)")
-    builder = _app_builder(app)
-    return (
-        None,
-        builder,
-        app.upper(),
-        processors,
-        args.scale if args.scale is not None else 0.02,
-        args.seed if args.seed is not None else 1994,
+    return CellSpec(
+        app=_app_name(app),
+        n_processors=processors,
+        scale=args.scale if args.scale is not None else 0.02,
+        seed=args.seed if args.seed is not None else 1994,
     )
 
 
 def _cmd_run(args: argparse.Namespace) -> None:
-    compiled, builder, app_name, processors, scale, seed = _resolve_run_workload(args)
+    import dataclasses
 
-    def run_serial(n_proc: int):
-        if compiled is not None:
-            return compiled.run(n_proc, scale, seed)
-        return run_application(
-            builder(), n_proc, scale=scale, os_params=XylemParams(seed=seed)
-        )
+    from repro.parallel import ResultCache, execute_cells
 
-    telemetry = None
-    if _parallel_requested(args) or _telemetry_requested(args):
-        from repro.parallel import CellSpec, ResultCache, execute_cells
-
-        if _telemetry_requested(args):
-            telemetry = _make_telemetry(args, label=f"run {app_name}")
-        scenario_json = None
-        if compiled is not None:
-            from repro.scenario import canonical_scenario_json
-
-            scenario_json = canonical_scenario_json(compiled.doc)
-        spec = CellSpec(
-            app=app_name,
-            n_processors=processors,
-            scale=scale,
-            seed=seed,
-            scenario=scenario_json,
-        )
-        specs = [spec]
-        if processors > 1:
-            specs.append(
-                CellSpec(
-                    app=app_name,
-                    n_processors=1,
-                    scale=scale,
-                    seed=seed,
-                    scenario=scenario_json,
-                )
-            )
-        cache = ResultCache(args.cache_dir) if args.cache_dir else None
-        cells, failures = execute_cells(
-            specs, jobs=args.jobs, cache=cache, telemetry=telemetry
-        )
-        if failures:
-            failure = failures[0]
-            print(
-                f"error: {failure.app} P={failure.n_processors} failed after "
-                f"{failure.attempts} attempt(s): {failure.error_type}: "
-                f"{failure.message}",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
-        result = cells[specs[0]]
-        base = cells[specs[1]] if processors > 1 else None
-    else:
-        result = run_serial(processors)
-        base = None
+    spec = _resolve_run_workload(args)
+    processors, scale = spec.n_processors, spec.scale
+    specs = [spec]
+    if processors > 1:
+        specs.append(dataclasses.replace(spec, n_processors=1))
+    telemetry = (
+        _make_telemetry(args, label=f"run {spec.app}")
+        if _telemetry_requested(args)
+        else None
+    )
+    cache = ResultCache(args.cache_dir) if args.cache_dir else None
+    cells, failures = execute_cells(
+        specs, jobs=args.jobs, cache=cache, telemetry=telemetry
+    )
+    if failures:
+        _exit_cell_failure(failures[0])
+    result = cells[spec]
     if args.stats:
         _write_stats(result, args.stats)
     print(f"{result.app_name} on {processors} processors (scale {scale})")
@@ -359,9 +330,7 @@ def _cmd_run(args: argparse.Namespace) -> None:
     for name, ns in b.as_dict().items():
         print(f"  {name:14s} {b.fraction(ns):7.2%}")
     if processors > 1:
-        if base is None:
-            base = run_serial(1)
-        row = contention_overhead(result, base)
+        row = contention_overhead(result, cells[specs[1]])
         print(f"\ncontention overhead: {row.ov_cont_pct:.1f} % of CT")
         for task in range(result.config.n_clusters):
             name = "Main" if task == 0 else f"helper{task}"
@@ -382,8 +351,7 @@ def _report_failures(outcome) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    _app_builder(args.app)  # validate
-    app = args.app.upper()
+    app = _app_name(args.app)
     checkpoint, chaos, policy = _durable_options(args)
     telemetry = (
         _make_telemetry(args, label=f"sweep {app}")
@@ -493,9 +461,16 @@ def _cmd_resume(args: argparse.Namespace) -> None:
 def _cmd_trace(args: argparse.Namespace) -> None:
     import dataclasses
 
-    builder = _app_builder(args.app)
-    result = run_application(
-        builder(), args.processors, args.scale, os_params=_os_params(args), iteration_events=True
+    from repro.parallel import CellSpec, run_cell
+
+    result = run_cell(
+        CellSpec(
+            app=_app_name(args.app),
+            n_processors=args.processors,
+            scale=args.scale,
+            seed=args.seed,
+            iteration_events=True,
+        )
     )
     header = {
         "app": result.app_name,
@@ -514,47 +489,32 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
-    builder = _app_builder(args.app)
-    registry = None
-    if _parallel_requested(args) or _telemetry_requested(args):
+    from repro.parallel import CellSpec, ResultCache, execute_cells, run_cell
+
+    spec = CellSpec(
+        app=_app_name(args.app),
+        n_processors=args.processors,
+        scale=args.scale,
+        seed=args.seed,
+    )
+    if args.jobs != 1 or args.cache_dir is not None or _telemetry_requested(args):
         # Through the pool + cache: the run report is built from the
         # campaign registry, so ``parallel.*`` / ``cache.*`` counters
         # (hits, misses, corruption-as-miss, utilization) and the
         # ``campaign.*``-merged worker metrics are part of the output.
-        from repro.parallel import CellSpec, ResultCache, execute_cells
-
-        telemetry = _make_telemetry(args, label=f"stats {args.app.upper()}")
-        spec = CellSpec(
-            app=args.app.upper(),
-            n_processors=args.processors,
-            scale=args.scale,
-            seed=args.seed,
-        )
+        telemetry = _make_telemetry(args, label=f"stats {spec.app}")
         cache = ResultCache(args.cache_dir) if args.cache_dir else None
         cells, failures = execute_cells(
             [spec], jobs=args.jobs, cache=cache, telemetry=telemetry
         )
         if failures:
-            failure = failures[0]
-            print(
-                f"error: {failure.app} P={failure.n_processors} failed after "
-                f"{failure.attempts} attempt(s): {failure.error_type}: "
-                f"{failure.message}",
-                file=sys.stderr,
-            )
-            raise SystemExit(1)
+            _exit_cell_failure(failures[0])
         result = cells[spec]
         registry = telemetry.registry
     else:
         telemetry = None
         obs = Observability()
-        result = run_application(
-            builder(),
-            args.processors,
-            scale=args.scale,
-            obs=obs,
-            os_params=_os_params(args),
-        )
+        result = run_cell(spec, obs=obs)
         registry = obs.registry
     report = build_run_report(result, registry)
     save_report(report, args.output)
@@ -572,10 +532,17 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> None:
-    builder = _app_builder(args.app)
+    from repro.parallel import CellSpec, run_cell
+
     obs = Observability(profile=True)
-    result = run_application(
-        builder(), args.processors, scale=args.scale, obs=obs, os_params=_os_params(args)
+    result = run_cell(
+        CellSpec(
+            app=_app_name(args.app),
+            n_processors=args.processors,
+            scale=args.scale,
+            seed=args.seed,
+        ),
+        obs=obs,
     )
     print(
         f"{result.app_name} on {args.processors} processors: "
@@ -642,10 +609,9 @@ def _cmd_lint(args: argparse.Namespace) -> None:
 
 
 def _cmd_race(args: argparse.Namespace) -> None:
-    from repro.analyze import plant_order_hazard, race_app
+    from repro.analyze import race_app
 
     seeds = tuple(range(1, args.perturbations + 1))
-    hook = plant_order_hazard() if args.self_test else None
     try:
         report = race_app(
             args.app,
@@ -653,7 +619,7 @@ def _cmd_race(args: argparse.Namespace) -> None:
             scale=args.scale,
             seeds=seeds,
             os_seed=args.seed,
-            pre_run_hook=hook,
+            order_hazard=args.self_test,
         )
     except ValueError as exc:
         raise CLIError(str(exc)) from exc
@@ -696,7 +662,7 @@ def _print_fastpath_modes(result: RunResult) -> None:
 def _cmd_inject(args: argparse.Namespace) -> None:
     from repro.faults import CampaignError, load_campaign, run_with_campaign
 
-    _app_builder(args.app)  # validate before the expensive run
+    app = _app_name(args.app)  # validate before the expensive run
     try:
         spec = load_campaign(args.campaign)
     except CampaignError as exc:
@@ -705,7 +671,7 @@ def _cmd_inject(args: argparse.Namespace) -> None:
     try:
         outcome = run_with_campaign(
             spec,
-            args.app.upper(),
+            app,
             args.processors,
             scale=args.scale,
             seed=args.seed,
@@ -767,7 +733,7 @@ def _cmd_campaign(args: argparse.Namespace) -> None:
     apps = spec.apps or ("FLO52",)
     configs = spec.configs or DEFAULT_CONFIGS
     for app in apps:
-        _app_builder(app)
+        _app_name(app)
 
     checkpoint, chaos, policy = _durable_options(args)
     telemetry = (

@@ -13,14 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.apps import resolve_app
 from repro.core.breakdown import ct_breakdown, memory_decomposition
 from repro.core.report import render_table
-from repro.core.runner import RunResult, run_application
-from repro.faults.campaign import CampaignRunOutcome, run_with_campaign
+from repro.core.runner import RunResult
 from repro.faults.spec import CampaignSpec, FaultEvent
 from repro.xylem.categories import TimeCategory
-from repro.xylem.params import XylemParams
 
 __all__ = ["DegradedModeReport", "degraded_campaign", "degraded_mode_experiment"]
 
@@ -49,7 +46,6 @@ class DegradedModeReport:
     #: Rows: [app, mode, CT (s), user %, system %, interrupt %, kspin %,
     #: contention stall %].
     rows: list[list[object]] = field(default_factory=list)
-    outcomes: dict[str, CampaignRunOutcome] = field(default_factory=dict)
 
     HEADERS = (
         "app",
@@ -115,57 +111,36 @@ def degraded_mode_experiment(
 ) -> DegradedModeReport:
     """Run each app healthy and degraded; report the breakdown shift.
 
-    With ``jobs > 1`` or a *cache_dir* the ``2 x len(apps)`` cells run
-    through :func:`repro.parallel.execute_cells` -- healthy and
-    degraded runs in parallel, served from the result cache on warm
-    reruns.  The per-run :attr:`DegradedModeReport.outcomes` (which
-    carry live fault injectors) are only available on the serial path.
+    The ``2 x len(apps)`` cells run through
+    :func:`repro.parallel.execute_cells`: in process with ``jobs == 1``,
+    healthy and degraded runs in parallel otherwise, served from the
+    result cache under *cache_dir* on warm reruns.
     """
+    from repro.parallel import CellSpec, ResultCache, execute_cells
+
     spec = campaign if campaign is not None else degraded_campaign(seed)
     report = DegradedModeReport(
         n_processors=n_processors, scale=scale, seed=seed, campaign=spec
     )
-    if jobs != 1 or cache_dir is not None:
-        from repro.parallel import CellSpec, ResultCache, execute_cells
-
-        specs = {
-            (app, mode): CellSpec(
-                app=app,
-                n_processors=n_processors,
-                scale=scale,
-                seed=seed,
-                campaign=spec if mode == "degraded" else None,
-            )
-            for app in apps
-            for mode in ("healthy", "degraded")
-        }
-        cache = ResultCache(cache_dir) if cache_dir is not None else None
-        cells, failures = execute_cells(
-            list(specs.values()), jobs=jobs, cache=cache
-        )
-        if failures:
-            failure = failures[0]
-            raise RuntimeError(
-                f"degraded-mode cell {failure.app} P={failure.n_processors} "
-                f"failed: {failure.error_type}: {failure.message}"
-            )
-        for app in apps:
-            for mode in ("healthy", "degraded"):
-                report.rows.append(
-                    _breakdown_row(app, mode, cells[specs[(app, mode)]])
-                )
-        return report
-    for app in apps:
-        healthy = run_application(
-            resolve_app(app)(),
-            n_processors,
+    specs = {
+        (app, mode): CellSpec(
+            app=app,
+            n_processors=n_processors,
             scale=scale,
-            os_params=XylemParams(seed=seed),
+            seed=seed,
+            campaign=spec if mode == "degraded" else None,
         )
-        report.rows.append(_breakdown_row(app, "healthy", healthy))
-        outcome = run_with_campaign(
-            spec, app, n_processors, scale=scale, seed=seed
+        for app in apps
+        for mode in ("healthy", "degraded")
+    }
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    cells, failures = execute_cells(list(specs.values()), jobs=jobs, cache=cache)
+    if failures:
+        failure = failures[0]
+        raise RuntimeError(
+            f"degraded-mode cell {failure.app} P={failure.n_processors} "
+            f"failed: {failure.error_type}: {failure.message}"
         )
-        report.outcomes[app] = outcome
-        report.rows.append(_breakdown_row(app, "degraded", outcome.result))
+    for (app, mode), cell in specs.items():
+        report.rows.append(_breakdown_row(app, mode, cells[cell]))
     return report

@@ -18,8 +18,8 @@ the tables are byte-identical whichever route ran them; warm reruns
 skip simulation entirely.
 
 * :class:`~repro.parallel.executor.CellSpec` /
-  :func:`~repro.parallel.executor.run_cell` -- one sweep cell and its
-  execution.
+  :func:`~repro.parallel.executor.run_cell` -- one cell and its
+  execution, the one way the package simulates.
 * :func:`~repro.parallel.executor.execute_cells` -- the executor: cache
   serve, per-cell failure isolation, deterministic-backoff retries,
   health checks, speculation and checkpointing.

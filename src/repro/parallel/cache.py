@@ -10,7 +10,9 @@ on disk.
 Invalidation rules
 ------------------
 * Any change to a key field (app, processor count, scale, seed,
-  campaign spec, statfx interval, watchdog limits) changes the key.
+  campaign spec, statfx interval, watchdog limits, and the diagnostic
+  opt-ins: schedule hashing, iteration events, tie-break seed, planted
+  order hazard) changes the key.
 * A scenario cell additionally keys on the BLAKE2 digest of its
   canonical scenario document -- never on the scenario's display name
   -- so two different documents named alike can never collide.
@@ -131,10 +133,9 @@ def cell_key(spec: CellSpec, code: str | None = None) -> str:
     # display name: two different scenario files that happen to share a
     # name can never collide, and renaming a document without changing
     # its program does not change its key beyond the name field itself.
-    scenario = getattr(spec, "scenario", None)
     scenario_digest = (
-        hashlib.blake2b(scenario.encode("utf-8"), digest_size=16).hexdigest()
-        if scenario is not None
+        hashlib.blake2b(spec.scenario.encode("utf-8"), digest_size=16).hexdigest()
+        if spec.scenario is not None
         else None
     )
     payload = {
@@ -151,6 +152,9 @@ def cell_key(spec: CellSpec, code: str | None = None) -> str:
         "max_events": spec.max_events,
         "max_sim_time": spec.max_sim_time,
         "fingerprint_schedule": spec.fingerprint_schedule,
+        "iteration_events": spec.iteration_events,
+        "tie_break_seed": spec.tie_break_seed,
+        "order_hazard": spec.order_hazard,
         "code": code if code is not None else code_fingerprint(),
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

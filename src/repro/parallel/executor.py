@@ -56,9 +56,9 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from pathlib import Path
 from types import FrameType
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Any
 
-from repro.analyze.race import fingerprint_result
+from repro.analyze.race import fingerprint_result, plant_order_hazard
 from repro.core.resilience import CellFailure
 from repro.core.runner import DEFAULT_SCALE
 from repro.obs.campaign import CellSpan, percentile
@@ -75,7 +75,7 @@ from repro.parallel.durable import (
 from repro.parallel.snapshot import snapshot_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runner import RunResult
+    from repro.core.runner import PreRunHook, RunResult
     from repro.faults.host import HostChaosPlan
     from repro.faults.spec import CampaignSpec
     from repro.obs.campaign import CampaignTelemetry
@@ -120,12 +120,29 @@ class CellSpec:
     #: -- the cache key is derived from the document digest, never the
     #: name.  A plain string keeps the spec hashable and picklable.
     scenario: str | None = None
+    #: Also record the per-iteration pickup and iteration events in the
+    #: trace (the ``trace`` command's full event file).
+    iteration_events: bool = False
+    #: Arm the kernel's tie-break perturbation with this seed (the race
+    #: sanitizer's perturbed runs); ``None`` keeps insertion order.
+    tie_break_seed: int | None = None
+    #: Arm :func:`~repro.analyze.race.plant_order_hazard` (the race
+    #: sanitizer's self-test) after any scenario background traffic.
+    order_hazard: bool = False
 
     def __post_init__(self) -> None:
         if self.scenario is not None and self.campaign is not None:
             raise ValueError(
                 "a cell cannot combine a scenario with a fault campaign: "
                 "express background interference in the scenario document"
+            )
+        diagnostics = (
+            self.iteration_events or self.tie_break_seed is not None or self.order_hazard
+        )
+        if self.campaign is not None and diagnostics:
+            raise ValueError(
+                "a fault-campaign cell takes no iteration_events, "
+                "tie_break_seed or order_hazard"
             )
 
     def key(self) -> str:
@@ -136,8 +153,11 @@ class CellSpec:
 def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
     """Execute one cell and return its detached snapshot.
 
-    Every route of :func:`execute_cells` runs this function, in process
-    or in a pool worker; the routes therefore cannot diverge.  Pass an
+    The one way the package simulates a cell: every route of
+    :func:`execute_cells` runs it, in process or in a pool worker, and
+    so does every command that runs a single cell (``trace``,
+    ``profile``, ``stats``, the race and schedule sanitizers, scenario
+    verification); the routes therefore cannot diverge.  Pass an
     :class:`~repro.obs.instrument.Observability` to keep hold of the
     run's metric registry (the telemetry seam: workers snapshot it into
     their :class:`~repro.obs.campaign.CellSpan`); an opted-in
@@ -148,7 +168,6 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
     sink-free cell on the fast path end to end.
     """
     from repro.analyze.sanitize import DeterminismSink
-    from repro.apps import resolve_app
     from repro.obs.instrument import Observability
 
     sink = DeterminismSink(order_capacity=0) if spec.fingerprint_schedule else None
@@ -156,21 +175,13 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
         obs = Observability()
     if sink is not None and obs is not None:
         obs.extra_sinks.append(sink)
-    if spec.scenario is not None:
-        import json
-
-        from repro.scenario.compiler import compile_scenario
-
-        result = compile_scenario(json.loads(spec.scenario)).run(
-            spec.n_processors,
-            spec.scale,
-            spec.seed,
-            obs=obs,
-            statfx_interval_ns=spec.statfx_interval_ns,
-            max_events=spec.max_events,
-            max_sim_time=spec.max_sim_time,
-        )
-    elif spec.campaign is not None:
+    common = {
+        "statfx_interval_ns": spec.statfx_interval_ns,
+        "obs": obs,
+        "max_events": spec.max_events,
+        "max_sim_time": spec.max_sim_time,
+    }
+    if spec.campaign is not None:
         # Looked up on the package at call time, so a wrapper installed
         # there (a tracer, a test double) sees every call.
         from repro import faults
@@ -181,28 +192,53 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
             spec.n_processors,
             scale=spec.scale,
             seed=spec.seed,
-            obs=obs,
-            statfx_interval_ns=spec.statfx_interval_ns,
-            max_events=spec.max_events,
-            max_sim_time=spec.max_sim_time,
+            **common,
         ).result
     else:
         from repro.core.runner import run_application
         from repro.xylem.params import XylemParams
 
+        background = None
+        if spec.scenario is not None:
+            import json
+
+            from repro.scenario.compiler import compile_scenario
+
+            compiled = compile_scenario(json.loads(spec.scenario))
+            model, config = compiled.model, compiled.config(spec.n_processors)
+            background = compiled.pre_run_hook()
+        else:
+            from repro.apps import resolve_app
+
+            model, config = resolve_app(spec.app)(), None
+        hazard = plant_order_hazard() if spec.order_hazard else None
         result = run_application(
-            resolve_app(spec.app)(),
+            model,
             spec.n_processors,
             scale=spec.scale,
+            config=config,
             os_params=XylemParams(seed=spec.seed),
-            statfx_interval_ns=spec.statfx_interval_ns,
-            obs=obs,
-            max_events=spec.max_events,
-            max_sim_time=spec.max_sim_time,
+            pre_run_hook=_chain(background, hazard),
+            tie_break_seed=spec.tie_break_seed,
+            iteration_events=spec.iteration_events,
+            **common,
         )
     if sink is not None:
         result.schedule_hash = sink.schedule_hash
     return snapshot_result(result)
+
+
+def _chain(*hooks: "PreRunHook | None") -> "PreRunHook | None":
+    """One pre-run hook running the given ones in order (``None`` if none)."""
+    armed = [hook for hook in hooks if hook is not None]
+    if len(armed) < 2:
+        return armed[0] if armed else None
+
+    def chained(*stack: Any) -> None:
+        for hook in armed:
+            hook(*stack)
+
+    return chained
 
 
 def _worker(payload: tuple) -> tuple:

@@ -87,6 +87,9 @@ def spec_to_dict(spec: CellSpec) -> dict:
         "max_sim_time": spec.max_sim_time,
         "fingerprint_schedule": spec.fingerprint_schedule,
         "scenario": spec.scenario,
+        "iteration_events": spec.iteration_events,
+        "tie_break_seed": spec.tie_break_seed,
+        "order_hazard": spec.order_hazard,
     }
 
 
@@ -106,6 +109,9 @@ def spec_from_dict(data: dict) -> CellSpec:
         max_sim_time=data.get("max_sim_time"),
         fingerprint_schedule=bool(data.get("fingerprint_schedule", False)),
         scenario=data.get("scenario"),
+        iteration_events=bool(data.get("iteration_events", False)),
+        tie_break_seed=data.get("tie_break_seed"),
+        order_hazard=bool(data.get("order_hazard", False)),
     )
 
 

@@ -20,13 +20,13 @@ from repro.runtime.loops import LoopConstruct
 from repro.scenario.schema import (
     ScenarioDoc,
     ScenarioError,
+    canonical_scenario_json,
     parse_scenario,
     scenario_digest,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import PreRunHook, RunResult
-    from repro.obs.instrument import Observability
 
 __all__ = ["CompiledScenario", "compile_scenario"]
 
@@ -37,8 +37,8 @@ class CompiledScenario:
     Bundles the validated document with the :class:`AppModel` it
     compiles to, plus the pieces the document adds *around* the model:
     the (possibly overridden) machine configuration and the optional
-    background-traffic hook.  :meth:`run` wires all three into
-    :func:`~repro.core.runner.run_application`.
+    background-traffic hook.  :func:`~repro.parallel.executor.run_cell`
+    wires all three into :func:`~repro.core.runner.run_application`.
     """
 
     def __init__(self, doc: ScenarioDoc, model: AppModel) -> None:
@@ -49,16 +49,6 @@ class CompiledScenario:
     def digest(self) -> str:
         """The canonical-document digest (cache-key ingredient)."""
         return scenario_digest(self.doc)
-
-    def builder(self) -> AppModel:
-        """A fresh :class:`AppModel` for this scenario.
-
-        Matches the signature of the hand-coded app builders
-        (``flo52`` etc.), so a compiled scenario drops into every API
-        that takes a builder -- notably the race sanitizer's
-        :func:`~repro.analyze.race.race_model`.
-        """
-        return compile_scenario(self.doc).model
 
     def config(self, n_processors: int | None = None) -> CedarConfig:
         """The machine configuration for a run at *n_processors*.
@@ -97,48 +87,25 @@ class CompiledScenario:
         n_processors: int | None = None,
         scale: float | None = None,
         seed: int | None = None,
-        *,
-        obs: "Observability | None" = None,
-        statfx_interval_ns: int = 200_000,
-        max_events: int | None = None,
-        max_sim_time: int | None = None,
-        tie_break_seed: int | None = None,
-        pre_run_hook: "PreRunHook | None" = None,
     ) -> "RunResult":
         """Run the compiled scenario (defaults from the document).
 
-        *pre_run_hook*, when given, runs **after** the scenario's own
-        background-traffic hook -- the seam the verification harness
-        uses to stack fault injection on top of scenario traffic.
+        Goes through :func:`~repro.parallel.executor.run_cell`, like
+        every other run, and returns its detached snapshot.
         """
-        from repro.core.runner import run_application
-        from repro.xylem.params import XylemParams
+        from repro.parallel.executor import CellSpec, run_cell
 
-        P = self.doc.defaults.n_processors if n_processors is None else n_processors
-        own_hook = self.pre_run_hook()
-        if own_hook is None or pre_run_hook is None:
-            hook = pre_run_hook if own_hook is None else own_hook
-        else:
-            first, second = own_hook, pre_run_hook
-
-            def hook(sim: Any, machine: Any, kernel: Any, runtime: Any) -> None:
-                first(sim, machine, kernel, runtime)
-                second(sim, machine, kernel, runtime)
-
-        return run_application(
-            self.model,
-            P,
-            scale=self.doc.defaults.scale if scale is None else scale,
-            config=self.config(P),
-            os_params=XylemParams(
-                seed=self.doc.defaults.seed if seed is None else seed
-            ),
-            statfx_interval_ns=statfx_interval_ns,
-            obs=obs,
-            pre_run_hook=hook,
-            max_events=max_events,
-            max_sim_time=max_sim_time,
-            tie_break_seed=tie_break_seed,
+        defaults = self.doc.defaults
+        return run_cell(
+            CellSpec(
+                app=self.doc.name,
+                n_processors=(
+                    defaults.n_processors if n_processors is None else n_processors
+                ),
+                scale=defaults.scale if scale is None else scale,
+                seed=defaults.seed if seed is None else seed,
+                scenario=canonical_scenario_json(self.doc),
+            )
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -23,10 +23,11 @@ ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.scenario.compiler import CompiledScenario, compile_scenario
-from repro.scenario.schema import ScenarioDoc
+from repro.parallel.executor import CellSpec, run_cell
+from repro.scenario.compiler import compile_scenario
+from repro.scenario.schema import ScenarioDoc, canonical_scenario_json
 
 __all__ = ["ScenarioVerification", "verify_scenario"]
 
@@ -72,26 +73,14 @@ class ScenarioVerification:
         return "\n".join(lines)
 
 
-def _serial_fingerprints(
-    compiled: CompiledScenario,
-    n_processors: int,
-    scale: float,
-    seed: int,
-) -> tuple[str, str, str, int]:
-    """One serial run: (payload, digest, schedule hash, ct_ns)."""
+def _serial_fingerprints(spec: CellSpec) -> tuple[str, str, str, int]:
+    """One in-process run: (payload, digest, schedule hash, ct_ns)."""
     from repro.analyze.race import fingerprint_result
-    from repro.analyze.sanitize import DeterminismSink
-    from repro.obs.instrument import Observability
 
-    sink = DeterminismSink(order_capacity=0)
-    result = compiled.run(
-        n_processors,
-        scale,
-        seed,
-        obs=Observability(extra_sinks=[sink]),
-    )
+    result = run_cell(spec)
     fingerprint = fingerprint_result(result)
-    return fingerprint.payload, fingerprint.digest, sink.schedule_hash, result.ct_ns
+    assert result.schedule_hash is not None
+    return fingerprint.payload, fingerprint.digest, result.schedule_hash, result.ct_ns
 
 
 def verify_scenario(
@@ -119,8 +108,16 @@ def verify_scenario(
         name=doc.name, digest=compiled.digest, n_processors=P, scale=sc, seed=sd
     )
 
-    payload_a, digest_a, hash_a, ct_a = _serial_fingerprints(compiled, P, sc, sd)
-    payload_b, digest_b, hash_b, _ = _serial_fingerprints(compiled, P, sc, sd)
+    spec = CellSpec(
+        app=doc.name,
+        n_processors=P,
+        scale=sc,
+        seed=sd,
+        scenario=canonical_scenario_json(doc),
+        fingerprint_schedule=True,
+    )
+    payload_a, digest_a, hash_a, ct_a = _serial_fingerprints(spec)
+    payload_b, digest_b, hash_b, _ = _serial_fingerprints(spec)
     verification.ct_ns = ct_a
     verification.fingerprint = digest_a
     verification.schedule_hash = hash_a
@@ -143,14 +140,7 @@ def verify_scenario(
         from repro.analyze.race import race_model
 
         report = race_model(
-            compiled.builder,
-            name=doc.name,
-            n_processors=P,
-            scale=sc,
-            seeds=race_seeds,
-            os_seed=sd,
-            config=compiled.config(P),
-            pre_run_hook=compiled.pre_run_hook(),
+            replace(spec, fingerprint_schedule=False), seeds=race_seeds
         )
         verification.tie_breaks = report.tie_breaks
         if not report.hazard_free:
@@ -160,44 +150,36 @@ def verify_scenario(
                 )
 
     if parallel_jobs > 0:
-        _check_parallel(verification, doc, P, sc, sd, parallel_jobs, cache_dir)
+        _check_parallel(
+            verification, spec, (digest_a, hash_a), parallel_jobs, cache_dir
+        )
     return verification
 
 
 def _check_parallel(
     verification: ScenarioVerification,
-    doc: ScenarioDoc,
-    n_processors: int,
-    scale: float,
-    seed: int,
+    spec: CellSpec,
+    serial: tuple[str, str],
     jobs: int,
     cache_dir: str | None,
 ) -> None:
-    """Pooled executor + cache must reproduce the serial run.
+    """Pooled executor + cache must reproduce the in-process run.
 
     Byte-identity is asserted on what a run *publishes* -- the
-    :func:`~repro.analyze.race.fingerprint_result` payload (every table
-    and breakdown) and the domain-tagged schedule hash.  The snapshot's
-    ``wall_s`` is host wall-clock and legitimately differs run to run.
+    :func:`~repro.analyze.race.fingerprint_result` digest (every table
+    and breakdown) and the domain-tagged schedule hash -- against
+    *serial*, the pair the first in-process run published.  The
+    snapshot's ``wall_s`` is host wall-clock and legitimately differs
+    run to run.
     """
     from repro.analyze.race import fingerprint_result
     from repro.core.runner import RunResult
     from repro.parallel.cache import ResultCache
-    from repro.parallel.executor import CellSpec, execute_cells, run_cell
-    from repro.scenario.schema import canonical_scenario_json
+    from repro.parallel.executor import execute_cells
 
     def published(snapshot: RunResult) -> tuple[str, str | None]:
         return fingerprint_result(snapshot).digest, snapshot.schedule_hash
 
-    spec = CellSpec(
-        app=doc.name,
-        n_processors=n_processors,
-        scale=scale,
-        seed=seed,
-        scenario=canonical_scenario_json(doc),
-        fingerprint_schedule=True,
-    )
-    serial = published(run_cell(spec))
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     results, failures = execute_cells([spec], jobs=jobs, cache=cache)
     if failures or spec not in results:

@@ -11,11 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analyze import (
-    fingerprint_result,
-    plant_order_hazard,
-    race_app,
-)
+from repro.analyze import fingerprint_result, race_app
 from repro.core.runner import run_application
 from repro.xylem.params import XylemParams
 
@@ -199,7 +195,7 @@ def test_planted_hazard_is_detected():
         n_processors=8,
         scale=SMALL_SCALE,
         seeds=(1, 2, 3),
-        pre_run_hook=plant_order_hazard(),
+        order_hazard=True,
     )
     assert not report.hazard_free
     text = report.format()

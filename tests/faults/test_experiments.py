@@ -1,6 +1,6 @@
 """Tests for the degraded-mode characterization experiment."""
 
-from repro.faults import degraded_campaign, degraded_mode_experiment
+from repro.faults import degraded_campaign, degraded_mode_experiment, run_with_campaign
 
 
 def test_degraded_campaign_shape():
@@ -20,7 +20,9 @@ def test_degraded_mode_experiment_structure():
     healthy_ct, degraded_ct = (row[2] for row in report.rows)
     # The slow bank and the dead CE must cost something.
     assert degraded_ct > healthy_ct
-    outcome = report.outcomes["FLO52"]
+    outcome = run_with_campaign(
+        degraded_campaign(), "FLO52", 4, scale=0.002, seed=1994
+    )
     assert outcome.ledger.injected == 2
 
     rendered = report.render()

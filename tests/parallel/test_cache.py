@@ -72,6 +72,9 @@ def test_distinct_specs_distinct_keys(spec_a, spec_b):
             s, fingerprint_schedule=not s.fingerprint_schedule
         ),
         lambda s: dataclasses.replace(s, campaign=degraded_campaign()),
+        lambda s: dataclasses.replace(s, iteration_events=not s.iteration_events),
+        lambda s: dataclasses.replace(s, tie_break_seed=(s.tie_break_seed or 0) + 1),
+        lambda s: dataclasses.replace(s, order_hazard=not s.order_hazard),
     ],
     ids=[
         "app",
@@ -83,6 +86,9 @@ def test_distinct_specs_distinct_keys(spec_a, spec_b):
         "max_sim_time",
         "fingerprint_schedule",
         "campaign",
+        "iteration_events",
+        "tie_break_seed",
+        "order_hazard",
     ],
 )
 @given(spec=specs)

@@ -8,13 +8,15 @@ happened on every route, and bad inputs fail loudly.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analyze.race import fingerprint_result
 from repro.core.experiments import table1
 from repro.core.resilience import resilient_sweep
 from repro.obs.registry import MetricsRegistry
-from repro.parallel import CellSpec, ResultCache, execute_cells
+from repro.parallel import CellSpec, ResultCache, execute_cells, run_cell
 
 SCALE = 0.002
 SEED = 1994
@@ -126,6 +128,28 @@ def test_default_pooled_cells_run_the_fast_paths():
     assert not failures
     assert results[spec].fastpath_modes == {"statfx": "push"}
     assert results[spec].schedule_hash is None
+
+
+def test_iteration_events_leave_the_published_result_unchanged():
+    """The full per-iteration trace is a diagnostic: the tables never read it."""
+    spec = CellSpec(app="FLO52", n_processors=4, scale=SCALE, seed=SEED)
+    default = run_cell(spec)
+    traced = run_cell(dataclasses.replace(spec, iteration_events=True))
+    assert len(traced.events) > len(default.events)
+    assert fingerprint_result(traced).digest == fingerprint_result(default).digest
+
+
+def test_campaign_cells_reject_the_diagnostic_options():
+    from repro.faults.experiments import degraded_campaign
+
+    spec = CellSpec(app="FLO52", n_processors=4, campaign=degraded_campaign())
+    for option in (
+        {"iteration_events": True},
+        {"tie_break_seed": 1},
+        {"order_hazard": True},
+    ):
+        with pytest.raises(ValueError, match="fault-campaign cell"):
+            dataclasses.replace(spec, **option)
 
 
 def test_empty_specs():

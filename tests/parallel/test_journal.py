@@ -166,9 +166,16 @@ def test_closed_journal_refuses_appends(journal_path):
 
 
 def test_spec_dict_roundtrip_preserves_key():
-    spec = CellSpec(
-        app="OCEAN", n_processors=8, scale=0.01, seed=42, max_events=1000
-    )
-    clone = spec_from_dict(spec_to_dict(spec))
-    assert clone == spec
-    assert clone.key() == spec.key()
+    for spec in (
+        CellSpec(app="OCEAN", n_processors=8, scale=0.01, seed=42, max_events=1000),
+        CellSpec(
+            app="FLO52",
+            n_processors=8,
+            iteration_events=True,
+            tie_break_seed=3,
+            order_hazard=True,
+        ),
+    ):
+        clone = spec_from_dict(spec_to_dict(spec))
+        assert clone == spec
+        assert clone.key() == spec.key()

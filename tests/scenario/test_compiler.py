@@ -71,15 +71,6 @@ def test_pre_run_hook_only_with_background(minimal, rich):
     assert callable(compile_scenario(rich).pre_run_hook())
 
 
-def test_builder_matches_hand_coded_builder_contract():
-    compiled = compile_scenario(export_app("mdg"))
-    assert models_equal(compiled.builder(), PAPER_APPS["MDG"]())
-    # Two calls return equal, independent models (race_model re-builds
-    # the model per perturbation run).
-    first, second = compiled.builder(), compiled.builder()
-    assert first is not second and models_equal(first, second)
-
-
 def test_compiled_run_matches_run_application():
     from repro.analyze.race import fingerprint_result
 
