@@ -9,18 +9,13 @@ Measures three layers (the same layers the fast-path work targets):
 2. **Contention cells** -- barrier-heavy (many short spread loops) and
    pickup-heavy (high-P small-chunk XDOALL) full-stack workloads that
    stress the runtime's arbitrated pickup and finish-barrier locks.
-   Each cell is timed in the default configuration; one untimed run
-   with ``CEDAR_REPRO_FASTPATH=off`` must give the same completion
-   time -- the bench doubles as an end-to-end exactness check.  No
-   exact-path timing is kept: no fast path these cells exercise can
-   be switched off, so the pair would time the same program twice.
+   Each cell is timed in the default configuration.
 3. **Cold sweep cells** -- ``run_cell`` wall time for FLO52/OCEAN at
    P=8 and P=32 (no cache), the end-to-end quantity users feel.  The
-   timed run is sink-free (every fast path hot), and ``loop_wall_s`` is
-   the event-loop time of the same min-wall repeat, so it never exceeds
-   ``wall_s``; the schedule hash is recorded from a separate sink-on
-   run of the same armed program, whose ``ct_ns`` and
-   ``fastpath_modes`` must match the timed run's.
+   timed run is sink-free, and ``loop_wall_s`` is the event-loop time
+   of the same min-wall repeat, so it never exceeds ``wall_s``; the
+   schedule hash is recorded from a separate sink-on run of the same
+   program, whose ``ct_ns`` must match the timed run's.
 
 Contention and sweep cells are timed as the minimum over ``REPEATS``
 runs after one untimed warm-up (the microbenchmark idiom): the minimum
@@ -39,20 +34,10 @@ Usage::
 
     PYTHONPATH=src python scripts/bench_kernel.py [--quick]
         [--output BENCH_kernel.json] [--baseline FILE] [--check FILE]
-    PYTHONPATH=src python scripts/bench_kernel.py --ablate [--output FILE]
-
-``--ablate`` measures only each remaining fast-path layer's marginal
-win: the 25 paper cells at scale 0.02, in ``ABLATE_ROUNDS`` interleaved
-rounds of one sweep with the default policy and one with that layer
-forced exact.  It reports each sweep's summed event-loop wall
-(``RunResult.wall_s``) and refuses (exit 1) unless both policies give
-the same combined :func:`~repro.analyze.race.fingerprint_result` digest.
 
 ``--baseline FILE`` embeds FILE's ``current`` section as the baseline
 and reports speed-up ratios, for one-off comparisons; the committed
-``BENCH_kernel.json`` carries none, because each cell's
-``fastpath_speedup`` is already the like-for-like ratio (same cell,
-same ``ct_ns``, every fast path off).  ``--check FILE`` is the CI regression
+``BENCH_kernel.json`` carries none.  ``--check FILE`` is the CI regression
 gate: exit non-zero if the current normalised micro events/sec fall
 more than ``MAX_REGRESSION`` below FILE's committed value.
 """
@@ -61,9 +46,7 @@ from __future__ import annotations
 
 import argparse
 import gc
-import hashlib
 import json
-import os
 import platform
 import statistics
 import sys
@@ -81,8 +64,10 @@ from repro.sim import Simulator  # noqa: E402
 
 # v1 -> v2: sweep cells split timed (sink-free) from hashed (exact
 # sink-on) runs and grew fastpath-off baselines; new "contention"
-# section with barrier-heavy / pickup-heavy cells.
-SCHEMA = "cedar-repro/bench-kernel/v2"
+# section with barrier-heavy / pickup-heavy cells.  v2 -> v3: the
+# fastpath-off baselines and the per-cell ``fastpath_modes`` went with
+# the only switchable fast path.
+SCHEMA = "cedar-repro/bench-kernel/v3"
 
 #: CI gate: fail when normalised micro events/sec drop below
 #: ``(1 - MAX_REGRESSION)`` of the committed figure.
@@ -99,9 +84,6 @@ REPEATS_QUICK = 3
 #: samples to dodge preemption windows on a time-shared host.
 REPEATS_CELLS = 9
 REPEATS_CELLS_QUICK = 3
-
-#: Interleaved default/exact sweep pairs per ablated layer.
-ABLATE_ROUNDS = 3
 
 
 @contextmanager
@@ -234,24 +216,6 @@ def run_micro(quick: bool) -> dict:
 # -- contention cells (runtime-layer locks) ----------------------------------
 
 
-class _ExactMismatch(RuntimeError):
-    """Fast-path and exact-path runs disagreed -- the bench refuses."""
-
-
-@contextmanager
-def _fastpaths_off():
-    """Force the switchable fast path exact (the kill switch) for a block."""
-    saved = os.environ.get("CEDAR_REPRO_FASTPATH")
-    os.environ["CEDAR_REPRO_FASTPATH"] = "off"
-    try:
-        yield
-    finally:
-        if saved is None:
-            del os.environ["CEDAR_REPRO_FASTPATH"]
-        else:
-            os.environ["CEDAR_REPRO_FASTPATH"] = saved
-
-
 def _barrier_heavy_phases(quick: bool) -> list:
     """Many short skewed spread loops: finish-barrier traffic dominates."""
     n_loops = 12 if quick else 40
@@ -283,7 +247,7 @@ def _pickup_heavy_phases(quick: bool) -> list:
 
 
 def run_contention(quick: bool) -> dict:
-    """Time the barrier/pickup-heavy cells; require an equal exact CT."""
+    """Time the barrier/pickup-heavy cells."""
     cases = {
         "barrier_heavy_P32": _barrier_heavy_phases(quick),
         "pickup_heavy_P32": _pickup_heavy_phases(quick),
@@ -293,22 +257,16 @@ def run_contention(quick: bool) -> dict:
     for name, phases in cases.items():
         cal = _calibration_median_s()
         run_phases(list(phases), 32)  # warm-up
-        wall_fast = float("inf")
+        wall = float("inf")
         with _gc_paused():
             for _ in range(repeats):
                 begin = perf_counter()
-                fast = run_phases(list(phases), 32)
-                wall_fast = min(wall_fast, perf_counter() - begin)
-        with _fastpaths_off():
-            exact = run_phases(list(phases), 32)
-        if fast.ct_ns != exact.ct_ns:
-            raise _ExactMismatch(
-                f"{name}: fast ct_ns {fast.ct_ns} != exact ct_ns {exact.ct_ns}"
-            )
+                result = run_phases(list(phases), 32)
+                wall = min(wall, perf_counter() - begin)
         out[name] = {
-            "ct_ns": fast.ct_ns,
-            "wall_s": round(wall_fast, 4),
-            "wall_over_cal": round(wall_fast / cal, 3),
+            "ct_ns": result.ct_ns,
+            "wall_s": round(wall, 4),
+            "wall_over_cal": round(wall / cal, 3),
         }
     return out
 
@@ -324,8 +282,8 @@ def run_cells(quick: bool) -> dict:
     out = {}
     for app, n_processors in points:
         cal = _calibration_median_s()
-        # Timed run: sink-free, every fast path hot -- the
-        # configuration sweeps actually run in.
+        # Timed run: sink-free -- the configuration sweeps actually
+        # run in.
         timed_spec = CellSpec(
             app=app, n_processors=n_processors, scale=scale, seed=1994
         )
@@ -341,92 +299,22 @@ def run_cells(quick: bool) -> dict:
                     # The loop time of the min-wall repeat, so that
                     # loop_wall_s <= wall_s.
                     wall, loop_wall = elapsed, result.wall_s
-        # Hash run: the determinism sink attached to the same armed
-        # program, so the recorded hash is that of the timed run.
+        # Hash run: the determinism sink attached to the same program,
+        # so the recorded hash is that of the timed run.
         hash_spec = replace(timed_spec, fingerprint_schedule=True)
         hashed = run_cell(hash_spec)
         if hashed.ct_ns != result.ct_ns:
-            raise _ExactMismatch(
+            raise RuntimeError(
                 f"{app} P{n_processors}: sink-free ct_ns {result.ct_ns} != "
                 f"sink-on ct_ns {hashed.ct_ns}"
-            )
-        if hashed.fastpath_modes != result.fastpath_modes:
-            raise _ExactMismatch(
-                f"{app} P{n_processors}: sink-free fastpath_modes "
-                f"{result.fastpath_modes} != sink-on {hashed.fastpath_modes}"
-            )
-        # Baseline: the same sink-free cell with every fast path off.
-        with _fastpaths_off():
-            run_cell(timed_spec)  # warm-up on the exact paths too
-            wall_off = float("inf")
-            with _gc_paused():
-                for _ in range(repeats):
-                    begin = perf_counter()
-                    off = run_cell(timed_spec)
-                    wall_off = min(wall_off, perf_counter() - begin)
-        if off.ct_ns != result.ct_ns:
-            raise _ExactMismatch(
-                f"{app} P{n_processors}: fastpath-off ct_ns {off.ct_ns} != "
-                f"fastpath-on ct_ns {result.ct_ns}"
             )
         out[f"{app}_P{n_processors}"] = {
             "scale": scale,
             "wall_s": round(wall, 4),
             "loop_wall_s": round(loop_wall, 4),
             "wall_over_cal": round(wall / cal, 3),
-            "fastpath_off_wall_s": round(wall_off, 4),
-            "fastpath_speedup": round(wall_off / wall, 2),
             "ct_ns": result.ct_ns,
             "schedule_hash": hashed.schedule_hash,
-            "fastpath_modes": dict(result.fastpath_modes),
-        }
-    return out
-
-
-# -- per-layer ablation ------------------------------------------------------
-
-#: How to force each remaining fast-path layer exact.  The kill switch
-#: governs only the push-mode statfx sampler, so it is that layer's.
-ABLATE_LAYERS = {"statfx": _fastpaths_off}
-
-
-def _paper_sweep() -> tuple[float, str]:
-    """Summed loop wall and combined fingerprint of the 25 paper cells."""
-    from repro.analyze.race import fingerprint_result
-    from repro.core.reference import APPS, CONFIGS
-
-    loop_wall = 0.0
-    digests = []
-    with _gc_paused():
-        for app in APPS:
-            for n_processors in CONFIGS:
-                result = run_cell(CellSpec(app, n_processors, scale=0.02, seed=1994))
-                loop_wall += result.wall_s
-                digests.append(fingerprint_result(result).digest)
-    combined = hashlib.blake2b("".join(digests).encode(), digest_size=16).hexdigest()
-    return loop_wall, combined
-
-
-def run_ablation() -> dict:
-    """Each layer's marginal win over the paper sweep, interleaved."""
-    out = {}
-    for layer, forced_exact in ABLATE_LAYERS.items():
-        default_walls, exact_walls = [], []
-        for _ in range(ABLATE_ROUNDS):
-            wall, default_digest = _paper_sweep()
-            default_walls.append(round(wall, 3))
-            with forced_exact():
-                wall, exact_digest = _paper_sweep()
-            exact_walls.append(round(wall, 3))
-            if exact_digest != default_digest:
-                raise _ExactMismatch(f"{layer} forced exact changed the paper sweep's results")
-        default_s = statistics.median(default_walls)
-        exact_s = statistics.median(exact_walls)
-        out[layer] = {
-            "fingerprint": default_digest,
-            "default_loop_wall_s": default_walls,
-            "exact_loop_wall_s": exact_walls,
-            "marginal_win": round(exact_s / default_s, 2),
         }
     return out
 
@@ -489,11 +377,6 @@ def _ratios(current: dict, baseline: dict) -> dict:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--quick", action="store_true", help="CI-sized run")
-    parser.add_argument(
-        "--ablate",
-        action="store_true",
-        help="measure only each fast-path layer's marginal win over the paper sweep",
-    )
     parser.add_argument("--output", type=Path, default=None, help="write JSON here")
     parser.add_argument(
         "--baseline",
@@ -510,24 +393,6 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    if args.ablate:
-        try:
-            ablation = run_ablation()
-        except _ExactMismatch as mismatch:
-            print(f"ablate: {mismatch}", file=sys.stderr)
-            return 1
-        for layer, figures in ablation.items():
-            print(
-                f"ablate {layer}: loop wall {figures['default_loop_wall_s']}s default / "
-                f"{figures['exact_loop_wall_s']}s exact "
-                f"(x{figures['marginal_win']} marginal win, same fingerprint)"
-            )
-        if args.output is not None:
-            args.output.parent.mkdir(parents=True, exist_ok=True)
-            args.output.write_text(json.dumps({"ablate": ablation}, indent=2) + "\n")
-            print(f"wrote {args.output}")
-        return 0
-
     report = {"current": run_all(args.quick)}
     if args.baseline is not None:
         recorded = json.loads(args.baseline.read_text())
@@ -543,13 +408,10 @@ def main() -> int:
     for cell, figures in report["current"].get("contention", {}).items():
         print(
             f"contention {cell}: {figures['wall_s']}s "
-            f"(x{figures['wall_over_cal']} cal, same ct_ns exact)"
+            f"(x{figures['wall_over_cal']} cal)"
         )
     for cell, figures in report["current"]["cells"].items():
-        print(
-            f"cell {cell}: {figures['wall_s']}s (x{figures['wall_over_cal']} cal, "
-            f"x{figures.get('fastpath_speedup', '?')} vs fastpaths off)"
-        )
+        print(f"cell {cell}: {figures['wall_s']}s (x{figures['wall_over_cal']} cal)")
     for name, value in report.get("ratios", {}).items():
         print(f"ratio {name}: {value}x")
 

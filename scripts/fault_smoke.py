@@ -3,20 +3,17 @@
 
 Runs the bundled tiny campaign (``examples/campaigns/smoke.json``)
 against FLO52 on 4 processors at a small scale, checks that faults were
-actually injected, that the degraded run costs more than a healthy
-one, and that the campaign ran on the push-mode statfx fast path yet
-published the same results as a ``CEDAR_REPRO_FASTPATH=off`` rerun.  Exits
-non-zero on any violation.  Kept fast (a few seconds) so it can gate
+actually injected and reverted, that the degraded run costs more than
+a healthy one, and that the fault metrics were emitted.  Exits non-zero
+on any violation.  Kept fast (a few seconds) so it can gate
 every push.
 """
 
 from __future__ import annotations
 
-import os
 import sys
 from pathlib import Path
 
-from repro.analyze.race import fingerprint_result
 from repro.apps import PAPER_APPS
 from repro.core import run_application
 from repro.faults import load_campaign, run_with_campaign
@@ -38,11 +35,6 @@ def main() -> int:
     obs = Observability()
     outcome = run_with_campaign(spec, APP, P, scale=SCALE, seed=SEED, obs=obs)
     ledger = outcome.ledger
-    os.environ["CEDAR_REPRO_FASTPATH"] = "off"
-    try:
-        exact = run_with_campaign(spec, APP, P, scale=SCALE, seed=SEED)
-    finally:
-        del os.environ["CEDAR_REPRO_FASTPATH"]
 
     checks = [
         ("faults injected", ledger.injected > 0),
@@ -50,12 +42,6 @@ def main() -> int:
         ("every fault applied", ledger.injected == len(spec.faults)),
         ("degraded run costs more", outcome.result.ct_ns > healthy.ct_ns),
         ("faults.injected metric emitted", obs.registry.value("faults.injected") > 0),
-        ("statfx fast path armed", outcome.result.fastpath_modes["statfx"] == "push"),
-        (
-            "fast run fingerprints like the exact rerun",
-            fingerprint_result(outcome.result).digest
-            == fingerprint_result(exact.result).digest,
-        ),
     ]
     failed = [name for name, ok in checks if not ok]
     print(

@@ -68,13 +68,11 @@ status 2 and a one-line ``error:`` message.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
 from repro.apps import PAPER_APPS
 from repro.core import (
-    RunResult,
     contention_overhead,
     ct_breakdown,
     parallel_loop_concurrency,
@@ -320,7 +318,6 @@ def _cmd_run(args: argparse.Namespace) -> None:
         _write_stats(result, args.stats)
     print(f"{result.app_name} on {processors} processors (scale {scale})")
     print(f"completion time: {result.ct_seconds:.1f} s (extrapolated)")
-    _print_fastpath_modes(result)
     print("\ncompletion-time breakdown (main cluster):")
     breakdown = ct_breakdown(result, 0)
     for category in TimeCategory:
@@ -652,13 +649,6 @@ def _cmd_sanitize(args: argparse.Namespace) -> None:
         raise SystemExit(1)
 
 
-def _print_fastpath_modes(result: RunResult) -> None:
-    """Print which implementation served each layer of *result*."""
-    if result.fastpath_modes:
-        modes = " ".join(f"{k}={v}" for k, v in sorted(result.fastpath_modes.items()))
-        print(f"fast paths: {modes}")
-
-
 def _cmd_inject(args: argparse.Namespace) -> None:
     from repro.faults import CampaignError, load_campaign, run_with_campaign
 
@@ -691,7 +681,6 @@ def _cmd_inject(args: argparse.Namespace) -> None:
         f"{spec.name!r} (seed {args.seed})"
     )
     print(f"completion time: {result.ct_seconds:.1f} s (extrapolated)")
-    _print_fastpath_modes(result)
     print(f"faults: {ledger.injected} injected, {ledger.reverted} reverted")
     for record in ledger.records:
         when = f"t={record.applied_ns}ns"
@@ -825,34 +814,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="ISCA'94 Cedar overhead characterization, in simulation",
     )
-    def add_no_fastpath(target, *, trailing: bool) -> None:
-        target.add_argument(
-            "--no-fastpath",
-            action="store_true",
-            # Trailing registrations must not clobber a value the main
-            # parser already parsed (the subparser's default would win
-            # otherwise -- the classic argparse parent/child pitfall).
-            default=argparse.SUPPRESS if trailing else False,
-            help="sample statfx with its exact sampler process instead of "
-            "push mode (sets CEDAR_REPRO_FASTPATH=off for this invocation; "
-            "results are bit-identical either way, see docs/architecture.md)"
-            if not trailing
-            else argparse.SUPPRESS,
-        )
-
-    add_no_fastpath(parser, trailing=False)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    # Accept the switch in either position: ``repro --no-fastpath run
-    # ...`` and ``repro run ... --no-fastpath`` both work.
-    _add_parser = sub.add_parser
-
-    def add_parser(*args_, **kwargs):  # type: ignore[no-untyped-def]
-        command = _add_parser(*args_, **kwargs)
-        add_no_fastpath(command, trailing=True)
-        return command
-
-    sub.add_parser = add_parser  # type: ignore[method-assign]
 
     def add_parallel_flags(command) -> None:
         command.add_argument(
@@ -1182,10 +1144,6 @@ def main(argv: list[str] | None = None) -> None:
     """
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "no_fastpath", False):
-        # The one fast-path switch: push-mode statfx consults this
-        # variable, through repro.sim.policy, when the stack is built.
-        os.environ["CEDAR_REPRO_FASTPATH"] = "off"
     from repro.parallel.durable import CampaignInterrupted
     from repro.parallel.journal import JournalError
     from repro.scenario import ScenarioError

@@ -83,11 +83,11 @@ class RunResult:
     #: ``kernel.*`` metric suffixes emitted by
     #: :mod:`repro.obs.instrument`.
     kernel_stats: dict = field(default_factory=dict)
-    #: Which execution mode each switchable layer ran in: ``statfx`` is
-    #: ``"push"`` or ``"exact"``.  Every mode produces bit-identical
-    #: results by construction; the record exists so run reports and
-    #: regression triage can see which path was active.
-    fastpath_modes: dict = field(default_factory=dict)
+    #: Always ``{"statfx": "push"}``: statfx has one sampler.  Only the
+    #: benchmark harness (``bench/``) reads this field; it goes in the
+    #: benchmark refresh, together with ``hpm.statfx_push_cells`` and
+    #: the ``compiled_loop_active`` stub.
+    fastpath_modes: dict = field(default_factory=lambda: {"statfx": "push"})
 
     #: Lazily-filled cache used by the analysis helpers.
     _cache: dict = field(default_factory=dict, repr=False)
@@ -229,7 +229,6 @@ def run_phases(
             "pool.timeouts_reused": sim.timeouts_reused,
             "pool.ticks_rearmed": sim.ticks_rearmed,
         },
-        fastpath_modes={"statfx": statfx.mode or "exact"},
     )
     if obs is not None:
         obs.collect(result)

@@ -98,11 +98,10 @@ class FaultInjector:
     def arm(self) -> None:
         """Spawn one injection process per scheduled fault (idempotent).
 
-        Arming disables no fast path: push-mode ``statfx`` reads only
-        the activity board, which every fault kind reaches through code
-        both sampler modes share, so a campaign publishes the same
-        results either way (docs/fault-injection.md, "Fast paths under
-        faults").
+        Arming disables no fast path: ``statfx`` reads only the activity
+        board, which every fault kind reaches through ``set_active`` /
+        ``set_idle`` like any other run (docs/fault-injection.md, "Fast
+        paths under faults").
         """
         if self._armed:
             return

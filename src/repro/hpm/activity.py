@@ -31,53 +31,25 @@ class ActivityBoard:
         self._since = [0] * n
         self._busy_ns = [0] * n
         # Incrementally maintained counts: the statfx sampler reads the
-        # per-cluster count every sampling tick, so recounting the list
-        # there would be O(CEs) per tick on the hottest observer path.
+        # per-cluster counts before every flip, so recounting the list
+        # there would be O(CEs) per flip on the hottest observer path.
         self._cluster_active = [0] * config.n_clusters
         self._total_active = 0
         # Pre-mutation watch hook (see watch()): called before every
         # effective flip is applied, so an observer can account for the
         # counts as they stood at the start of the current tick.
         self._watch: Callable[[], None] | None = None
-        self._snap = [0] * config.n_clusters
-        self._snap_t = -1
 
     def watch(self, fn: Callable[[], None] | None) -> None:
         """Install *fn* to run before every effective activity flip.
 
         This is the seam that makes sampling order-free: a sampler that
-        wants "counts as of the start of tick t" can be told about the
+        wants "counts as of the start of tick t" is told about the
         pre-mutation state before the first flip of the tick lands,
         regardless of how same-tick events happen to be ordered.  The
-        push-mode ``statfx`` sampler accrues its whole sample sum here;
-        the exact sampler uses :meth:`watch_snapshots` instead.
+        ``statfx`` sampler accrues its whole sample sum here.
         """
         self._watch = fn
-
-    def watch_snapshots(self) -> None:
-        """Keep a start-of-tick snapshot of the per-cluster counts.
-
-        After this, :meth:`start_of_tick_active` answers with the
-        counts as they stood before the current tick's first flip.
-        """
-        self._watch = self._take_snapshot
-
-    def _take_snapshot(self) -> None:
-        now = self.sim.now
-        if now != self._snap_t:
-            self._snap_t = now
-            self._snap[:] = self._cluster_active
-
-    def start_of_tick_active(self, cluster_id: int) -> int:
-        """Active count in *cluster_id* as of the start of this tick.
-
-        Requires :meth:`watch_snapshots`; falls back to the live count
-        when no flip has happened yet in the current tick (the live
-        value *is* the start-of-tick value then).
-        """
-        if self._snap_t == self.sim.now:
-            return self._snap[cluster_id]
-        return self._cluster_active[cluster_id]
 
     def set_active(self, ce_id: int) -> None:
         """Mark a CE as actively computing."""

@@ -11,39 +11,23 @@ Sampling semantics
 A sample at tick ``k * interval_ns`` reads the activity counts **as of
 the start of that tick** -- before any same-tick activity flip is
 applied.  This convention is order-free: it does not depend on how the
-kernel happens to interleave same-tick events, which is what lets the
-monitor run in either of two modes with identical sums:
+kernel happens to interleave same-tick events.
 
-``exact``
-    A sampler process wakes every interval (one recycled Timeout per
-    tick) and reads the board's start-of-tick counts, which the board
-    maintains via a pre-mutation snapshot hook
-    (:meth:`repro.hpm.activity.ActivityBoard.watch_snapshots`).
-
-``push``
-    No sampler process at all.  The board's pre-mutation watch hook
-    calls back into the monitor before every effective activity flip;
-    since counts are constant between flips, the monitor multiplies the
-    standing counts by the number of sample ticks that elapsed.  This
-    removes the single hottest event source in dense-sampling runs
-    (one wake per 200 us of simulated time) while producing the exact
-    sampler's sums and sample counts to the bit.
-
-Push mode is the one fast path ``CEDAR_REPRO_FASTPATH`` governs.  It
-arms whenever the policy allows it
-(:func:`repro.sim.policy.fastpath_policy`), trace sinks, tie-break
-perturbation and fault campaigns included; the exact sampler serves
-``CEDAR_REPRO_FASTPATH=off`` runs and is the reference the push mode
-is checked against.
+There is no sampler process.  The board's pre-mutation watch hook
+(:meth:`repro.hpm.activity.ActivityBoard.watch`) calls back into the
+monitor before every effective activity flip; since the counts are
+constant between flips, the monitor credits every sample tick that
+elapsed since the last flip with the standing counts at once.  The
+sums and the sample count are exactly those of a process that woke
+every interval, without its wake per tick (one per 200 us of simulated
+time).  ``tests/hpm/test_statfx_oracle.py`` checks them against such a
+tick-by-tick sampler.
 """
 
 from __future__ import annotations
 
-from collections.abc import Generator
-
 from repro.hpm.activity import ActivityBoard
 from repro.sim import Simulator
-from repro.sim.policy import fastpath_policy
 
 __all__ = ["Statfx"]
 
@@ -71,28 +55,10 @@ class Statfx:
         self._samples = 0
         n_clusters = board.config.n_clusters
         self._sums = [0] * n_clusters
-        self._process = None
-        #: ``"push"`` or ``"exact"`` once started, ``None`` before.
-        self.mode: str | None = None
 
     def start(self) -> None:
-        """Begin sampling (idempotent).
-
-        Chooses the mode once, here: push accrual when the fast-path
-        policy allows it, the exact sampler process otherwise.
-        """
-        if self.mode is not None:
-            return
-        sim = self.sim
-        if fastpath_policy():
-            self.mode = "push"
-            self.board.watch(self._accrue)
-        else:
-            self.mode = "exact"
-            self.board.watch_snapshots()
-            self._process = sim.process(self._sample_loop(), name="statfx")
-
-    # -- push mode ---------------------------------------------------------
+        """Begin sampling (idempotent)."""
+        self.board.watch(self._accrue)
 
     def _accrue(self) -> None:
         """Credit all sample ticks up to ``sim.now`` with the standing
@@ -102,7 +68,7 @@ class Statfx:
         constant since the previous flip, so every sample tick in
         ``(samples * interval, now]`` saw exactly these values -- and a
         sample tick coinciding with ``now`` is credited the
-        start-of-tick counts, matching the exact convention.
+        start-of-tick counts.
         """
         k = self.sim.now // self.interval_ns
         n = k - self._samples
@@ -113,34 +79,17 @@ class Statfx:
                 sums[cluster_id] += counts[cluster_id] * n
             self._samples = k
 
-    def _settle(self) -> None:
-        """Accrue pending push-mode samples before an accessor reads."""
-        if self.mode == "push":
-            self._accrue()
-
-    # -- exact mode --------------------------------------------------------
-
-    def _sample_loop(self) -> Generator:
-        # Direct-delay yield: the kernel re-arms one recycled Timeout
-        # per tick, so dense sampling costs no allocation.
-        board = self.board
-        while True:
-            yield self.interval_ns
-            for cluster_id in range(board.config.n_clusters):
-                self._sums[cluster_id] += board.start_of_tick_active(cluster_id)
-            self._samples += 1
-
     # -- accessors ---------------------------------------------------------
 
     @property
     def samples(self) -> int:
-        """Samples taken so far (push mode settles lazily)."""
-        self._settle()
+        """Samples taken so far (accrued lazily, up to ``sim.now``)."""
+        self._accrue()
         return self._samples
 
     def cluster_concurrency(self, cluster_id: int) -> float:
         """Sampled average concurrency on one cluster."""
-        self._settle()
+        self._accrue()
         if self._samples == 0:
             return 0.0
         return self._sums[cluster_id] / self._samples

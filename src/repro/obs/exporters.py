@@ -84,7 +84,6 @@ def build_run_report(
         "ct_ns": result.ct_ns,
         "ct_seconds": result.ct_seconds,
         "wall_s": result.wall_s,
-        "fastpath_modes": dict(result.fastpath_modes),
         "n_trace_events": len(result.events),
         "metrics": registry.snapshot(),
     }

@@ -30,11 +30,10 @@ byte-identical tables.  Every attempt's
 :class:`~repro.obs.campaign.CellSpan` carries the result fingerprint
 (:func:`~repro.analyze.race.fingerprint_result`), so equivalence is
 checkable across serial, pooled, cached and resumed runs.  Cells run
-sink-free, with every fast path armed; ``CellSpec(fingerprint_schedule=
-True)`` opts a diagnostic cell into a
-:class:`~repro.analyze.sanitize.DeterminismSink` schedule hash on
-``result.schedule_hash`` (the fast paths stay armed, so the hash is
-that of the program a default run executes).
+sink-free; ``CellSpec(fingerprint_schedule=True)`` opts a diagnostic
+cell into a :class:`~repro.analyze.sanitize.DeterminismSink` schedule
+hash on ``result.schedule_hash`` (the sink changes no model code, so
+the hash is that of the program a default run executes).
 
 Telemetry: pass a :class:`~repro.obs.campaign.CampaignTelemetry` and
 every submit, cache hit, attempt, retry and recovery is logged as it
@@ -111,7 +110,7 @@ class CellSpec:
     max_sim_time: int | None = None
     #: Attach a :class:`~repro.analyze.sanitize.DeterminismSink` and
     #: record the schedule hash on the result.  Diagnostic opt-in: the
-    #: sink costs event-loop dispatch but leaves every fast path armed.
+    #: sink costs event-loop dispatch but changes no model code.
     fingerprint_schedule: bool = False
     #: Canonical scenario JSON (see
     #: :func:`repro.scenario.schema.canonical_scenario_json`) when this

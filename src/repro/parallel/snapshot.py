@@ -39,9 +39,9 @@ channels: a pool worker collects its metrics from the *snapshot*-bound
 ``Observability`` registry and ships them inside a
 :class:`~repro.obs.campaign.CellSpan` *beside* the result, so the
 snapshot the coordinator caches and tabulates is byte-identical whether
-telemetry was on or off.  ``wall_s``, ``schedule_hash``,
-``kernel_stats`` and ``fastpath_modes`` ride on the snapshot itself;
-the first three are the only fields the span reads back out of it.
+telemetry was on or off.  ``wall_s``, ``schedule_hash`` and
+``kernel_stats`` ride on the snapshot itself, and are the only fields
+the span reads back out of it.
 """
 
 from __future__ import annotations
@@ -288,5 +288,4 @@ def snapshot_result(result: RunResult) -> RunResult:
         wall_s=result.wall_s,
         schedule_hash=result.schedule_hash,
         kernel_stats=dict(result.kernel_stats),
-        fastpath_modes=dict(result.fastpath_modes),
     )

@@ -50,8 +50,6 @@ def test_inject_smoke(tmp_path, capsys):
     assert "under campaign 'cli-tiny'" in out
     assert "faults: 1 injected" in out
     assert "bank_slow" in out
-    # A campaign keeps the statfx fast path armed, and says so.
-    assert "statfx=push" in out.split("fast paths: ", 1)[1].splitlines()[0]
     assert "completion-time breakdown" in out
     assert "faults.injected" in out
 

@@ -144,6 +144,14 @@ def test_statfx_start_idempotent():
     sim, board = make_board(8)
     statfx = Statfx(sim, board, interval_ns=10)
     statfx.start()
-    first = statfx._process
     statfx.start()
-    assert statfx._process is first
+
+    def proc(sim):
+        board.set_active(0)
+        yield sim.timeout(100)
+        board.set_idle(0)
+
+    sim.process(proc(sim))
+    sim.run()
+    assert statfx.samples == 10
+    assert statfx.cluster_concurrency(0) == 1.0

@@ -1,11 +1,9 @@
-"""Strictly-sequential children run inline on every path.
+"""Strictly-sequential children run inline.
 
 A child its caller awaits at once -- process creation, a page touch or
 page sweep, a critical section, a CPI gather, a context switch, a system
-call, a memory burst, an execute slice -- runs by ``yield from`` whatever
-``CEDAR_REPRO_FASTPATH`` says.  So the kill switch starts no process for
-one, and it moves neither the completion time nor the Xylem time
-accounting.
+call, a memory burst, an execute slice -- runs by ``yield from``, so a
+run starts no process for one.
 """
 
 from __future__ import annotations
@@ -88,23 +86,16 @@ def _accounting(result) -> dict:
     }
 
 
-def test_kill_switch_spawns_no_sequential_child(monkeypatch):
-    monkeypatch.delenv("CEDAR_REPRO_FASTPATH", raising=False)
-    default, _ = _run()
-    monkeypatch.setenv("CEDAR_REPRO_FASTPATH", "off")
-    exact, profiler = _run()
+def test_default_run_spawns_no_sequential_child():
+    result, profiler = _run()
 
     started = {record.key for record in profiler.records.values() if record.spawns}
     assert not started & FORMER_CHILD_NAMES
-    assert exact.fastpath_modes == {"statfx": "exact"}
 
     # Not vacuous: every kind of child ran.
-    stats = exact.fault_stats
+    stats = result.fault_stats
     assert stats.sequential > 0 and stats.concurrent > 0
     assert "vm-cpi" in started
-    totals = {name: sum(per_cluster) for name, per_cluster in _accounting(exact).items()}
+    totals = {name: sum(per_cluster) for name, per_cluster in _accounting(result).items()}
     for activity in ("CTX", "CPI", "CRSECT_CLUSTER", "SYSCALL_CLUSTER", "PGFLT_CONCURRENT"):
         assert totals[activity] > 0, activity
-
-    assert exact.ct_ns == default.ct_ns
-    assert _accounting(exact) == _accounting(default)
