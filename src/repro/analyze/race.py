@@ -593,8 +593,7 @@ def fingerprint_result(result: "RunResult") -> ResultFingerprint:
     accounting = result.accounting
     n_clusters = result.config.n_clusters
     faults = result.fault_stats
-    ledger = result.machine.mem_ledger
-    statfx = result.statfx
+    ledger = result.mem_ledger
     loops = loop_index(result)
     payload: dict[str, object] = {
         "ct_ns": result.ct_ns,
@@ -631,16 +630,16 @@ def fingerprint_result(result: "RunResult") -> ResultFingerprint:
             "scalar_round_trip_ns": ledger.scalar_round_trip_ns,
         },
         "statfx": {
-            "samples": statfx.samples,
+            "samples": result.statfx_samples,
             "concurrency": [
-                statfx.cluster_concurrency(cluster) for cluster in range(n_clusters)
+                result.cluster_concurrency(cluster) for cluster in range(n_clusters)
             ],
         },
         "loops": {
             "regions": {str(task): spans for task, spans in loops.regions.items()},
             "mc_spans": loops.mc_spans,
         },
-        "summary": {"/".join(map(str, key)): v for key, v in result.hpm.summary.items()},
+        "summary": {"/".join(map(str, key)): v for key, v in result.hpm_summary.items()},
         "user_time": [b.as_dict() for b in user_breakdowns(result)],
     }
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))

@@ -473,7 +473,7 @@ def _cmd_trace(args: argparse.Namespace) -> None:
         "app": result.app_name,
         "n_processors": result.config.n_processors,
         "scale": result.scale,
-        "seed": result.kernel.params.seed,
+        "seed": result.os_params.seed,
         "ct_ns": result.ct_ns,
         "config": dataclasses.asdict(result.config),
     }
@@ -650,32 +650,32 @@ def _cmd_sanitize(args: argparse.Namespace) -> None:
 
 
 def _cmd_inject(args: argparse.Namespace) -> None:
-    from repro.faults import CampaignError, load_campaign, run_with_campaign
+    from repro.faults import CampaignError, load_campaign
+    from repro.parallel import CellSpec, run_cell
 
     app = _app_name(args.app)  # validate before the expensive run
     try:
         spec = load_campaign(args.campaign)
     except CampaignError as exc:
         raise CLIError(str(exc)) from exc
+    cell = CellSpec(
+        app=app,
+        n_processors=args.processors,
+        scale=args.scale,
+        seed=args.seed,
+        campaign=spec,
+        max_events=args.max_events,
+        max_sim_time=args.max_sim_time,
+    )
     obs = Observability()
     try:
-        outcome = run_with_campaign(
-            spec,
-            app,
-            args.processors,
-            scale=args.scale,
-            seed=args.seed,
-            obs=obs,
-            max_events=args.max_events,
-            max_sim_time=args.max_sim_time,
-        )
+        result = run_cell(cell, obs)
     except (RunawaySimulation, DeadlockSuspected) as exc:
         # A tripped watchdog is a *finding* about the campaign, not an
         # operator error: report it cleanly and exit 1 (not 2).
         print(f"aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
         raise SystemExit(1) from exc
-    result = outcome.result
-    ledger = outcome.ledger
+    ledger = result.fault_ledger
     print(
         f"{result.app_name} on {args.processors} processors under campaign "
         f"{spec.name!r} (seed {args.seed})"

@@ -160,7 +160,7 @@ def memory_decomposition(result: RunResult) -> MemoryDecomposition:
     the same source the ``repro.obs`` metrics collector uses for its
     ``memory.cluster*`` series, so the two views agree by construction.
     """
-    ledger = result.machine.mem_ledger
+    ledger = result.mem_ledger
     n = result.config.n_clusters
     return MemoryDecomposition(
         busy_ns=list(ledger.busy_ns),
@@ -177,17 +177,17 @@ def user_breakdowns(result: RunResult) -> tuple[UserTimeBreakdown, ...]:
     ns and divided once.  An interval still open at the end closes at the
     end's quantised timestamp, as its close would have been recorded, so
     whether a helper's last same-instant wake-up ran before the run
-    stopped does not matter.  Cached, and carried by a pickled snapshot.
+    stopped does not matter.  Cached, and carried by a pickled result.
     """
     cached = result._cache.get("user_breakdowns")
     if cached is None:
         totals: list[Counter[str]] = [Counter() for _ in range(result.config.n_clusters)]
-        end_ns = result.ct_ns - result.ct_ns % result.hpm.resolution_ns
+        end_ns = result.ct_ns - result.ct_ns % result.hpm_resolution_ns
         pairs = pair_events(result.events.rows(), end_ns)
         for (etype, start, _, task, _), close_ns in pairs:
             if etype in _TRACED:
                 totals[task][_TRACED[etype]] += close_ns - start
-        for (task, kind, construct), (_, ns) in result.hpm.summary.items():
+        for (task, kind, construct), (_, ns) in result.hpm_summary.items():
             flat = construct == LoopConstruct.XDOALL.value
             if kind == "pickup":
                 totals[task]["pickup_xdoall_ns" if flat else "pickup_sdoall_ns"] += ns

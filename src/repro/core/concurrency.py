@@ -123,10 +123,10 @@ def parallel_fraction(result: RunResult, task_id: int) -> float:
 
 def average_concurrency(result: RunResult, cluster_id: int) -> float:
     """statfx-measured average concurrency of one cluster."""
-    value = result.statfx.cluster_concurrency(cluster_id)
+    value = result.cluster_concurrency(cluster_id)
     if value == 0.0:
         # Sparse sampling fallback: the exact time-weighted board value.
-        value = result.board.mean_concurrency(cluster_id)
+        value = result.mean_concurrency(cluster_id)
     return value
 
 

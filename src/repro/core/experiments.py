@@ -2,10 +2,9 @@
 
 Each ``table*``/``figure*`` function consumes :class:`RunResult`
 objects keyed by application and processor count -- the
-``results`` of a :func:`repro.core.resilience.resilient_sweep`, whose
-cells are snapshots -- and returns both structured rows and a
-rendered text table, side by side with the paper's published values
-from :mod:`repro.core.reference`.
+``results`` of a :func:`repro.core.resilience.resilient_sweep` -- and
+returns both structured rows and a rendered text table, side by side
+with the paper's published values from :mod:`repro.core.reference`.
 """
 
 from __future__ import annotations

@@ -3,8 +3,12 @@
 Assembles the full stack -- simulator, machine, Xylem kernel, cedarhpm
 monitor, activity board, statfx sampler, runtime library -- runs the
 program in a dedicated single-user setting (only the target application
-and the OS, as in the paper), and returns a :class:`RunResult` carrying
-everything the analysis modules need.
+and the OS, as in the paper), and returns a :class:`RunResult`: the
+run's measured record, harvested from the stack once the event loop
+stops.  The record holds plain data only, so the same object feeds the
+tables, crosses a process pool and lives in the result cache; the stack
+itself is dropped.  A caller that needs the live stack (a fault
+injector, a test probing internals) gets it through *pre_run_hook*.
 """
 
 from __future__ import annotations
@@ -15,22 +19,24 @@ from typing import TYPE_CHECKING
 
 from repro.apps.base import AppModel
 from repro.hardware.config import CedarConfig, paper_configuration
-from repro.hardware.machine import CedarMachine
+from repro.hardware.machine import CedarMachine, MemoryLedger
 from repro.hpm.activity import ActivityBoard
 from repro.hpm.events import EventList
 from repro.hpm.monitor import CedarHpm
 from repro.hpm.statfx import Statfx
 from repro.obs.hostclock import WallTimer
-from repro.runtime.library import CedarFortranRuntime
+from repro.runtime.library import CedarFortranRuntime, RuntimeStats
 from repro.runtime.loops import Phase
 from repro.runtime.params import RuntimeParams
 from repro.sim import Simulator
 from repro.xylem.accounting import TimeAccounting
 from repro.xylem.kernel import XylemKernel
+from repro.xylem.locks import KernelLock
 from repro.xylem.params import XylemParams
 from repro.xylem.vm import FaultStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.faults.injector import FaultLedger
     from repro.obs.instrument import Observability
 
 __all__ = ["PreRunHook", "RunResult", "run_application", "run_phases"]
@@ -48,7 +54,11 @@ DEFAULT_SCALE = 0.02
 
 @dataclass
 class RunResult:
-    """Everything measured during one application run."""
+    """Everything measured during one application run.
+
+    Plain, picklable data only: the values every table, figure and
+    metrics collector reads, harvested once when the event loop stops.
+    """
 
     app_name: str
     config: CedarConfig
@@ -58,18 +68,38 @@ class RunResult:
     #: Simulated completion time in nanoseconds (not extrapolated).
     ct_ns: int
     #: The off-loaded cedarhpm trace buffer: the monitor's own columnar
-    #: :class:`~repro.hpm.events.EventList`, the same object on a live
-    #: run, its snapshot and a pickled copy (as ``hpm.events``).
+    #: :class:`~repro.hpm.events.EventList`.
     events: EventList
     accounting: TimeAccounting
     fault_stats: FaultStats
-    statfx: Statfx
-    board: ActivityBoard
-    machine: CedarMachine
-    kernel: XylemKernel
-    runtime: CedarFortranRuntime
-    #: The cedarhpm monitor itself (resolution, trace buffer, summary).
-    hpm: CedarHpm
+    #: The Xylem OS parameters of the run (``os_params.seed`` seeds the
+    #: OS jitter stream).
+    os_params: XylemParams
+    #: The machine's global-memory ledger.
+    mem_ledger: MemoryLedger
+    #: The runtime library's protocol counters.
+    runtime_stats: RuntimeStats
+    #: statfx: samples taken and each cluster's sum of sampled counts.
+    statfx_samples: int
+    statfx_sums: tuple[int, ...]
+    #: Activity board: each CE's active time over the run.
+    ce_busy_ns: tuple[int, ...]
+    #: Streaming-CE load tracker: high-water marks (machine-wide and per
+    #: cluster) and the time-weighted mean.
+    load_high_water: int
+    cluster_load_high_water: tuple[int, ...]
+    load_mean: float
+    #: Per-cluster CC-bus ``(dispatches, synchronisations)``.
+    ccbus: tuple[tuple[int, int], ...]
+    #: Kernel locks' ``(acquisitions, contended acquisitions)``: the
+    #: global lock and each cluster lock.
+    global_lock: tuple[int, int]
+    cluster_locks: tuple[tuple[int, int], ...]
+    #: The cedarhpm monitor's timestamp resolution and its pickup and
+    #: iteration summary, ``[intervals, ns]`` by ``(task, kind,
+    #: construct)``.
+    hpm_resolution_ns: int
+    hpm_summary: dict
     #: Host wall-clock seconds spent inside the event loop.
     wall_s: float = 0.0
     #: Domain-tagged BLAKE2 digest of the processed-event order, filled
@@ -83,6 +113,9 @@ class RunResult:
     #: ``kernel.*`` metric suffixes emitted by
     #: :mod:`repro.obs.instrument`.
     kernel_stats: dict = field(default_factory=dict)
+    #: The fault injector's ledger of a fault-campaign run (``None``
+    #: for a healthy run).  Not part of the result fingerprint.
+    fault_ledger: "FaultLedger | None" = None
     #: Always ``{"statfx": "push"}``: statfx has one sampler.  Only the
     #: benchmark harness (``bench/``) reads this field; it goes in the
     #: benchmark refresh, together with ``hpm.statfx_push_cells`` and
@@ -112,8 +145,35 @@ class RunResult:
             return 0.0
         return ns / self.ct_ns
 
+    def cluster_concurrency(self, cluster_id: int) -> float:
+        """statfx-sampled average concurrency on one cluster."""
+        if self.statfx_samples == 0:
+            return 0.0
+        return self.statfx_sums[cluster_id] / self.statfx_samples
+
+    def total_concurrency(self) -> float:
+        """Sum of per-cluster sampled concurrencies (the paper's value)."""
+        return sum(
+            self.cluster_concurrency(c) for c in range(len(self.statfx_sums))
+        )
+
+    def mean_concurrency(self, cluster_id: int | None = None) -> float:
+        """Exact time-weighted average active-CE count over the run.
+
+        Restricted to one cluster when *cluster_id* is given, otherwise
+        over the whole machine.  The loop stops when the program ends,
+        so the completion time is the board's end time.
+        """
+        if self.ct_ns == 0:
+            return 0.0
+        busy = self.ce_busy_ns
+        if cluster_id is not None:
+            per = self.config.ces_per_cluster
+            busy = busy[cluster_id * per : (cluster_id + 1) * per]
+        return sum(busy) / self.ct_ns
+
     def __getstate__(self) -> dict:
-        """Pickle state: a snapshot carries what its tables read, nothing else.
+        """Pickle state: the record carries what its tables read.
 
         Tables 3 and 4 read a run's trace only through
         :func:`~repro.core.concurrency.loop_index`, and Figures 5-9
@@ -125,28 +185,14 @@ class RunResult:
         """
         from repro.core.breakdown import user_breakdowns
         from repro.core.concurrency import loop_index
-        from repro.parallel.snapshot import is_snapshot
 
         carried = {}
-        if is_snapshot(self):
-            try:
-                carried["loop_index"] = loop_index(self)
-                carried["user_breakdowns"] = user_breakdowns(self)
-            except ValueError:
-                pass
+        try:
+            carried["loop_index"] = loop_index(self)
+            carried["user_breakdowns"] = user_breakdowns(self)
+        except ValueError:
+            pass
         return {**self.__dict__, "_cache": carried}
-
-    def portable(self) -> "RunResult":
-        """A detached, picklable copy of this result.
-
-        Convenience wrapper over
-        :func:`repro.parallel.snapshot.snapshot_result`: the copy can
-        cross a process boundary or live in the on-disk result cache,
-        and answers every analysis/metrics query identically.
-        """
-        from repro.parallel.snapshot import snapshot_result
-
-        return snapshot_result(self)
 
 
 def run_phases(
@@ -186,7 +232,7 @@ def run_phases(
     seed.  Used by the ``cedar-repro race`` sanitizer.
 
     *iteration_events* also records the per-iteration pickup and
-    iteration events; the analysis reads only ``result.hpm.summary``.
+    iteration events; the analysis reads only ``result.hpm_summary``.
     """
     sim = Simulator(trace_sink=obs.sink if obs is not None else None)
     if tie_break_seed is not None:
@@ -208,6 +254,8 @@ def run_phases(
     # time is reported beside the simulated clock, never mixed into it.
     with WallTimer() as wall:
         ct_ns = sim.run(until=main, max_events=max_events, max_sim_time=max_sim_time)
+    sections = kernel.critical_sections
+    load = machine.load
     result = RunResult(
         app_name=app_name,
         config=cfg,
@@ -217,12 +265,23 @@ def run_phases(
         events=hpm.offload(),
         accounting=kernel.accounting,
         fault_stats=kernel.vm.stats,
-        statfx=statfx,
-        board=board,
-        machine=machine,
-        kernel=kernel,
-        runtime=runtime,
-        hpm=hpm,
+        os_params=kernel.params,
+        mem_ledger=machine.mem_ledger,
+        runtime_stats=runtime.stats,
+        statfx_samples=statfx.samples,
+        statfx_sums=statfx.sums,
+        ce_busy_ns=tuple(board.busy_ns(ce) for ce in range(cfg.n_processors)),
+        load_high_water=load.high_water,
+        cluster_load_high_water=tuple(load.cluster_high_water),
+        load_mean=load.time_weighted_mean(),
+        ccbus=tuple(
+            (cluster.ccbus.dispatches, cluster.ccbus.synchronisations)
+            for cluster in machine.clusters
+        ),
+        global_lock=_lock_counts(sections.global_lock),
+        cluster_locks=tuple(_lock_counts(lock) for lock in sections.cluster_locks),
+        hpm_resolution_ns=hpm.resolution_ns,
+        hpm_summary=hpm.summary,
         wall_s=wall.elapsed_s,
         kernel_stats={
             "pool.timeouts_created": sim.timeouts_created,
@@ -233,6 +292,10 @@ def run_phases(
     if obs is not None:
         obs.collect(result)
     return result
+
+
+def _lock_counts(lock: KernelLock) -> tuple[int, int]:
+    return lock.acquisitions, lock.contended_acquisitions
 
 
 def run_application(

@@ -34,9 +34,9 @@ def speedup_table(results: dict[int, RunResult]) -> list[SpeedupRow]:
     rows = []
     for n_proc in sorted(results):
         result = results[n_proc]
-        concurrency = result.statfx.total_concurrency()
+        concurrency = result.total_concurrency()
         if concurrency == 0.0:
-            concurrency = result.board.mean_concurrency()
+            concurrency = result.mean_concurrency()
         rows.append(
             SpeedupRow(
                 n_processors=n_proc,

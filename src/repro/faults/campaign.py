@@ -4,7 +4,9 @@ Glues a :class:`~repro.faults.spec.CampaignSpec` to the experiment
 runner: the campaign's injector is armed through the runner's
 ``pre_run_hook`` seam, so the degraded run uses exactly the same stack
 assembly as a healthy one, and the same ``(campaign, seed)`` pair
-always reproduces the same schedule.
+always reproduces the same schedule.  The injector's
+:class:`~repro.faults.injector.FaultLedger` rides on the result
+(``result.fault_ledger``), so the stack is dropped when the run ends.
 """
 
 from __future__ import annotations
@@ -35,12 +37,8 @@ class CampaignRunOutcome:
 
     spec: CampaignSpec
     result: RunResult
-    injector: FaultInjector
-
-    @property
-    def ledger(self) -> FaultLedger:
-        """The injector's fault ledger (records + counters)."""
-        return self.injector.ledger
+    #: The injector's fault ledger (records + counters).
+    ledger: FaultLedger
 
 
 def run_with_campaign(
@@ -87,7 +85,7 @@ def run_with_campaign(
         max_events=max_events,
         max_sim_time=max_sim_time,
     )
-    injector = injectors[0]
+    ledger = result.fault_ledger = injectors[0].ledger
     if obs is not None:
-        injector.ledger.collect(obs.registry)
-    return CampaignRunOutcome(spec=spec, result=result, injector=injector)
+        ledger.collect(obs.registry)
+    return CampaignRunOutcome(spec=spec, result=result, ledger=ledger)

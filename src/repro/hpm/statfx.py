@@ -87,6 +87,12 @@ class Statfx:
         self._accrue()
         return self._samples
 
+    @property
+    def sums(self) -> tuple[int, ...]:
+        """Each cluster's sum of sampled counts (accrued up to ``sim.now``)."""
+        self._accrue()
+        return tuple(self._sums)
+
     def cluster_concurrency(self, cluster_id: int) -> float:
         """Sampled average concurrency on one cluster."""
         self._accrue()

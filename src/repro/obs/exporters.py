@@ -78,7 +78,7 @@ def build_run_report(
         "n_processors": result.config.n_processors,
         "scale": result.scale,
         "extrapolation": result.extrapolation,
-        "seed": result.kernel.params.seed,
+        "seed": result.os_params.seed,
         "git_sha": git_revision(),
         "config": dataclasses.asdict(result.config),
         "ct_ns": result.ct_ns,

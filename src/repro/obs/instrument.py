@@ -4,10 +4,12 @@
 :func:`repro.core.runner.run_application` / ``run_phases``: it owns the
 :class:`~repro.obs.registry.MetricsRegistry` and the optional kernel
 sinks (process profiler, kernel trace buffer).  After the run the
-collector functions harvest every always-on counter the stack keeps --
-the machine's memory ledger, the load tracker, the Xylem accounting
-ledger and fault counters, the runtime protocol counters, the activity
-board and the ``cedarhpm`` buffer -- into hierarchical metric names:
+collector functions fold every always-on counter the run's
+:class:`~repro.core.runner.RunResult` record carries -- the memory
+ledger, the load tracker's statistics, the Xylem accounting ledger and
+fault counters, the runtime protocol counters, the activity board's
+busy times and the ``cedarhpm`` buffer -- into hierarchical metric
+names:
 
 ===========  ===========================================================
 prefix       contents
@@ -36,8 +38,7 @@ from repro.obs.tracing import KernelTraceBuffer, MultiSink, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import RunResult
-    from repro.hpm.monitor import CedarHpm
-    from repro.parallel.snapshot import HpmView
+    from repro.hpm.events import EventList
 
 __all__ = [
     "Observability",
@@ -107,8 +108,7 @@ class Observability:
 
 
 def _collect_memory(result: "RunResult", reg: MetricsRegistry) -> None:
-    machine = result.machine
-    ledger = machine.mem_ledger
+    ledger = result.mem_ledger
     for cluster in range(result.config.n_clusters):
         prefix = f"memory.cluster{cluster}"
         reg.counter(f"{prefix}.busy_ns").inc(ledger.busy_ns[cluster])
@@ -119,16 +119,12 @@ def _collect_memory(result: "RunResult", reg: MetricsRegistry) -> None:
 
 
 def _collect_network(result: "RunResult", reg: MetricsRegistry) -> None:
-    machine = result.machine
-    load = machine.load
-    ledger = machine.mem_ledger
-    reg.gauge("network.streaming_ces.high_water").set(load.high_water)
-    reg.gauge("network.streaming_ces.time_weighted_mean").set(
-        load.time_weighted_mean()
-    )
+    ledger = result.mem_ledger
+    reg.gauge("network.streaming_ces.high_water").set(result.load_high_water)
+    reg.gauge("network.streaming_ces.time_weighted_mean").set(result.load_mean)
     for cluster in range(result.config.n_clusters):
         reg.gauge(f"network.cluster{cluster}.streaming_ces.high_water").set(
-            load.cluster_high_water[cluster]
+            result.cluster_load_high_water[cluster]
         )
     reg.counter("network.scalar_round_trips").inc(ledger.scalar_round_trips)
     reg.counter("network.scalar_round_trip_ns").inc(ledger.scalar_round_trip_ns)
@@ -156,23 +152,19 @@ def _collect_xylem(result: "RunResult", reg: MetricsRegistry) -> None:
     reg.counter("xylem.pagefault.joined").inc(faults.joined)
     reg.counter("xylem.pagefault.evictions").inc(faults.evictions)
     reg.counter("xylem.pagefault.count").inc(faults.sequential + faults.concurrent)
-    sections = result.kernel.critical_sections
-    reg.counter("xylem.locks.global.acquisitions").inc(
-        sections.global_lock.acquisitions
+    acquisitions, contended = result.global_lock
+    reg.counter("xylem.locks.global.acquisitions").inc(acquisitions)
+    reg.counter("xylem.locks.global.contended").inc(contended)
+    reg.counter("xylem.locks.cluster.acquisitions").inc(
+        sum(acqs for acqs, _ in result.cluster_locks)
     )
-    reg.counter("xylem.locks.global.contended").inc(
-        sections.global_lock.contended_acquisitions
+    reg.counter("xylem.locks.cluster.contended").inc(
+        sum(cont for _, cont in result.cluster_locks)
     )
-    cluster_acqs = sum(lock.acquisitions for lock in sections.cluster_locks)
-    cluster_cont = sum(
-        lock.contended_acquisitions for lock in sections.cluster_locks
-    )
-    reg.counter("xylem.locks.cluster.acquisitions").inc(cluster_acqs)
-    reg.counter("xylem.locks.cluster.contended").inc(cluster_cont)
 
 
 def _collect_runtime(result: "RunResult", reg: MetricsRegistry) -> None:
-    stats = result.runtime.stats
+    stats = result.runtime_stats
     reg.counter("runtime.loops_posted").inc(stats.loops_posted)
     reg.counter("runtime.helper_joins").inc(stats.helper_joins)
     reg.counter("runtime.sdoall_pickups").inc(stats.sdoall_pickups)
@@ -181,29 +173,22 @@ def _collect_runtime(result: "RunResult", reg: MetricsRegistry) -> None:
     reg.counter("runtime.serial_sections").inc(stats.serial_sections)
     reg.counter("runtime.mc_loops").inc(stats.mc_loops)
     reg.counter("runtime.detaches").inc(stats.detaches)
-    for cluster in result.machine.clusters:
-        bus = cluster.ccbus
-        prefix = f"runtime.ccbus.cluster{cluster.cluster_id}"
-        reg.counter(f"{prefix}.dispatches").inc(bus.dispatches)
-        reg.counter(f"{prefix}.synchronisations").inc(bus.synchronisations)
-    board = result.board
-    for ce_id in range(result.config.n_processors):
-        reg.counter(f"runtime.ce{ce_id}.busy_ns").inc(board.busy_ns(ce_id))
-    reg.gauge("runtime.concurrency.board_mean").set(board.mean_concurrency())
-    reg.gauge("runtime.concurrency.statfx_total").set(
-        result.statfx.total_concurrency()
-    )
+    for cluster_id, (dispatches, syncs) in enumerate(result.ccbus):
+        prefix = f"runtime.ccbus.cluster{cluster_id}"
+        reg.counter(f"{prefix}.dispatches").inc(dispatches)
+        reg.counter(f"{prefix}.synchronisations").inc(syncs)
+    for ce_id, busy_ns in enumerate(result.ce_busy_ns):
+        reg.counter(f"runtime.ce{ce_id}.busy_ns").inc(busy_ns)
+    reg.gauge("runtime.concurrency.board_mean").set(result.mean_concurrency())
+    reg.gauge("runtime.concurrency.statfx_total").set(result.total_concurrency())
 
 
-def collect_hpm_metrics(
-    hpm: "CedarHpm | HpmView", reg: MetricsRegistry
-) -> MetricsRegistry:
-    """Harvest a ``cedarhpm`` monitor's trace buffer into ``hpm.*``.
+def collect_hpm_metrics(events: "EventList", reg: MetricsRegistry) -> MetricsRegistry:
+    """Harvest a ``cedarhpm`` trace buffer into ``hpm.*``.
 
     Counts the events by type from the buffer's type column, without
     building an event object.
     """
-    events = hpm.offload()
     reg.counter("hpm.events_recorded").inc(len(events))
     for name, count in sorted(
         (EventType(etype).name.lower(), count)
@@ -232,5 +217,5 @@ def collect_run_metrics(
     _collect_xylem(result, reg)
     _collect_runtime(result, reg)
     _collect_kernel(result, reg)
-    collect_hpm_metrics(result.hpm, reg)
+    collect_hpm_metrics(result.events, reg)
     return reg

@@ -15,7 +15,9 @@ three routes, chosen from its inputs alone:
 
 Every route runs the same :func:`~repro.parallel.executor.run_cell`, so
 the tables are byte-identical whichever route ran them; warm reruns
-skip simulation entirely.
+skip simulation entirely.  A cell's result is the runner's own
+:class:`~repro.core.runner.RunResult`, a plain record that pickles
+as it is for the pool and the cache.
 
 * :class:`~repro.parallel.executor.CellSpec` /
   :func:`~repro.parallel.executor.run_cell` -- one cell and its
@@ -28,8 +30,6 @@ skip simulation entirely.
 * :class:`~repro.parallel.cache.ResultCache` /
   :func:`~repro.parallel.cache.cell_key` -- the cache and its
   fingerprinting rules.
-* :func:`~repro.parallel.snapshot.snapshot_result` -- detached,
-  picklable run results.
 * :mod:`repro.parallel.journal` / :mod:`repro.parallel.durable` -- the
   write-ahead journal, and the recovery policy, worker heartbeats and
   recovery ledger.
@@ -59,7 +59,6 @@ from repro.parallel.journal import (
     JournalState,
     load_journal,
 )
-from repro.parallel.snapshot import is_snapshot, snapshot_result
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -79,9 +78,7 @@ __all__ = [
     "code_fingerprint",
     "default_cache_dir",
     "execute_cells",
-    "is_snapshot",
     "load_journal",
     "run_cell",
     "save_recovery_report",
-    "snapshot_result",
 ]

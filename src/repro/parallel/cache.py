@@ -4,7 +4,7 @@ A sweep cell is fully determined by its inputs: the simulation is
 deterministic, so ``(app, P, scale, seed, campaign, watchdogs, code
 version)`` names its result uniquely.  :func:`cell_key` folds exactly
 those inputs into a BLAKE2 fingerprint; :class:`ResultCache` maps the
-fingerprint to a pickled :func:`~repro.parallel.snapshot.snapshot_result`
+fingerprint to a pickled :class:`~repro.core.runner.RunResult` record
 on disk.
 
 Invalidation rules
@@ -162,11 +162,11 @@ def cell_key(spec: CellSpec, code: str | None = None) -> str:
 
 
 class ResultCache:
-    """On-disk store of detached cell results, keyed by :func:`cell_key`.
+    """On-disk store of cell results, keyed by :func:`cell_key`.
 
     Layout: ``<dir>/<key[:2]>/<key>.pkl``.  Each file pickles an
     envelope ``{"schema", "key", "digest", "payload"}`` where
-    ``payload`` is the inner pickle of the snapshot and ``digest`` its
+    ``payload`` is the inner pickle of the result and ``digest`` its
     BLAKE2 checksum; :meth:`get` re-verifies all three before serving.
     """
 

@@ -2,9 +2,9 @@
 
 The unit of work is a :class:`CellSpec` -- one ``(app, P, scale, seed,
 campaign)`` point of a sweep, optionally bounded by the runaway
-watchdogs.  :func:`run_cell` executes one spec and returns a detached
-:func:`~repro.parallel.snapshot.snapshot_result`; :func:`execute_cells`
-runs a list of specs behind the content-addressed
+watchdogs.  :func:`run_cell` executes one spec and returns its
+:class:`~repro.core.runner.RunResult`, a plain record that pickles for
+the pool and the cache; :func:`execute_cells` runs a list of specs behind the content-addressed
 :class:`~repro.parallel.cache.ResultCache` and is the only function
 that dispatches sweep cells.  It takes one of three routes, chosen from
 its inputs alone:
@@ -71,7 +71,6 @@ from repro.parallel.durable import (
     start_heartbeat,
     stale_workers,
 )
-from repro.parallel.snapshot import snapshot_result
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.runner import PreRunHook, RunResult
@@ -83,6 +82,12 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.parallel.journal import CampaignJournal
 
 __all__ = ["CellSpec", "execute_cells", "run_cell"]
+
+
+def snapshot_result(result: "RunResult") -> "RunResult":
+    # Identity, kept only because the benchmark harness (bench/) wraps
+    # this name; it goes in the benchmark refresh.
+    return result
 
 #: Histogram boundaries for per-cell wall time (seconds).
 _CELL_WALL_BOUNDARIES = (0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 30.0, 60.0)
@@ -150,7 +155,7 @@ class CellSpec:
 
 
 def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
-    """Execute one cell and return its detached snapshot.
+    """Execute one cell and return its result record.
 
     The one way the package simulates a cell: every route of
     :func:`execute_cells` runs it, in process or in a pool worker, and
@@ -244,10 +249,10 @@ def _worker(payload: tuple) -> tuple:
     """Run one cell attempt; never raises an ``Exception``.
 
     *payload* is ``(spec, attempt, submit_s, ship_metrics, fault)``;
-    returns ``("ok", snapshot, span)`` or ``("err", error_type, message,
+    returns ``("ok", result, span)`` or ``("err", error_type, message,
     span)`` where *span* is the attempt's
-    :class:`~repro.obs.campaign.CellSpan`, carrying the snapshot's
-    result fingerprint and, when *ship_metrics* is set, the run's
+    :class:`~repro.obs.campaign.CellSpan`, carrying the result's
+    fingerprint and, when *ship_metrics* is set, the run's
     metric registry (only then is one harvested).  Catching inside the
     worker keeps exotic exception types (whose constructors don't
     round-trip through pickle) from wedging the result pipe, and makes
@@ -449,7 +454,7 @@ def execute_cells(
     """Run every spec to completion behind the cache; survive host failures.
 
     Returns ``(results, failures)``: *results* maps each completed spec
-    to its snapshot, *failures* lists the cells that exhausted their
+    to its result, *failures* lists the cells that exhausted their
     ``1 + retries`` same-seed attempts, in input order.  Cache hits skip
     simulation; fresh results are written back.  The route (module
     docstring) follows from *jobs*, *chaos*, ``policy.cell_deadline_s``

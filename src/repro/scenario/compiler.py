@@ -91,7 +91,7 @@ class CompiledScenario:
         """Run the compiled scenario (defaults from the document).
 
         Goes through :func:`~repro.parallel.executor.run_cell`, like
-        every other run, and returns its detached snapshot.
+        every other run, and returns its result record.
         """
         from repro.parallel.executor import CellSpec, run_cell
 

@@ -13,8 +13,8 @@ full gauntlet:
    (:func:`~repro.analyze.race.race_model`) must find the compiled
    model hazard-free under every perturbation seed.
 4. **Cache/parallel byte-identity** (optional) -- the scenario runs
-   again through the pooled executor + result cache and the snapshot
-   must equal the serial snapshot byte-for-byte.
+   again through the pooled executor + result cache and the result
+   must equal the serial result byte-for-byte.
 
 The CI ``scenario-fuzz`` job maps this over hundreds of generated
 scenarios; the Hypothesis suite applies it to adversarially-shrunk
@@ -98,7 +98,7 @@ def verify_scenario(
     *parallel_jobs* > 0 additionally runs the scenario through the
     pooled executor + result cache (rooted at *cache_dir*, which the
     caller should point at a throwaway directory) and asserts the
-    snapshot equals the serial path byte-for-byte.
+    result equals the serial path byte-for-byte.
     """
     compiled = compile_scenario(doc)
     P = doc.defaults.n_processors if n_processors is None else n_processors
@@ -169,7 +169,7 @@ def _check_parallel(
     :func:`~repro.analyze.race.fingerprint_result` digest (every table
     and breakdown) and the domain-tagged schedule hash -- against
     *serial*, the pair the first in-process run published.  The
-    snapshot's ``wall_s`` is host wall-clock and legitimately differs
+    result's ``wall_s`` is host wall-clock and legitimately differs
     run to run.
     """
     from repro.analyze.race import fingerprint_result
@@ -177,8 +177,8 @@ def _check_parallel(
     from repro.parallel.cache import ResultCache
     from repro.parallel.executor import execute_cells
 
-    def published(snapshot: RunResult) -> tuple[str, str | None]:
-        return fingerprint_result(snapshot).digest, snapshot.schedule_hash
+    def published(result: RunResult) -> tuple[str, str | None]:
+        return fingerprint_result(result).digest, result.schedule_hash
 
     cache = ResultCache(cache_dir) if cache_dir is not None else None
     results, failures = execute_cells([spec], jobs=jobs, cache=cache)

@@ -58,13 +58,14 @@ def test_fingerprint_covers_statfx_and_loop_regions():
 
     snap = run_application(
         _flo52(), 4, scale=SMALL_SCALE, os_params=XylemParams(seed=7)
-    ).portable()
+    )
     base = fingerprint_result(dataclasses.replace(snap, _cache={}))
     assert fingerprint_result(snap).digest == base.digest
 
-    sums = snap.statfx.sums
-    statfx = dataclasses.replace(snap.statfx, sums=(sums[0] + 1, *sums[1:]))
-    bumped_sum = fingerprint_result(dataclasses.replace(snap, statfx=statfx, _cache={}))
+    sums = snap.statfx_sums
+    bumped_sum = fingerprint_result(
+        dataclasses.replace(snap, statfx_sums=(sums[0] + 1, *sums[1:]), _cache={})
+    )
     assert bumped_sum.digest != base.digest
     assert bumped_sum.diff(base)
 
@@ -95,13 +96,12 @@ def test_fingerprint_covers_the_pickup_iteration_summary():
 
     snap = run_application(
         _flo52(), 4, scale=SMALL_SCALE, os_params=XylemParams(seed=7)
-    ).portable()
+    )
     base = fingerprint_result(snap)
-    summary = {key: list(totals) for key, totals in snap.hpm.summary.items()}
+    summary = {key: list(totals) for key, totals in snap.hpm_summary.items()}
     key = next(k for k in summary if k[1] == "iteration" and k[2] == "sdoall")
     summary[key][1] += 1
-    hpm = dataclasses.replace(snap.hpm, summary=summary)
-    bumped = fingerprint_result(dataclasses.replace(snap, hpm=hpm, _cache={}))
+    bumped = fingerprint_result(dataclasses.replace(snap, hpm_summary=summary, _cache={}))
     assert bumped.digest != base.digest
     assert any(line.startswith("summary.") for line in bumped.diff(base, limit=50))
 

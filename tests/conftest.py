@@ -34,7 +34,7 @@ def pytest_runtest_call(item):
 def paper_cells():
     """The 25 paper cells at scale 0.002, seed 1994, per-iteration events on.
 
-    ``{app: {n_processors: RunResult}}`` of live runs, shared by the
+    ``{app: {n_processors: RunResult}}`` of fresh runs, shared by the
     modules that check the trace analysis against its oracles:
     ``tests/hpm/test_iteration_summary.py`` reads them as they are, and
     ``tests/core/test_loop_index.py`` and ``tests/parallel/test_lazy_events.py``

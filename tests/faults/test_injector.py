@@ -26,6 +26,30 @@ def _degraded(faults, app="FLO52", n=4):
     return run_with_campaign(spec, app, n, scale=SCALE, seed=SEED)
 
 
+def _degraded_stack(faults):
+    """Run FLO52 on 4 CEs under *faults*.
+
+    Arms the injector through the pre-run hook itself and returns the
+    result with the live machine, kernel and fault ledger, which a
+    result record does not carry.
+    """
+    from repro.apps import PAPER_APPS
+
+    spec = CampaignSpec(name="t", seed=SEED, faults=tuple(faults))
+    stack = {}
+
+    def hook(sim, machine, kernel, runtime):
+        injector = FaultInjector(sim, machine, kernel, runtime, spec)
+        injector.arm()
+        stack.update(machine=machine, kernel=kernel, ledger=injector.ledger)
+
+    result = run_application(
+        PAPER_APPS["FLO52"](), 4, scale=SCALE, os_params=XylemParams(seed=SEED),
+        pre_run_hook=hook,
+    )
+    return result, stack
+
+
 def test_bank_slow_raises_completion_time():
     healthy = _healthy()
     outcome = _degraded([FaultEvent(kind="bank_slow", at_ns=0, target=0, factor=8.0)])
@@ -40,13 +64,12 @@ def test_switch_degrade_raises_completion_time():
 
 
 def test_transient_fault_reverts():
-    outcome = _degraded(
+    _, stack = _degraded_stack(
         [FaultEvent(kind="bank_slow", at_ns=0, target=0, factor=8.0, duration_ns=1000)]
     )
-    assert outcome.ledger.injected == 1
-    assert outcome.ledger.reverted == 1
-    machine = outcome.result.machine
-    assert not machine.contention.degraded
+    assert stack["ledger"].injected == 1
+    assert stack["ledger"].reverted == 1
+    assert not stack["machine"].contention.degraded
 
 
 def _sample_overlap(kind, long_fields=None, short_fields=None):
@@ -113,13 +136,12 @@ def test_overlapping_bank_offline_faults_compose():
 
 def test_ce_deconfig_completes_with_redistribution():
     healthy = _healthy()
-    outcome = _degraded([FaultEvent(kind="ce_deconfig", at_ns=0, target=1)])
-    result = outcome.result
-    assert not result.kernel.ce_available(1)
-    assert result.kernel.ce_available(0)
+    result, stack = _degraded_stack([FaultEvent(kind="ce_deconfig", at_ns=0, target=1)])
+    assert not stack["kernel"].ce_available(1)
+    assert stack["kernel"].ce_available(0)
     # The loop iterations still all ran -- redistributed over survivors.
     assert result.ct_ns >= healthy.ct_ns
-    assert result.runtime.stats.barriers == healthy.runtime.stats.barriers
+    assert result.runtime_stats.barriers == healthy.runtime_stats.barriers
 
 
 def test_deconfigure_guard_refuses_to_empty_cluster():

@@ -17,7 +17,7 @@ from repro.core import (
     run_application,
     save_failure_report,
 )
-from repro.parallel import executor, snapshot_result
+from repro.parallel import executor
 from repro.xylem.params import XylemParams
 
 _TINY = synthetic_app(
@@ -37,10 +37,8 @@ def poison(monkeypatch):
             calls.append(cell)
             if cell in poisoned:
                 raise RuntimeError(f"poisoned cell {spec.app}/{spec.n_processors}")
-            return snapshot_result(
-                run_application(
-                    _TINY, spec.n_processors, scale=1.0, os_params=XylemParams(seed=1)
-                )
+            return run_application(
+                _TINY, spec.n_processors, scale=1.0, os_params=XylemParams(seed=1)
             )
 
         monkeypatch.setattr(executor, "run_cell", run_cell)

@@ -2,7 +2,7 @@
 
 ``CedarHpm.record`` appends straight into the columns of one
 :class:`~repro.hpm.events.EventList`, and everything a sweep reads from
-a cell -- its snapshot, the pickle a pool or the cache carries, Tables
+a cell -- its result, the pickle a pool or the cache carries, Tables
 3 and 4, the result fingerprint and the run metrics -- reads those
 columns as rows.  With :class:`TraceEvent` made unbuildable, a small
 cell must still go all the way through.
@@ -31,7 +31,7 @@ def _refuse(*args, **kwargs):
 
 def test_a_cell_goes_from_record_to_cache_without_a_trace_event(monkeypatch):
     monkeypatch.setattr(TraceEvent, "__init__", _refuse)
-    live = {
+    fresh = {
         n: run_application(
             flo52(),
             n,
@@ -41,26 +41,23 @@ def test_a_cell_goes_from_record_to_cache_without_a_trace_event(monkeypatch):
         )
         for n in (1, 8)
     }
-    snaps = {n: result.portable() for n, result in live.items()}
     revived = {
-        n: pickle.loads(pickle.dumps(snap, protocol=pickle.HIGHEST_PROTOCOL))
-        for n, snap in snaps.items()
+        n: pickle.loads(pickle.dumps(result, protocol=pickle.HIGHEST_PROTOCOL))
+        for n, result in fresh.items()
     }
     for n in (1, 8):
-        assert type(live[n].events) is EventList
-        assert snaps[n].events is live[n].events is live[n].hpm.events
-        assert revived[n].events is revived[n].hpm.events
-        assert len(revived[n].events) == len(live[n].events) > 0
+        assert type(fresh[n].events) is type(revived[n].events) is EventList
+        assert len(revived[n].events) == len(fresh[n].events) > 0
     tables = [
         (table3({"FLO52": cells})[0], table4({"FLO52": cells})[0])
-        for cells in (live, revived)
+        for cells in (fresh, revived)
     ]
     assert tables[0] == tables[1]
     for n in (1, 8):
-        assert fingerprint_result(revived[n]).digest == fingerprint_result(live[n]).digest
+        assert fingerprint_result(revived[n]).digest == fingerprint_result(fresh[n]).digest
         assert (
             collect_run_metrics(revived[n]).value("hpm.events.iter_start")
-            == collect_run_metrics(live[n]).value("hpm.events.iter_start")
+            == collect_run_metrics(fresh[n]).value("hpm.events.iter_start")
             > 0
         )
     with pytest.raises(AssertionError, match="a TraceEvent was built"):

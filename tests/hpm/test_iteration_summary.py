@@ -105,10 +105,10 @@ def cells(paper_cells):
 
 def test_pairing_the_retained_events_gives_the_summary(cells):
     for cell, (retained, default) in cells.items():
-        assert retained.hpm.summary, cell
-        assert paired_summary(retained) == retained.hpm.summary, cell
-        assert default.hpm.summary == retained.hpm.summary, cell
-        for count, total_ns in retained.hpm.summary.values():
+        assert retained.hpm_summary, cell
+        assert paired_summary(retained) == retained.hpm_summary, cell
+        assert default.hpm_summary == retained.hpm_summary, cell
+        for count, total_ns in retained.hpm_summary.values():
             assert type(count) is int and type(total_ns) is int, cell
             assert count > 0 and total_ns >= 0, cell
 

@@ -21,8 +21,22 @@ from repro.xylem.categories import OsActivity, TimeCategory
 
 
 @pytest.fixture(scope="module")
-def flo52_run():
-    return run_application(flo52(), 32, scale=0.01, iteration_events=True)
+def flo52_stack():
+    """The run's result, and its live stack kept through the pre-run hook."""
+    stack = {}
+
+    def keep(sim, machine, kernel, runtime):
+        stack.update(machine=machine, kernel=kernel)
+
+    result = run_application(
+        flo52(), 32, scale=0.01, iteration_events=True, pre_run_hook=keep
+    )
+    return result, stack
+
+
+@pytest.fixture(scope="module")
+def flo52_run(flo52_stack):
+    return flo52_stack[0]
 
 
 def test_run_produces_complete_result(flo52_run):
@@ -77,19 +91,20 @@ def test_intervals_reconstruct_cleanly(flo52_run):
 
 def test_statfx_and_board_agree(flo52_run):
     """The sampled concurrency converges to the exact board average."""
-    sampled = flo52_run.statfx.total_concurrency()
-    exact = flo52_run.board.mean_concurrency()
+    sampled = flo52_run.total_concurrency()
+    exact = flo52_run.mean_concurrency()
     assert sampled == pytest.approx(exact, rel=0.1)
 
 
-def test_accounting_matches_vm_statistics(flo52_run):
+def test_accounting_matches_vm_statistics(flo52_stack):
     """Fault counts seen by the VM match the accounting charges."""
-    stats = flo52_run.fault_stats
-    accounting = flo52_run.accounting
+    result, stack = flo52_stack
+    stats = result.fault_stats
+    accounting = result.accounting
     seq_ns = accounting.activity_total_ns(OsActivity.PGFLT_SEQUENTIAL)
-    params = flo52_run.kernel.params
+    params = result.os_params
     assert seq_ns == stats.sequential * params.pgflt_sequential_cost_ns
-    assert stats.sequential + stats.concurrent == flo52_run.kernel.vm.resident_pages
+    assert stats.sequential + stats.concurrent == stack["kernel"].vm.resident_pages
 
 
 def test_breakdowns_are_mutually_consistent(flo52_run):
@@ -99,8 +114,8 @@ def test_breakdowns_are_mutually_consistent(flo52_run):
     assert b.useful_ns + b.overhead_ns <= q[TimeCategory.USER] * 1.05
 
 
-def test_load_tracker_drained_after_run(flo52_run):
-    assert flo52_run.machine.load.active == 0
+def test_load_tracker_drained_after_run(flo52_stack):
+    assert flo52_stack[1]["machine"].load.active == 0
 
 
 def test_cluster_only_app_runs_on_one_cluster():

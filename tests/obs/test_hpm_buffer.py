@@ -15,7 +15,7 @@ def test_unbounded_buffer_reports_no_capacity_gauge():
     hpm = CedarHpm(Simulator())
     for i in range(3):
         hpm.record(EventType.BARRIER_ENTER, processor_id=i % 4)
-    reg = collect_hpm_metrics(hpm, MetricsRegistry())
+    reg = collect_hpm_metrics(hpm.offload(), MetricsRegistry())
     assert reg.value("hpm.events_recorded") == 3
     assert reg.value("hpm.events.barrier_enter") == 3
     assert "hpm.buffer_capacity" not in reg

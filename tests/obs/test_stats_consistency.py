@@ -59,7 +59,7 @@ def test_contention_present_on_32_processors(run):
 
 def test_runtime_counters_match_runtime_stats(run):
     result, registry = run
-    stats = result.runtime.stats
+    stats = result.runtime_stats
     assert registry.value("runtime.loops_posted") == stats.loops_posted
     assert registry.value("runtime.barriers") == stats.barriers
     assert stats.loops_posted > 0

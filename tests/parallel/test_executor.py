@@ -264,3 +264,21 @@ def test_every_route_emits_the_executor_metrics(tmp_path, jobs, journaled):
     assert metrics.get("parallel.cell_wall_s").count == len(CONFIGS)
     assert 0 < metrics.value("parallel.pool.utilization") <= 1
     assert metrics.value("parallel.recovery.retries") == 0
+
+
+def test_run_cell_records_schedule_hash():
+    default = run_cell(CellSpec(app="FLO52", n_processors=4, scale=SCALE, seed=SEED))
+    assert default.schedule_hash is None  # sink-free unless asked
+
+    spec = CellSpec(
+        app="FLO52",
+        n_processors=4,
+        scale=SCALE,
+        seed=SEED,
+        fingerprint_schedule=True,
+    )
+    first = run_cell(spec)
+    assert first.schedule_hash is not None
+    second = run_cell(spec)
+    assert second.schedule_hash == first.schedule_hash
+    assert second.ct_ns == first.ct_ns == default.ct_ns

@@ -2,7 +2,7 @@
 
 An unpickled :class:`~repro.hpm.events.EventList` holds only its
 narrowed columns and builds a :class:`TraceEvent` only when someone
-reads an event, and a pickled snapshot carries the
+reads an event, and a pickled result carries the
 :func:`~repro.core.concurrency.loop_index` Tables 3 and 4 read and the
 :func:`~repro.core.breakdown.user_breakdowns` Figures 5-9 read.  A
 warm ``tables`` run therefore builds no :class:`TraceEvent` at all.
@@ -26,7 +26,6 @@ from repro.core.trace_analysis import IntervalKind, extract_intervals
 from repro.hpm import events as events_module
 from repro.hpm.events import EventList, EventType, TraceEvent
 from repro.parallel import CellSpec, ResultCache
-from repro.parallel.snapshot import snapshot_result
 from tests.core.test_loop_index import reference_loop_regions
 
 SCALE = 0.002
@@ -43,13 +42,13 @@ def _round_trip(obj):
 
 @pytest.fixture(scope="module")
 def sweep(default_paper_cells):
-    """The 25 cells as a pool delivers them: pickle round trips of snapshots.
+    """The 25 cells as a pool delivers them: pickle round trips of results.
 
     Like pooled and served results, each arrives with columnar events
     and a carried index.
     """
     return {
-        app: {n: _round_trip(snapshot_result(result)) for n, result in by_config.items()}
+        app: {n: _round_trip(result) for n, result in by_config.items()}
         for app, by_config in default_paper_cells.items()
     }
 
@@ -107,9 +106,7 @@ def test_carried_index_is_the_index_of_the_decoded_events(sweep):
 
 
 def _with_events(snap, events):
-    events = EventList(events)
-    hpm = dataclasses.replace(snap.hpm, events=events)
-    return dataclasses.replace(snap, events=events, hpm=hpm, _cache={})
+    return dataclasses.replace(snap, events=EventList(events), _cache={})
 
 
 def test_orphan_close_still_fails_after_a_cache_round_trip(sweep, tmp_path):
@@ -121,7 +118,6 @@ def test_orphan_close_still_fails_after_a_cache_round_trip(sweep, tmp_path):
     cache.put(key, broken)
     served = cache.get(key)
     assert "loop_index" not in served._cache
-    assert served.events is served.hpm.events
     with pytest.raises(ValueError, match="PICKUP_EXIT without matching PICKUP_ENTER"):
         table3({"FLO52": {4: served}})
 
@@ -134,7 +130,6 @@ def test_only_the_loop_index_and_breakdowns_are_carried(sweep):
     assert revived._cache["user_breakdowns"] == user_breakdowns(
         dataclasses.replace(revived, _cache={})
     )
-    assert revived.events is revived.hpm.events
 
 
 def test_an_undecoded_list_repickles_the_columns_it_was_loaded_with(sweep):

@@ -1,11 +1,12 @@
 """One way to run a cell: only the executor and the campaign glue simulate.
 
 ``run_application`` / ``run_phases`` are the public library entry, but
-inside the package every simulating command goes through
-:func:`repro.parallel.executor.run_cell` (which reaches fault campaigns
-through :func:`repro.faults.run_with_campaign`).  A new call site that
-assembles the stack itself would bypass the cache key, the snapshot and
-the telemetry seam, so this scan fails on it.
+inside the package every simulating command, ``inject`` included, goes
+through :func:`repro.parallel.executor.run_cell` (which reaches fault
+campaigns through :func:`repro.faults.run_with_campaign`).  A new call
+site that assembles the stack itself, or runs a campaign around
+``run_cell``, would bypass the cache key and the telemetry seam, so
+this scan fails on it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 
 import repro
 
-ENTRIES = {"run_application", "run_phases"}
+ENTRIES = {"run_application", "run_phases", "run_with_campaign"}
 ALLOWED = {"core/runner.py", "parallel/executor.py", "faults/campaign.py"}
 
 
