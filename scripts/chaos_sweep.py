@@ -66,12 +66,14 @@ from repro.faults.host import (  # noqa: E402
     save_host_chaos,
 )
 from repro.parallel import (  # noqa: E402
+    CellSpec,
     DurablePolicy,
     RecoveryLedger,
     ResultCache,
     load_journal,
     save_recovery_report,
 )
+from repro.parallel.executor import _longest_first  # noqa: E402
 
 SCHEMA = "cedar-repro/bench-resilience/v1"
 
@@ -133,29 +135,39 @@ def _policy(deadline: float) -> DurablePolicy:
     )
 
 
-def _chaos_plan(apps, configs) -> HostChaosPlan:
-    """Kill one short cell, hang one, slow-start one -- all distinct."""
+def _chaos_plan(apps, configs, scale: float) -> HostChaosPlan:
+    """Kill one cell, hang one, slow-start one -- all distinct.
+
+    Victims are picked by the pool's dispatch order (longest cell
+    first): the kill strikes the second cell dispatched and the hang
+    the last, so the respawn after the kill cannot take the hung
+    worker down with it, and only the cell deadline can catch the hang.
+    """
+    order = _longest_first(
+        [CellSpec(app, p, scale=scale, seed=SEED) for app in apps for p in configs]
+    )
+    killed, slowed, hung = order[1], order[2], order[-1]
     return HostChaosPlan(
         name="chaos-sweep",
         seed=SEED,
         faults=(
             HostFault(
                 kind="worker_kill",
-                app=apps[0],
-                n_processors=configs[1],
+                app=killed.app,
+                n_processors=killed.n_processors,
                 attempt=1,
             ),
             HostFault(
                 kind="worker_hang",
-                app=apps[1],
-                n_processors=configs[-1],
+                app=hung.app,
+                n_processors=hung.n_processors,
                 attempt=1,
                 delay_s=0.0,
             ),
             HostFault(
                 kind="slow_start",
-                app=apps[1],
-                n_processors=configs[0],
+                app=slowed.app,
+                n_processors=slowed.n_processors,
                 attempt=1,
                 delay_s=SLOW_START_S,
             ),
@@ -281,7 +293,7 @@ def main() -> int:
     print(f"  leg 2 (clean durable, jobs=2): wall {clean_wall:.2f}s")
 
     # Leg 3: chaos run to completion -- the overhead-gated leg.
-    plan = _chaos_plan(apps, configs)
+    plan = _chaos_plan(apps, configs, scale)
     if artifacts is not None:
         save_host_chaos(plan, artifacts / "chaos_plan.json")
     chaos = resilient_sweep(

@@ -1,19 +1,21 @@
 #!/usr/bin/env python
 """CI smoke test for the sweep executor's routes.
 
-Round-trips ``cedar-repro tables`` four ways against a fresh cache
+Round-trips ``cedar-repro tables`` five ways against a fresh cache
 directory:
 
 1. in-process (``--jobs 1``, no cache) -- the reference output,
-2. cold pool (``--jobs 4 --cache-dir ...``) -- must be byte-identical
+2. default (no ``--jobs``: one worker per usable core, no cache) --
+   must be byte-identical to the reference,
+3. cold pool (``--jobs 4 --cache-dir ...``) -- must be byte-identical
    to the reference while populating the cache,
-3. warm pool (same command again, with ``--log campaign.jsonl``) -- the
+4. warm pool (same command again, with ``--log campaign.jsonl``) -- the
    tables must open the output byte-identically (telemetry appends its
    summary after them, never perturbs them) and the campaign log must
    be a valid ``cedar-repro/campaign-log/v1`` document, tagged with the
    code fingerprint, whose events show every cell answered from the
    cache and none simulated,
-4. journaled (``--checkpoint JOURNAL``) -- byte-identical to the
+5. journaled (``--checkpoint JOURNAL``) -- byte-identical to the
    reference, with a ``done`` record in the journal for every one of
    the 25 cells;
 
@@ -59,7 +61,8 @@ def run_tables(extra: list[str]) -> tuple[str, float]:
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="cedar-cache-") as cache_dir:
         assert not any(Path(cache_dir).iterdir()), "cache dir must start empty"
-        serial, serial_s = run_tables([])
+        serial, serial_s = run_tables(["--jobs", "1"])
+        default, default_s = run_tables([])
         parallel_flags = ["--jobs", "4", "--cache-dir", cache_dir]
         cold, cold_s = run_tables(parallel_flags)
         log_path = Path(cache_dir) / "campaign.jsonl"
@@ -75,12 +78,14 @@ def main() -> int:
     cache_hits = sum(1 for e in events if e.get("ev") == "cache_hit")
     simulated = sum(1 for e in events if e.get("ev") == "finish")
     print(
-        f"parallel-smoke: serial {serial_s:.2f}s, cold --jobs 4 {cold_s:.2f}s, "
+        f"parallel-smoke: serial {serial_s:.2f}s, default {default_s:.2f}s, "
+        f"cold --jobs 4 {cold_s:.2f}s, "
         f"warm {warm_s:.2f}s ({cache_hits} cache hits, {simulated} simulated), "
         f"--checkpoint {journaled_s:.2f}s ({len(journal.done)} done records)"
     )
     checks = [
         ("serial output is non-trivial", "Table 1" in serial),
+        ("default (no --jobs) output byte-identical to serial", default == serial),
         ("cold parallel output byte-identical to serial", cold == serial),
         ("warm tables open byte-identically", warm.startswith(serial)),
         ("campaign summary follows the tables", "campaign" in warm[len(serial):]),

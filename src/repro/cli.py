@@ -50,10 +50,13 @@ Run as ``python -m repro.cli <command>``:
 
 ``run``, ``sweep`` and ``tables`` additionally accept ``--stats FILE``
 to write the run report(s) of the runs they perform.  ``run``,
-``sweep``, ``tables``, ``stats`` and ``campaign`` accept ``--jobs N``
-(fan the sweep cells out across N worker processes), ``--cache-dir
-DIR`` (a content-addressed result cache: warm reruns skip simulation
-entirely; see ``docs/parallel-execution.md``), and the campaign
+``sweep``, ``tables``, ``stats``, ``campaign`` and ``resume`` accept
+``--jobs N`` (fan the sweep cells out across N worker processes;
+``sweep``, ``tables`` and ``campaign`` default to one per core the
+process may run on, the others to 1, and ``--jobs 1`` runs every cell
+in process), ``--cache-dir DIR`` (a content-addressed result cache:
+warm reruns skip simulation entirely; see
+``docs/parallel-execution.md``), and the campaign
 telemetry flags ``--log FILE`` (JSONL event log), ``--progress`` (force
 the live progress line) and ``--perfetto FILE`` (campaign-wide Chrome
 trace).  ``sweep``, ``tables`` and ``campaign`` additionally accept the
@@ -68,6 +71,7 @@ status 2 and a one-line ``error:`` message.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -656,6 +660,7 @@ def _cmd_inject(args: argparse.Namespace) -> None:
     app = _app_name(args.app)  # validate before the expensive run
     try:
         spec = load_campaign(args.campaign)
+        spec.check_processors(args.processors)
     except CampaignError as exc:
         raise CLIError(str(exc)) from exc
     cell = CellSpec(
@@ -815,14 +820,21 @@ def build_parser() -> argparse.ArgumentParser:
         description="ISCA'94 Cedar overhead characterization, in simulation",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Sweeps default to one worker per core this process may run on.
+    usable_cores = (
+        len(os.sched_getaffinity(0))
+        if hasattr(os, "sched_getaffinity")
+        else os.cpu_count() or 1
+    )
 
-    def add_parallel_flags(command) -> None:
+    def add_parallel_flags(command, jobs: int = 1) -> None:
         command.add_argument(
             "--jobs",
             type=int,
-            default=1,
+            default=jobs,
             metavar="N",
-            help="worker processes for the sweep cells (1 = in-process)",
+            help="worker processes for the sweep cells "
+            "(1 = in-process; default %(default)s)",
         )
         command.add_argument(
             "--cache-dir",
@@ -971,7 +983,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument(
         "--stats", metavar="FILE", help="also write the JSON run reports"
     )
-    add_parallel_flags(sweep)
+    add_parallel_flags(sweep, jobs=usable_cores)
     add_durable_flags(sweep)
     sweep.set_defaults(func=_cmd_sweep)
 
@@ -981,7 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables.add_argument(
         "--stats", metavar="FILE", help="also write the JSON run reports"
     )
-    add_parallel_flags(tables)
+    add_parallel_flags(tables, jobs=usable_cores)
     add_durable_flags(tables)
     tables.set_defaults(func=_cmd_tables)
 
@@ -1077,7 +1089,7 @@ def build_parser() -> argparse.ArgumentParser:
     campaign.add_argument(
         "--report", metavar="FILE", help="also write the JSON failure report"
     )
-    add_parallel_flags(campaign)
+    add_parallel_flags(campaign, jobs=usable_cores)
     add_durable_flags(campaign)
     campaign.set_defaults(func=_cmd_campaign)
 

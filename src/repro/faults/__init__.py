@@ -23,7 +23,7 @@ execution layer in :mod:`repro.parallel.durable` rather than the
 simulated machine (``docs/resilience.md``).
 """
 
-from repro.faults.campaign import CampaignRunOutcome, run_with_campaign
+from repro.faults.campaign import run_with_campaign
 from repro.faults.experiments import degraded_campaign, degraded_mode_experiment
 from repro.faults.host import (
     HOST_CHAOS_SCHEMA,
@@ -54,7 +54,6 @@ __all__ = [
     "HOST_CHAOS_SCHEMA",
     "HOST_FAULT_KINDS",
     "CampaignError",
-    "CampaignRunOutcome",
     "CampaignSpec",
     "FaultEvent",
     "FaultInjectionError",

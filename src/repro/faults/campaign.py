@@ -11,12 +11,11 @@ always reproduces the same schedule.  The injector's
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.apps import resolve_app
 from repro.core.runner import DEFAULT_SCALE, RunResult, run_application
-from repro.faults.injector import FaultInjector, FaultLedger
+from repro.faults.injector import FaultInjector
 from repro.faults.spec import CampaignSpec
 from repro.xylem.params import XylemParams
 
@@ -28,17 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.sim import Simulator
     from repro.xylem.kernel import XylemKernel
 
-__all__ = ["CampaignRunOutcome", "run_with_campaign"]
-
-
-@dataclass
-class CampaignRunOutcome:
-    """One application run under one campaign."""
-
-    spec: CampaignSpec
-    result: RunResult
-    #: The injector's fault ledger (records + counters).
-    ledger: FaultLedger
+__all__ = ["run_with_campaign"]
 
 
 def run_with_campaign(
@@ -52,8 +41,12 @@ def run_with_campaign(
     statfx_interval_ns: int = 200_000,
     max_events: int | None = None,
     max_sim_time: int | None = None,
-) -> CampaignRunOutcome:
+) -> RunResult:
     """Run *app* at *n_processors* with *spec*'s faults injected.
+
+    Returns the run's result; the injector's
+    :class:`~repro.faults.injector.FaultLedger` (records + counters) is
+    ``result.fault_ledger``.
 
     *seed* overrides the campaign's seed for the OS jitter stream;
     ``faults.*`` metrics are folded into *obs*'s registry when given.
@@ -85,7 +78,7 @@ def run_with_campaign(
         max_events=max_events,
         max_sim_time=max_sim_time,
     )
-    ledger = result.fault_ledger = injectors[0].ledger
+    result.fault_ledger = injectors[0].ledger
     if obs is not None:
-        ledger.collect(obs.registry)
-    return CampaignRunOutcome(spec=spec, result=result, ledger=ledger)
+        result.fault_ledger.collect(obs.registry)
+    return result

@@ -150,6 +150,20 @@ class CampaignSpec:
         if not self.name:
             raise CampaignError("campaign name must be non-empty")
 
+    def check_processors(self, n_processors: int) -> None:
+        """Raise :class:`CampaignError` if a fault names a CE beyond *n_processors*.
+
+        Lets a single-run caller refuse the campaign before the run
+        starts instead of failing when the ``ce_deconfig`` strikes.
+        """
+        for index, fault in enumerate(self.faults):
+            target = fault.target
+            if fault.kind == "ce_deconfig" and target is not None and target >= n_processors:
+                raise CampaignError(
+                    f"fault #{index} (ce_deconfig at {fault.at_ns} ns) "
+                    f"targets CE {target}, out of range for P={n_processors}"
+                )
+
     def to_dict(self) -> dict:
         """JSON-serialisable form (schema ``cedar-repro/campaign/v1``)."""
         return {

@@ -5,10 +5,12 @@ one executor, :func:`~repro.parallel.executor.execute_cells`, behind a
 content-addressed on-disk result cache.  The executor takes one of
 three routes, chosen from its inputs alone:
 
-* **in-process** -- ``jobs == 1`` (and no host-chaos plan or cell
-  deadline): each cell runs in the calling process;
+* **in-process** -- ``jobs == 1`` or at most one cell left to simulate
+  after cache hits (and no host-chaos plan or cell deadline): each cell
+  runs in the calling process;
 * **pool** -- worker processes that heartbeat, and that the coordinator
-  kills, respawns and speculates around;
+  kills, respawns and speculates around; no more workers than cells to
+  simulate, fed the longest cells first;
 * **journaled** -- either of the above with a write-ahead journal
   (``--checkpoint``): SIGINT/SIGTERM checkpoint the campaign and
   ``cedar-repro resume`` finishes it.

@@ -9,11 +9,15 @@ the pool and the cache; :func:`execute_cells` runs a list of specs behind the co
 that dispatches sweep cells.  It takes one of three routes, chosen from
 its inputs alone:
 
-* **in-process** -- ``jobs == 1`` with no host-chaos plan and no cell
-  deadline: each attempt runs :func:`_worker` in the calling process;
+* **in-process** -- ``jobs == 1``, or at most one cell left to simulate
+  after cache hits, with no host-chaos plan and no cell deadline: each
+  attempt runs :func:`_worker` in the calling process;
 * **pool** -- otherwise, a ``ProcessPoolExecutor`` of heartbeating
   workers the coordinator can kill, respawn and speculate around (chaos
-  and deadlines need a killable worker, so they always take this route);
+  and deadlines need a killable worker, so they always take this route).
+  It starts no more workers than there are cells to simulate, and
+  dispatches them longest first by :func:`_cost_estimate`, so the
+  sweep's longest cells do not trail at the end;
 * **journaled** -- either of the above with a write-ahead
   :class:`~repro.parallel.journal.CampaignJournal`: cells are journaled
   before dispatch, SIGINT/SIGTERM checkpoint the campaign, and cache
@@ -197,7 +201,7 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
             scale=spec.scale,
             seed=spec.seed,
             **common,
-        ).result
+        )
     else:
         from repro.core.runner import run_application
         from repro.xylem.params import XylemParams
@@ -305,6 +309,46 @@ def _worker(payload: tuple) -> tuple:
     if fault is not None and fault.kind == "worker_kill":
         apply_host_fault(fault)
     return (*outcome, span)
+
+
+def _cost_estimate(app: str, scale: float) -> "int | None":
+    """A deterministic rank of a cell's simulation cost, ``None`` if unknown.
+
+    The loop iterations *app* simulates at *scale*: a cell's event
+    count, and so its host time, grows with them far more than with P.
+    A name the cell's own attempt will reject has no estimate.
+    """
+    from repro.apps import resolve_app
+    from repro.runtime.loops import ParallelLoop
+
+    try:
+        phases = resolve_app(app)().phases(scale)
+    except ValueError:
+        return None
+    return sum(
+        phase.total_iterations for phase in phases if isinstance(phase, ParallelLoop)
+    )
+
+
+def _longest_first(specs: "list[CellSpec]") -> "list[CellSpec]":
+    """*specs* in dispatch order: highest :func:`_cost_estimate` first.
+
+    Input order breaks ties, and cells without an estimate (scenario
+    cells among them) follow the ranked ones in input order.  Results
+    are keyed by spec, so the order changes only when each cell
+    finishes, never what it returns.
+    """
+    estimates = {
+        key: _cost_estimate(*key)
+        for key in {(spec.app, spec.scale) for spec in specs if spec.scenario is None}
+    }
+    costs = [
+        (estimates[spec.app, spec.scale] if spec.scenario is None else None, spec)
+        for spec in specs
+    ]
+    ranked = [(cost, spec) for cost, spec in costs if cost is not None]
+    ranked.sort(key=lambda pair: -pair[0])
+    return [spec for _, spec in ranked] + [spec for cost, spec in costs if cost is None]
 
 
 def _observe(
@@ -494,7 +538,7 @@ def execute_cells(
             telemetry.on_recovery(kind, **fields)
 
     # Serve cache first: journal-recovered cells and ordinary warm hits.
-    pending: "deque[_Pending]" = deque()
+    uncached: "list[CellSpec]" = []
     for spec in specs:
         hit = None
         if cache is not None:
@@ -511,18 +555,27 @@ def execute_cells(
                 telemetry.on_cache_hit(spec, hit)
             continue
         attempts[spec] = 1
-        pending.append(_Pending(spec=spec, attempt=1, eligible_s=0.0))
+        uncached.append(spec)
 
-    in_process = jobs == 1 and chaos is None and policy.cell_deadline_s is None
+    # Chaos and deadlines need a worker the coordinator can kill; without
+    # them a pool pays off only for two or more cells to simulate.
+    killable = chaos is not None or policy.cell_deadline_s is not None
+    workers = max(1, min(jobs, len(uncached)))
+    in_process = not uncached or (workers == 1 and not killable)
+    if not in_process:
+        uncached = _longest_first(uncached)
+    pending: "deque[_Pending]" = deque(
+        _Pending(spec=spec, attempt=1, eligible_s=0.0) for spec in uncached
+    )
     # Attempts in flight at once.  The pool keeps a second attempt queued
     # behind each worker, so no worker idles while the coordinator
     # unpickles and stores a result -- unless a cell deadline is set: it
     # counts from dispatch, so no attempt may wait for a worker.
-    depth = jobs if in_process or policy.cell_deadline_s is not None else 2 * jobs
+    depth = workers if in_process or policy.cell_deadline_s is not None else 2 * workers
     inflight: "dict[Future, _InFlight]" = {}
     live: "dict[CellSpec, list[Future]]" = {}
     slots: "_InProcess | _Pool" = (
-        _InProcess() if in_process else _Pool(jobs, policy.heartbeat_interval_s)
+        _InProcess() if in_process else _Pool(workers, policy.heartbeat_interval_s)
     )
     stop = _StopFlag()
     previous_handlers: "dict[int, object]" = {}
@@ -733,7 +786,7 @@ def execute_cells(
         if (
             not policy.speculate
             or pending
-            or len(inflight) >= jobs
+            or len(inflight) >= workers
             or len(recent_walls) < policy.straggler_min_samples
         ):
             return
@@ -858,7 +911,7 @@ def execute_cells(
                 metrics,
                 "gauge",
                 "parallel.pool.utilization",
-                min(1.0, cell_wall / (jobs * pool_wall.elapsed_s)),
+                min(1.0, cell_wall / (workers * pool_wall.elapsed_s)),
             )
         if metrics is not None:
             ledger.collect(metrics)

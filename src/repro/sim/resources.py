@@ -237,9 +237,18 @@ class ArbitratedResource(Resource):
     def _arbitrate(self, _event: Event) -> None:
         """End-of-tick grant pass (runs after all same-instant requests)."""
         self._arb_pending = False
-        waiting = self._waiting
+        waiting: deque[KeyedRequest] = self._waiting  # type: ignore[assignment]
         while waiting and len(self._users) < self._capacity:
-            best = min(waiting, key=_keyed_order)
+            # Arrivals are appended in time order, so every lowest-arrival
+            # candidate sits in the prefix sharing waiting[0]'s arrival;
+            # a strict ``<`` keeps the first of equal keys.
+            best = waiting[0]
+            arrival = best.arrival
+            for req in waiting:
+                if req.arrival != arrival:
+                    break
+                if req.key < best.key:
+                    best = req
             waiting.remove(best)
             self._users.append(best)
             best.succeed()
@@ -247,10 +256,6 @@ class ArbitratedResource(Resource):
     def _grant_next(self) -> None:  # pragma: no cover - defensive
         # Grants go through _arbitrate(); nothing must bypass it.
         raise SimulationError("ArbitratedResource grants only via arbitration")
-
-
-def _keyed_order(req: Request) -> tuple[int, int]:
-    return (req.arrival, req.key)  # type: ignore[attr-defined]
 
 
 class PriorityResource(Resource):

@@ -67,7 +67,19 @@ def test_trace_command(tmp_path, capsys):
 
 
 def test_sweep_command(capsys):
-    main(["sweep", "flo52", "--scale", "0.01"])
+    main(["sweep", "flo52", "--scale", "0.01", "--jobs", "1"])
     out = capsys.readouterr().out
     assert "Table 1" in out
     assert "Table 4" in out
+
+
+def test_sweeps_default_to_one_worker_per_usable_core():
+    parser = build_parser()
+    cores = len(os.sched_getaffinity(0))
+    assert parser.parse_args(["sweep", "flo52"]).jobs == cores
+    assert parser.parse_args(["tables"]).jobs == cores
+    assert parser.parse_args(["campaign", "c.json"]).jobs == cores
+    assert parser.parse_args(["run", "flo52", "4"]).jobs == 1
+    assert parser.parse_args(["stats", "flo52", "4", "-o", "s.json"]).jobs == 1
+    assert parser.parse_args(["resume", "j.journal"]).jobs == 1
+    assert parser.parse_args(["tables", "--jobs", "1"]).jobs == 1

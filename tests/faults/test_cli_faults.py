@@ -43,6 +43,23 @@ def test_missing_campaign_file_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_inject_refuses_a_ce_beyond_the_processor_count(tmp_path, capsys):
+    # Seed 2 draws a ce_deconfig of CE 2, which P = 1 does not have; the
+    # run once died of a raw "ce_id 2 out of range" when it struck.
+    path = tmp_path / "generated.json"
+    main(["campaign", str(path), "--generate", "--seed", "2"])
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as excinfo:
+        main(["inject", "flo52", "1", "--campaign", str(path), "--scale", "0.002"])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: fault #3 (ce_deconfig at 40659464 ns) targets CE 2, "
+        "out of range for P=1"
+    ]
+
+
 def test_inject_smoke(tmp_path, capsys):
     path = _tiny_campaign(tmp_path)
     main(["inject", "flo52", "4", "--campaign", str(path), "--scale", "0.002"])
@@ -74,7 +91,7 @@ def test_generated_campaign_runs_on_the_default_config(tmp_path, capsys, seed):
     assert all(
         f.target < 4 for f in spec.faults if f.kind == "ce_deconfig"
     ), spec.faults
-    main(["campaign", str(path), "--scale", "0.002"])
+    main(["campaign", str(path), "--scale", "0.002", "--jobs", "1"])
     out = capsys.readouterr().out
     assert "FAILED" not in out
     assert "FLO52 |     4 |" in out
@@ -91,6 +108,8 @@ def test_campaign_run_renders_table(tmp_path, capsys):
             "0.002",
             "--report",
             str(report),
+            "--jobs",
+            "1",
         ]
     )
     out = capsys.readouterr().out

@@ -16,18 +16,18 @@ FAULTS_SRC = Path(__file__).resolve().parents[2] / "src" / "repro" / "faults"
 def _instrumented_run(seed):
     sink = DeterminismSink()
     obs = Observability(extra_sinks=[sink])
-    outcome = run_with_campaign(
+    result = run_with_campaign(
         degraded_campaign(seed), "FLO52", 4, scale=SCALE, seed=seed, obs=obs
     )
-    return sink, outcome, obs
+    return sink, result, obs
 
 
 def test_same_seed_same_schedule_and_breakdown():
-    sink_a, outcome_a, obs_a = _instrumented_run(1994)
-    sink_b, outcome_b, obs_b = _instrumented_run(1994)
+    sink_a, result_a, obs_a = _instrumented_run(1994)
+    sink_b, result_b, obs_b = _instrumented_run(1994)
     assert sink_a.schedule_hash == sink_b.schedule_hash
-    assert outcome_a.result.ct_ns == outcome_b.result.ct_ns
-    assert ct_breakdown(outcome_a.result, 0) == ct_breakdown(outcome_b.result, 0)
+    assert result_a.ct_ns == result_b.ct_ns
+    assert ct_breakdown(result_a, 0) == ct_breakdown(result_b, 0)
     names = obs_a.registry.names("faults")
     assert names == obs_b.registry.names("faults")
     assert names  # the campaign must actually have injected something
@@ -42,10 +42,10 @@ def test_different_seed_changes_schedule():
 
 
 def test_fault_ledgers_identical_across_runs():
-    _, outcome_a, _ = _instrumented_run(1994)
-    _, outcome_b, _ = _instrumented_run(1994)
-    notes_a = [(r.kind, r.applied_ns, r.note) for r in outcome_a.ledger.records]
-    notes_b = [(r.kind, r.applied_ns, r.note) for r in outcome_b.ledger.records]
+    _, result_a, _ = _instrumented_run(1994)
+    _, result_b, _ = _instrumented_run(1994)
+    notes_a = [(r.kind, r.applied_ns, r.note) for r in result_a.fault_ledger.records]
+    notes_b = [(r.kind, r.applied_ns, r.note) for r in result_b.fault_ledger.records]
     assert notes_a == notes_b
 
 

@@ -20,10 +20,10 @@ def test_degraded_mode_experiment_structure():
     healthy_ct, degraded_ct = (row[2] for row in report.rows)
     # The slow bank and the dead CE must cost something.
     assert degraded_ct > healthy_ct
-    outcome = run_with_campaign(
+    result = run_with_campaign(
         degraded_campaign(), "FLO52", 4, scale=0.002, seed=1994
     )
-    assert outcome.ledger.injected == 2
+    assert result.fault_ledger.injected == 2
 
     rendered = report.render()
     assert "healthy" in rendered

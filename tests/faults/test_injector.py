@@ -52,15 +52,15 @@ def _degraded_stack(faults):
 
 def test_bank_slow_raises_completion_time():
     healthy = _healthy()
-    outcome = _degraded([FaultEvent(kind="bank_slow", at_ns=0, target=0, factor=8.0)])
-    assert outcome.ledger.injected == 1
-    assert outcome.result.ct_ns > healthy.ct_ns
+    result = _degraded([FaultEvent(kind="bank_slow", at_ns=0, target=0, factor=8.0)])
+    assert result.fault_ledger.injected == 1
+    assert result.ct_ns > healthy.ct_ns
 
 
 def test_switch_degrade_raises_completion_time():
     healthy = _healthy()
-    outcome = _degraded([FaultEvent(kind="switch_degrade", at_ns=0, extra_cycles=6)])
-    assert outcome.result.ct_ns > healthy.ct_ns
+    result = _degraded([FaultEvent(kind="switch_degrade", at_ns=0, extra_cycles=6)])
+    assert result.ct_ns > healthy.ct_ns
 
 
 def test_transient_fault_reverts():
@@ -158,8 +158,8 @@ def test_deconfigure_guard_refuses_to_empty_cluster():
 
 def test_lock_inflate_raises_system_overhead():
     healthy = _healthy()
-    outcome = _degraded([FaultEvent(kind="lock_inflate", at_ns=0, factor=20.0)])
-    assert outcome.result.ct_ns > healthy.ct_ns
+    result = _degraded([FaultEvent(kind="lock_inflate", at_ns=0, factor=20.0)])
+    assert result.ct_ns > healthy.ct_ns
 
 
 def _warm_page_app():

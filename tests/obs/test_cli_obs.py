@@ -43,7 +43,9 @@ def test_run_with_stats_flag(tmp_path, capsys):
 
 def test_sweep_with_stats_flag(tmp_path, capsys):
     out_file = tmp_path / "sweep-stats.json"
-    main(["sweep", "flo52", "--scale", "0.005", "--stats", str(out_file)])
+    main(
+        ["sweep", "flo52", "--scale", "0.005", "--stats", str(out_file), "--jobs", "1"]
+    )
     capsys.readouterr()
     reports = json.loads(out_file.read_text())
     assert isinstance(reports, list)
@@ -78,6 +80,8 @@ def test_sweep_with_campaign_log_and_report_round_trip(tmp_path, capsys):
             "0.002",
             "--log",
             str(log),
+            "--jobs",
+            "1",
         ]
     )
     sweep_out = capsys.readouterr().out
