@@ -73,7 +73,7 @@ from repro.parallel import (  # noqa: E402
     load_journal,
     save_recovery_report,
 )
-from repro.parallel.executor import _longest_first  # noqa: E402
+from repro.parallel.pool import longest_first  # noqa: E402
 
 SCHEMA = "cedar-repro/bench-resilience/v1"
 
@@ -143,7 +143,7 @@ def _chaos_plan(apps, configs, scale: float) -> HostChaosPlan:
     the last, so the respawn after the kill cannot take the hung
     worker down with it, and only the cell deadline can catch the hang.
     """
-    order = _longest_first(
+    order = longest_first(
         [CellSpec(app, p, scale=scale, seed=SEED) for app in apps for p in configs]
     )
     killed, slowed, hung = order[1], order[2], order[-1]

@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """CI smoke test for the sweep executor's routes.
 
-Round-trips ``cedar-repro tables`` five ways against a fresh cache
+Round-trips ``cedar-repro tables`` six ways against a fresh cache
 directory:
 
 1. in-process (``--jobs 1``, no cache) -- the reference output,
@@ -9,13 +9,15 @@ directory:
    must be byte-identical to the reference,
 3. cold pool (``--jobs 4 --cache-dir ...``) -- must be byte-identical
    to the reference while populating the cache,
-4. warm pool (same command again, with ``--log campaign.jsonl``) -- the
+4. plain warm (``--cache-dir ...`` alone: no ``--jobs``, no ``--log``,
+   the run the benchmark times) -- byte-identical to the reference,
+5. warm pool (``--jobs 4`` again, with ``--log campaign.jsonl``) -- the
    tables must open the output byte-identically (telemetry appends its
    summary after them, never perturbs them) and the campaign log must
    be a valid ``cedar-repro/campaign-log/v1`` document, tagged with the
    code fingerprint, whose events show every cell answered from the
    cache and none simulated,
-5. journaled (``--checkpoint JOURNAL``) -- byte-identical to the
+6. journaled (``--checkpoint JOURNAL``) -- byte-identical to the
    reference, with a ``done`` record in the journal for every one of
    the 25 cells;
 
@@ -65,6 +67,7 @@ def main() -> int:
         default, default_s = run_tables([])
         parallel_flags = ["--jobs", "4", "--cache-dir", cache_dir]
         cold, cold_s = run_tables(parallel_flags)
+        plain_warm, plain_warm_s = run_tables(["--cache-dir", cache_dir])
         log_path = Path(cache_dir) / "campaign.jsonl"
         warm, warm_s = run_tables([*parallel_flags, "--log", str(log_path)])
         header, events = load_campaign_log(log_path)
@@ -79,7 +82,7 @@ def main() -> int:
     simulated = sum(1 for e in events if e.get("ev") == "finish")
     print(
         f"parallel-smoke: serial {serial_s:.2f}s, default {default_s:.2f}s, "
-        f"cold --jobs 4 {cold_s:.2f}s, "
+        f"cold --jobs 4 {cold_s:.2f}s, plain warm {plain_warm_s:.2f}s, "
         f"warm {warm_s:.2f}s ({cache_hits} cache hits, {simulated} simulated), "
         f"--checkpoint {journaled_s:.2f}s ({len(journal.done)} done records)"
     )
@@ -87,6 +90,7 @@ def main() -> int:
         ("serial output is non-trivial", "Table 1" in serial),
         ("default (no --jobs) output byte-identical to serial", default == serial),
         ("cold parallel output byte-identical to serial", cold == serial),
+        ("plain warm output byte-identical to serial", plain_warm == serial),
         ("warm tables open byte-identically", warm.startswith(serial)),
         ("campaign summary follows the tables", "campaign" in warm[len(serial):]),
         ("campaign log has the v1 schema", header.get("schema") == CAMPAIGN_LOG_SCHEMA),

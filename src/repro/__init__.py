@@ -22,10 +22,7 @@ Quickstart::
     print(user_breakdown(result, task_id=0))  # Figure-4-style breakdown
 """
 
-from repro.core import run_application, run_phases
-from repro.hardware import CedarConfig, CedarMachine, paper_configuration
-from repro.runtime import LoopConstruct, ParallelLoop, SerialPhase
-from repro.sim import Simulator
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
@@ -41,3 +38,14 @@ __all__ = [
     "run_application",
     "run_phases",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core.runner": ("run_application", "run_phases"),
+        "hardware.config": ("CedarConfig", "paper_configuration"),
+        "hardware.machine": ("CedarMachine",),
+        "runtime.loops": ("LoopConstruct", "ParallelLoop", "SerialPhase"),
+        "sim.core": ("Simulator",),
+    },
+)

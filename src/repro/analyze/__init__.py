@@ -25,45 +25,7 @@ and asserts byte-identical breakdowns and tables.
 See ``docs/static-analysis.md`` for the rule catalogue.
 """
 
-from repro.analyze.engine import (
-    LintConfig,
-    LintResult,
-    lint_file,
-    lint_paths,
-    lint_source,
-)
-from repro.analyze.findings import (
-    Finding,
-    SuppressionRecord,
-    Suppressions,
-    parse_suppressions,
-)
-from repro.analyze.race import (
-    RaceReport,
-    ResultFingerprint,
-    SeedDivergence,
-    fingerprint_result,
-    plant_order_hazard,
-    race_app,
-    race_model,
-)
-from repro.analyze.reporters import (
-    render_json,
-    render_suppression_stats,
-    render_text,
-)
-from repro.analyze.rules import RULE_REGISTRY, ModuleContext, Rule, all_rules
-from repro.analyze.sanitize import (
-    SCHEDULE_HASH_DOMAIN,
-    DeterminismSink,
-    RunDigest,
-    SanitizeReport,
-    ScheduleHashDomainError,
-    TieBreakRecord,
-    same_schedule,
-    sanitize_app,
-    split_schedule_hash,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "SCHEDULE_HASH_DOMAIN",
@@ -99,3 +61,44 @@ __all__ = [
     "sanitize_app",
     "split_schedule_hash",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "engine": (
+            "LintConfig",
+            "LintResult",
+            "lint_file",
+            "lint_paths",
+            "lint_source",
+        ),
+        "findings": (
+            "Finding",
+            "SuppressionRecord",
+            "Suppressions",
+            "parse_suppressions",
+        ),
+        "race": (
+            "RaceReport",
+            "ResultFingerprint",
+            "SeedDivergence",
+            "fingerprint_result",
+            "plant_order_hazard",
+            "race_app",
+            "race_model",
+        ),
+        "reporters": ("render_json", "render_suppression_stats", "render_text"),
+        "rules": ("RULE_REGISTRY", "ModuleContext", "Rule", "all_rules"),
+        "sanitize": (
+            "SCHEDULE_HASH_DOMAIN",
+            "DeterminismSink",
+            "RunDigest",
+            "SanitizeReport",
+            "ScheduleHashDomainError",
+            "TieBreakRecord",
+            "same_schedule",
+            "sanitize_app",
+            "split_schedule_hash",
+        ),
+    },
+)

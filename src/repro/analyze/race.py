@@ -53,7 +53,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.hardware.machine import CedarMachine
     from repro.parallel.executor import CellSpec
     from repro.runtime.library import CedarFortranRuntime
-    from repro.sim import Simulator
+    from repro.sim.core import Simulator
     from repro.xylem.kernel import XylemKernel
 
 __all__ = [

@@ -75,17 +75,9 @@ import os
 import sys
 from pathlib import Path
 
-from repro.apps import PAPER_APPS
-from repro.core import (
-    contention_overhead,
-    ct_breakdown,
-    parallel_loop_concurrency,
-    render_partial_table,
-    resilient_sweep,
-    resume_sweep,
-    save_failure_report,
-    user_breakdown,
-)
+from repro.core.breakdown import ct_breakdown, user_breakdown
+from repro.core.concurrency import parallel_loop_concurrency
+from repro.core.contention import contention_overhead
 from repro.core.experiments import (
     USER_BREAKDOWN_FIGURES,
     figure3,
@@ -95,13 +87,13 @@ from repro.core.experiments import (
     table3,
     table4,
 )
-from repro.hpm import save_trace, trace_summary
-from repro.obs import (
-    Observability,
-    build_run_report,
-    save_report,
+from repro.core.reference import APPS
+from repro.core.resilience import (
+    render_partial_table,
+    resilient_sweep,
+    resume_sweep,
+    save_failure_report,
 )
-from repro.sim import DeadlockSuspected, RunawaySimulation
 from repro.xylem.categories import TimeCategory
 
 __all__ = ["CLIError", "main"]
@@ -114,13 +106,15 @@ class CLIError(Exception):
 def _app_name(name: str) -> str:
     """The canonical (upper-case) name of a paper application."""
     key = name.upper()
-    if key not in PAPER_APPS:
-        raise CLIError(f"unknown application {name!r}; pick from {list(PAPER_APPS)}")
+    if key not in APPS:
+        raise CLIError(f"unknown application {name!r}; pick from {list(APPS)}")
     return key
 
 
 def _write_stats(results, path, registry=None) -> None:
     """Write the run report(s) for one result or a list of them."""
+    from repro.obs.exporters import build_run_report, save_report
+
     if isinstance(results, list):
         save_report([build_run_report(r) for r in results], path)
         print(f"wrote {len(results)} run reports to {path}")
@@ -172,7 +166,7 @@ def _durable_options(args: argparse.Namespace):
     if deadline is not None:
         if not checkpoint:
             raise CLIError("--cell-deadline requires --checkpoint")
-        from repro.parallel import DurablePolicy
+        from repro.parallel.durable import DurablePolicy
 
         policy = DurablePolicy(cell_deadline_s=deadline)
     return checkpoint, chaos, policy
@@ -186,7 +180,7 @@ def _write_recovery_report(args: argparse.Namespace, outcome) -> None:
     if outcome.recovery is None:
         print("no recovery report: the sweep did not run durably")
         return
-    from repro.parallel import save_recovery_report
+    from repro.parallel.durable import save_recovery_report
 
     save_recovery_report(outcome.recovery, path)
     print(f"wrote recovery report to {path}")
@@ -252,7 +246,7 @@ def _resolve_run_workload(args: argparse.Namespace):
     scenario's ``defaults`` section when a scenario supplies them, and
     to the historical CLI defaults (0.02, 1994) otherwise.
     """
-    from repro.parallel import CellSpec
+    from repro.parallel.executor import CellSpec
 
     if args.app is not None and args.app_opt is not None:
         raise CLIError("give the application positionally or via --app, not both")
@@ -266,17 +260,23 @@ def _resolve_run_workload(args: argparse.Namespace):
         if app is not None:
             raise CLIError("--scenario replaces the application; drop APP/--app")
         from repro.scenario import (
+            ScenarioError,
             canonical_scenario_json,
             compile_scenario,
             load_scenario,
         )
 
-        doc = load_scenario(args.scenario)
-        compiled = compile_scenario(doc)
-        processors = processors if processors is not None else doc.defaults.n_processors
-        # A topology that cannot host the run is an input error (exit
-        # 2), reported before any cell runs.
-        compiled.config(processors)
+        try:
+            doc = load_scenario(args.scenario)
+            compiled = compile_scenario(doc)
+            processors = (
+                processors if processors is not None else doc.defaults.n_processors
+            )
+            # A topology that cannot host the run is an input error
+            # (exit 2), reported before any cell runs.
+            compiled.config(processors)
+        except ScenarioError as exc:
+            raise CLIError(str(exc)) from exc
         return CellSpec(
             app=doc.name,
             n_processors=processors,
@@ -299,7 +299,8 @@ def _resolve_run_workload(args: argparse.Namespace):
 def _cmd_run(args: argparse.Namespace) -> None:
     import dataclasses
 
-    from repro.parallel import ResultCache, execute_cells
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.executor import execute_cells
 
     spec = _resolve_run_workload(args)
     processors, scale = spec.n_processors, spec.scale
@@ -386,8 +387,6 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_tables(args: argparse.Namespace) -> None:
-    from repro.core import reference
-
     checkpoint, chaos, policy = _durable_options(args)
     telemetry = (
         _make_telemetry(args, label="tables")
@@ -395,7 +394,7 @@ def _cmd_tables(args: argparse.Namespace) -> None:
         else None
     )
     outcome = resilient_sweep(
-        reference.APPS,
+        APPS,
         scale=args.scale,
         seed=args.seed,
         jobs=args.jobs,
@@ -462,7 +461,8 @@ def _cmd_resume(args: argparse.Namespace) -> None:
 def _cmd_trace(args: argparse.Namespace) -> None:
     import dataclasses
 
-    from repro.parallel import CellSpec, run_cell
+    from repro.hpm.traces import save_trace, trace_summary
+    from repro.parallel.executor import CellSpec, run_cell
 
     result = run_cell(
         CellSpec(
@@ -490,7 +490,10 @@ def _cmd_trace(args: argparse.Namespace) -> None:
 
 
 def _cmd_stats(args: argparse.Namespace) -> None:
-    from repro.parallel import CellSpec, ResultCache, execute_cells, run_cell
+    from repro.obs.exporters import build_run_report, save_report
+    from repro.obs.instrument import Observability
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.executor import CellSpec, execute_cells, run_cell
 
     spec = CellSpec(
         app=_app_name(args.app),
@@ -533,7 +536,8 @@ def _cmd_stats(args: argparse.Namespace) -> None:
 
 
 def _cmd_profile(args: argparse.Namespace) -> None:
-    from repro.parallel import CellSpec, run_cell
+    from repro.obs.instrument import Observability
+    from repro.parallel.executor import CellSpec, run_cell
 
     obs = Observability(profile=True)
     result = run_cell(
@@ -655,7 +659,9 @@ def _cmd_sanitize(args: argparse.Namespace) -> None:
 
 def _cmd_inject(args: argparse.Namespace) -> None:
     from repro.faults import CampaignError, load_campaign
-    from repro.parallel import CellSpec, run_cell
+    from repro.obs.instrument import Observability
+    from repro.parallel.executor import CellSpec, run_cell
+    from repro.sim.errors import DeadlockSuspected, RunawaySimulation
 
     app = _app_name(args.app)  # validate before the expensive run
     try:
@@ -788,14 +794,17 @@ def _cmd_scenario_validate(args: argparse.Namespace) -> None:
 
 
 def _cmd_scenario_export(args: argparse.Namespace) -> None:
-    from repro.scenario import export_app, save_scenario, write_examples
+    from repro.scenario import ScenarioError, export_app, save_scenario, write_examples
 
     if args.all:
         directory = args.output if args.output else "examples/scenarios"
         for path in write_examples(directory):
             print(f"wrote {path}")
         return
-    doc = export_app(args.export_app)
+    try:
+        doc = export_app(args.export_app)
+    except ScenarioError as exc:
+        raise CLIError(str(exc)) from exc
     path = Path(args.output) if args.output else Path(f"{doc.name.lower()}.json")
     save_scenario(doc, path)
     print(f"wrote {doc.name} scenario to {path}")
@@ -1158,16 +1167,12 @@ def main(argv: list[str] | None = None) -> None:
     args = parser.parse_args(argv)
     from repro.parallel.durable import CampaignInterrupted
     from repro.parallel.journal import JournalError
-    from repro.scenario import ScenarioError
 
     try:
         args.func(args)
     except CLIError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(2) from exc
-    except ScenarioError as exc:
-        # A malformed scenario document is bad input like any other:
-        # the message already carries the precise document path.
+        # Handlers that read a scenario document raise its ScenarioError
+        # as a CLIError: the message carries the precise document path.
         print(f"error: {exc}", file=sys.stderr)
         raise SystemExit(2) from exc
     except JournalError as exc:

@@ -7,46 +7,7 @@ concurrency equation and the contention-overhead estimator (Section 7),
 plus the paper's published numbers for comparison.
 """
 
-from repro.core.breakdown import (
-    MemoryDecomposition,
-    UserTimeBreakdown,
-    ct_breakdown,
-    memory_decomposition,
-    user_breakdown,
-)
-from repro.core.concurrency import (
-    average_concurrency,
-    loop_regions,
-    parallel_fraction,
-    parallel_loop_concurrency,
-    total_parallel_loop_concurrency,
-)
-from repro.core.figures import render_ct_bars, render_user_bars, stacked_bar
-from repro.core.model import PredictedTime, predict_completion_time
-from repro.core.contention import (
-    ContentionRow,
-    contention_overhead,
-    t1_split_ns,
-    tp_actual_ns,
-)
-from repro.core.report import render_table
-from repro.core.resilience import (
-    CellFailure,
-    SweepOutcome,
-    failure_report,
-    render_partial_table,
-    resilient_sweep,
-    resume_sweep,
-    save_failure_report,
-)
-from repro.core.runner import DEFAULT_SCALE, RunResult, run_application, run_phases
-from repro.core.speedup import SpeedupRow, speedup_table
-from repro.core.trace_analysis import (
-    Interval,
-    IntervalKind,
-    extract_intervals,
-    intervals_of,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CellFailure",
@@ -87,3 +48,50 @@ __all__ = [
     "tp_actual_ns",
     "user_breakdown",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "breakdown": (
+            "MemoryDecomposition",
+            "UserTimeBreakdown",
+            "ct_breakdown",
+            "memory_decomposition",
+            "user_breakdown",
+        ),
+        "concurrency": (
+            "average_concurrency",
+            "loop_regions",
+            "parallel_fraction",
+            "parallel_loop_concurrency",
+            "total_parallel_loop_concurrency",
+        ),
+        "figures": ("render_ct_bars", "render_user_bars", "stacked_bar"),
+        "model": ("PredictedTime", "predict_completion_time"),
+        "contention": (
+            "ContentionRow",
+            "contention_overhead",
+            "t1_split_ns",
+            "tp_actual_ns",
+        ),
+        "report": ("render_table",),
+        "resilience": (
+            "CellFailure",
+            "SweepOutcome",
+            "failure_report",
+            "render_partial_table",
+            "resilient_sweep",
+            "resume_sweep",
+            "save_failure_report",
+        ),
+        "record": ("DEFAULT_SCALE", "RunResult"),
+        "runner": ("run_application", "run_phases"),
+        "speedup": ("SpeedupRow", "speedup_table"),
+        "trace_analysis": (
+            "Interval",
+            "IntervalKind",
+            "extract_intervals",
+            "intervals_of",
+        ),
+    },
+)

@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, fields
 
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 from repro.core.trace_analysis import pair_events
 from repro.hpm.events import EventType
 from repro.runtime.loops import LoopConstruct
@@ -156,7 +156,7 @@ class MemoryDecomposition:
 def memory_decomposition(result: RunResult) -> MemoryDecomposition:
     """Per-cluster busy/ideal/stall split of global-memory streaming.
 
-    Reads the machine's always-on :class:`~repro.hardware.machine.MemoryLedger`,
+    Reads the machine's always-on :class:`~repro.hardware.ledger.MemoryLedger`,
     the same source the ``repro.obs`` metrics collector uses for its
     ``memory.cluster*`` series, so the two views agree by construction.
     """

@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 from repro.core.trace_analysis import pair_events
 from repro.hpm.events import EventType, Row
 

@@ -24,7 +24,7 @@ from repro.core.concurrency import (
     parallel_loop_concurrency,
     total_parallel_loop_concurrency,
 )
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 
 __all__ = ["ContentionRow", "tp_actual_ns", "t1_split_ns", "contention_overhead"]
 

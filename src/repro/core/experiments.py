@@ -14,7 +14,7 @@ from repro.core.breakdown import ct_breakdown, user_breakdowns
 from repro.core.concurrency import parallel_loop_concurrency
 from repro.core.contention import contention_overhead
 from repro.core.report import render_table
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 from repro.core.speedup import speedup_table
 from repro.xylem.categories import OsActivity, TimeCategory
 

@@ -9,7 +9,7 @@ charts so a terminal user can see the shapes the tables encode.
 from __future__ import annotations
 
 from repro.core.breakdown import ct_breakdown, user_breakdown
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 from repro.xylem.categories import TimeCategory
 
 __all__ = ["render_ct_bars", "render_user_bars", "stacked_bar"]

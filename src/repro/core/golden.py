@@ -29,7 +29,7 @@ from repro.core.experiments import (
     table3,
     table4,
 )
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 
 __all__ = [
     "GOLDEN_SCHEMA",

@@ -22,7 +22,7 @@ from pathlib import Path
 
 from repro.core.reference import CONFIGS
 from repro.core.report import render_table
-from repro.core.runner import DEFAULT_SCALE, RunResult
+from repro.core.record import DEFAULT_SCALE, RunResult
 
 __all__ = [
     "CellFailure",
@@ -177,7 +177,7 @@ def resilient_sweep(
 
 def resume_sweep(
     journal_path: str | Path,
-    jobs: int = 2,
+    jobs: int = 1,
     cache_dir: str | Path | None = None,
     retries: int = 3,
     policy=None,

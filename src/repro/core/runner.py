@@ -3,197 +3,48 @@
 Assembles the full stack -- simulator, machine, Xylem kernel, cedarhpm
 monitor, activity board, statfx sampler, runtime library -- runs the
 program in a dedicated single-user setting (only the target application
-and the OS, as in the paper), and returns a :class:`RunResult`: the
-run's measured record, harvested from the stack once the event loop
-stops.  The record holds plain data only, so the same object feeds the
-tables, crosses a process pool and lives in the result cache; the stack
-itself is dropped.  A caller that needs the live stack (a fault
-injector, a test probing internals) gets it through *pre_run_hook*.
+and the OS, as in the paper), and returns a
+:class:`~repro.core.record.RunResult`: the run's measured record,
+harvested from the stack once the event loop stops.  The record holds
+plain data only, so the same object feeds the tables, crosses a process
+pool and lives in the result cache; the stack itself is dropped.  A
+caller that needs the live stack (a fault injector, a test probing
+internals) gets it through *pre_run_hook*.  This module imports the
+whole stack: it is the seam that simulates, and a process that only
+reads results never imports it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.apps.base import AppModel
+from repro.core.record import DEFAULT_SCALE, RunResult
 from repro.hardware.config import CedarConfig, paper_configuration
-from repro.hardware.machine import CedarMachine, MemoryLedger
+from repro.hardware.machine import CedarMachine
 from repro.hpm.activity import ActivityBoard
-from repro.hpm.events import EventList
 from repro.hpm.monitor import CedarHpm
 from repro.hpm.statfx import Statfx
 from repro.obs.hostclock import WallTimer
-from repro.runtime.library import CedarFortranRuntime, RuntimeStats
+from repro.runtime.library import CedarFortranRuntime
 from repro.runtime.loops import Phase
 from repro.runtime.params import RuntimeParams
-from repro.sim import Simulator
-from repro.xylem.accounting import TimeAccounting
+from repro.sim.core import Simulator
 from repro.xylem.kernel import XylemKernel
 from repro.xylem.locks import KernelLock
 from repro.xylem.params import XylemParams
-from repro.xylem.vm import FaultStats
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.faults.injector import FaultLedger
     from repro.obs.instrument import Observability
 
-__all__ = ["PreRunHook", "RunResult", "run_application", "run_phases"]
+__all__ = ["DEFAULT_SCALE", "PreRunHook", "RunResult", "run_application", "run_phases"]
 
 #: Callback invoked after the stack is assembled, before the event loop
 #: starts; used by ``repro.faults`` to arm fault-injection processes.
 PreRunHook = Callable[
     [Simulator, CedarMachine, XylemKernel, CedarFortranRuntime], None
 ]
-
-#: Default workload scale: 1/50 of the full-scale step counts keeps a
-#: five-application, five-configuration sweep in the tens of seconds.
-DEFAULT_SCALE = 0.02
-
-
-@dataclass
-class RunResult:
-    """Everything measured during one application run.
-
-    Plain, picklable data only: the values every table, figure and
-    metrics collector reads, harvested once when the event loop stops.
-    """
-
-    app_name: str
-    config: CedarConfig
-    scale: float
-    #: Multiplier from simulated totals to full-scale totals.
-    extrapolation: float
-    #: Simulated completion time in nanoseconds (not extrapolated).
-    ct_ns: int
-    #: The off-loaded cedarhpm trace buffer: the monitor's own columnar
-    #: :class:`~repro.hpm.events.EventList`.
-    events: EventList
-    accounting: TimeAccounting
-    fault_stats: FaultStats
-    #: The Xylem OS parameters of the run (``os_params.seed`` seeds the
-    #: OS jitter stream).
-    os_params: XylemParams
-    #: The machine's global-memory ledger.
-    mem_ledger: MemoryLedger
-    #: The runtime library's protocol counters.
-    runtime_stats: RuntimeStats
-    #: statfx: samples taken and each cluster's sum of sampled counts.
-    statfx_samples: int
-    statfx_sums: tuple[int, ...]
-    #: Activity board: each CE's active time over the run.
-    ce_busy_ns: tuple[int, ...]
-    #: Streaming-CE load tracker: high-water marks (machine-wide and per
-    #: cluster) and the time-weighted mean.
-    load_high_water: int
-    cluster_load_high_water: tuple[int, ...]
-    load_mean: float
-    #: Per-cluster CC-bus ``(dispatches, synchronisations)``.
-    ccbus: tuple[tuple[int, int], ...]
-    #: Kernel locks' ``(acquisitions, contended acquisitions)``: the
-    #: global lock and each cluster lock.
-    global_lock: tuple[int, int]
-    cluster_locks: tuple[tuple[int, int], ...]
-    #: The cedarhpm monitor's timestamp resolution and its pickup and
-    #: iteration summary, ``[intervals, ns]`` by ``(task, kind,
-    #: construct)``.
-    hpm_resolution_ns: int
-    hpm_summary: dict
-    #: Host wall-clock seconds spent inside the event loop.
-    wall_s: float = 0.0
-    #: Domain-tagged BLAKE2 digest of the processed-event order, filled
-    #: in by the ``repro.parallel`` executor (``None`` for plain runs).
-    #: Compare with :func:`repro.analyze.same_schedule`, never ``==``
-    #: across recordings: the ``cedar-repro/schedule/vN`` prefix
-    #: versions the event-stream definition.
-    schedule_hash: str | None = None
-    #: Kernel fast-path counters harvested at end of run: the
-    #: Timeout-pool reuse counters (``pool.*``).  Keys match the
-    #: ``kernel.*`` metric suffixes emitted by
-    #: :mod:`repro.obs.instrument`.
-    kernel_stats: dict = field(default_factory=dict)
-    #: The fault injector's ledger of a fault-campaign run (``None``
-    #: for a healthy run).  Not part of the result fingerprint.
-    fault_ledger: "FaultLedger | None" = None
-    #: Always ``{"statfx": "push"}``: statfx has one sampler.  Only the
-    #: benchmark harness (``bench/``) reads this field; it goes in the
-    #: benchmark refresh, together with ``hpm.statfx_push_cells`` and
-    #: the ``compiled_loop_active`` stub.
-    fastpath_modes: dict = field(default_factory=lambda: {"statfx": "push"})
-
-    #: Lazily-filled cache used by the analysis helpers.
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    @property
-    def n_processors(self) -> int:
-        """Processors in the configuration."""
-        return self.config.n_processors
-
-    @property
-    def ct_seconds(self) -> float:
-        """Extrapolated full-scale completion time in seconds."""
-        return self.ct_ns * self.extrapolation / 1e9
-
-    def seconds(self, ns: float) -> float:
-        """Extrapolate a simulated nanosecond quantity to full-scale seconds."""
-        return ns * self.extrapolation / 1e9
-
-    def fraction_of_ct(self, ns: float) -> float:
-        """Express a simulated nanosecond quantity as a fraction of CT."""
-        if self.ct_ns == 0:
-            return 0.0
-        return ns / self.ct_ns
-
-    def cluster_concurrency(self, cluster_id: int) -> float:
-        """statfx-sampled average concurrency on one cluster."""
-        if self.statfx_samples == 0:
-            return 0.0
-        return self.statfx_sums[cluster_id] / self.statfx_samples
-
-    def total_concurrency(self) -> float:
-        """Sum of per-cluster sampled concurrencies (the paper's value)."""
-        return sum(
-            self.cluster_concurrency(c) for c in range(len(self.statfx_sums))
-        )
-
-    def mean_concurrency(self, cluster_id: int | None = None) -> float:
-        """Exact time-weighted average active-CE count over the run.
-
-        Restricted to one cluster when *cluster_id* is given, otherwise
-        over the whole machine.  The loop stops when the program ends,
-        so the completion time is the board's end time.
-        """
-        if self.ct_ns == 0:
-            return 0.0
-        busy = self.ce_busy_ns
-        if cluster_id is not None:
-            per = self.config.ces_per_cluster
-            busy = busy[cluster_id * per : (cluster_id + 1) * per]
-        return sum(busy) / self.ct_ns
-
-    def __getstate__(self) -> dict:
-        """Pickle state: the record carries what its tables read.
-
-        Tables 3 and 4 read a run's trace only through
-        :func:`~repro.core.concurrency.loop_index`, and Figures 5-9
-        only through :func:`~repro.core.breakdown.user_breakdowns`, so
-        both are built where the result is pickled -- in the pool
-        worker, or at a cache put -- and a served result answers them
-        without scanning its events.  A trace the scan rejects carries
-        neither: the reader rescans it and raises as the scan did.
-        """
-        from repro.core.breakdown import user_breakdowns
-        from repro.core.concurrency import loop_index
-
-        carried = {}
-        try:
-            carried["loop_index"] = loop_index(self)
-            carried["user_breakdowns"] = user_breakdowns(self)
-        except ValueError:
-            pass
-        return {**self.__dict__, "_cache": carried}
-
 
 def run_phases(
     phases: list[Phase],

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 
 __all__ = ["SpeedupRow", "speedup_table"]
 

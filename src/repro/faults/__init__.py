@@ -23,30 +23,7 @@ execution layer in :mod:`repro.parallel.durable` rather than the
 simulated machine (``docs/resilience.md``).
 """
 
-from repro.faults.campaign import run_with_campaign
-from repro.faults.experiments import degraded_campaign, degraded_mode_experiment
-from repro.faults.host import (
-    HOST_CHAOS_SCHEMA,
-    HOST_FAULT_KINDS,
-    HostChaosError,
-    HostChaosPlan,
-    HostFault,
-    corrupt_cache_entry,
-    generate_host_chaos,
-    load_host_chaos,
-    save_host_chaos,
-)
-from repro.faults.injector import FaultInjectionError, FaultInjector, FaultLedger, InjectedFault
-from repro.faults.spec import (
-    DEFAULT_CONFIGS,
-    FAULT_KINDS,
-    CampaignError,
-    CampaignSpec,
-    FaultEvent,
-    generate_campaign,
-    load_campaign,
-    save_campaign,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_CONFIGS",
@@ -74,3 +51,34 @@ __all__ = [
     "save_campaign",
     "save_host_chaos",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "campaign": ("run_with_campaign",),
+        "experiments": ("degraded_campaign", "degraded_mode_experiment"),
+        "host": (
+            "HOST_CHAOS_SCHEMA",
+            "HOST_FAULT_KINDS",
+            "HostChaosError",
+            "HostChaosPlan",
+            "HostFault",
+            "corrupt_cache_entry",
+            "generate_host_chaos",
+            "load_host_chaos",
+            "save_host_chaos",
+        ),
+        "injector": ("FaultInjectionError", "FaultInjector"),
+        "ledger": ("FaultLedger", "InjectedFault"),
+        "spec": (
+            "DEFAULT_CONFIGS",
+            "FAULT_KINDS",
+            "CampaignError",
+            "CampaignSpec",
+            "FaultEvent",
+            "generate_campaign",
+            "load_campaign",
+            "save_campaign",
+        ),
+    },
+)

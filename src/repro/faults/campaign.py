@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.instrument import Observability
     from repro.runtime.library import CedarFortranRuntime
     from repro.runtime.params import RuntimeParams
-    from repro.sim import Simulator
+    from repro.sim.core import Simulator
     from repro.xylem.kernel import XylemKernel
 
 __all__ = ["run_with_campaign"]

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from repro.core.breakdown import ct_breakdown, memory_decomposition
 from repro.core.report import render_table
-from repro.core.runner import RunResult
+from repro.core.record import RunResult
 from repro.faults.spec import CampaignSpec, FaultEvent
 from repro.xylem.categories import TimeCategory
 
@@ -112,11 +112,12 @@ def degraded_mode_experiment(
     """Run each app healthy and degraded; report the breakdown shift.
 
     The ``2 x len(apps)`` cells run through
-    :func:`repro.parallel.execute_cells`: in process with ``jobs == 1``,
+    :func:`repro.parallel.executor.execute_cells`: in process with ``jobs == 1``,
     healthy and degraded runs in parallel otherwise, served from the
     result cache under *cache_dir* on warm reruns.
     """
-    from repro.parallel import CellSpec, ResultCache, execute_cells
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.executor import CellSpec, execute_cells
 
     spec = campaign if campaign is not None else degraded_campaign(seed)
     report = DegradedModeReport(

@@ -14,13 +14,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable, Generator
-from dataclasses import dataclass, field
 
+from repro.faults.ledger import FaultLedger, InjectedFault
 from repro.faults.spec import CampaignSpec, FaultEvent
 from repro.hardware.machine import CedarMachine
-from repro.obs.registry import MetricsRegistry
 from repro.runtime.library import CedarFortranRuntime
-from repro.sim import Simulator
+from repro.sim.core import Simulator
 from repro.xylem.kernel import XylemKernel
 
 __all__ = ["FaultInjectionError", "FaultInjector", "FaultLedger", "InjectedFault"]
@@ -28,46 +27,6 @@ __all__ = ["FaultInjectionError", "FaultInjector", "FaultLedger", "InjectedFault
 
 class FaultInjectionError(RuntimeError):
     """A fault could not be applied against the current stack."""
-
-
-@dataclass
-class InjectedFault:
-    """The record of one fault's lifetime during a run."""
-
-    kind: str
-    at_ns: int
-    applied_ns: int = -1
-    reverted_ns: int = -1
-    target: int | None = None
-    note: str = ""
-
-
-@dataclass
-class FaultLedger:
-    """Counters of injection activity, harvested into ``faults.*``."""
-
-    records: list[InjectedFault] = field(default_factory=list)
-    injected: int = 0
-    reverted: int = 0
-    pages_invalidated: int = 0
-    by_kind: dict[str, int] = field(default_factory=dict)
-
-    def note_injected(self, record: InjectedFault) -> None:
-        """Record one applied fault."""
-        self.records.append(record)
-        self.injected += 1
-        self.by_kind[record.kind] = self.by_kind.get(record.kind, 0) + 1
-
-    def collect(self, registry: MetricsRegistry) -> None:
-        """Fold the ledger into an obs metrics registry."""
-        registry.counter("faults.injected").inc(self.injected)
-        registry.counter("faults.reverted").inc(self.reverted)
-        for kind, count in sorted(self.by_kind.items()):
-            registry.counter(f"faults.{kind}.count").inc(count)
-        if self.pages_invalidated:
-            registry.counter("faults.pagefault.pages_invalidated").inc(
-                self.pages_invalidated
-            )
 
 
 class FaultInjector:

@@ -7,18 +7,7 @@ return networks, plus an analytic contention model used by
 application-scale simulations.
 """
 
-from repro.hardware.cache import (
-    CacheConfig,
-    ClusterCacheModel,
-    SetAssociativeCache,
-    StreamingMissModel,
-)
-from repro.hardware.cluster import CE, Cluster, ConcurrencyControlBus
-from repro.hardware.config import PAPER_PROCESSOR_COUNTS, CedarConfig, paper_configuration
-from repro.hardware.contention import ContentionEstimate, ContentionModel, LoadTracker
-from repro.hardware.machine import CedarMachine
-from repro.hardware.memory import GlobalMemorySystem, MemoryStats
-from repro.hardware.network import DeltaNetwork, NetworkStats, Packet
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CacheConfig",
@@ -41,3 +30,21 @@ __all__ = [
     "StreamingMissModel",
     "paper_configuration",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": (
+            "CacheConfig",
+            "ClusterCacheModel",
+            "SetAssociativeCache",
+            "StreamingMissModel",
+        ),
+        "cluster": ("CE", "Cluster", "ConcurrencyControlBus"),
+        "config": ("PAPER_PROCESSOR_COUNTS", "CedarConfig", "paper_configuration"),
+        "contention": ("ContentionEstimate", "ContentionModel", "LoadTracker"),
+        "machine": ("CedarMachine",),
+        "memory": ("GlobalMemorySystem", "MemoryStats"),
+        "network": ("DeltaNetwork", "NetworkStats", "Packet"),
+    },
+)

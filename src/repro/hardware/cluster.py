@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.config import CedarConfig
-from repro.sim import Simulator
+from repro.sim.core import Simulator
 
 __all__ = ["CE", "Cluster", "ConcurrencyControlBus"]
 

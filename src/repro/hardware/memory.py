@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 from repro.hardware.config import CedarConfig
 from repro.hardware.network import DeltaNetwork, Packet
-from repro.sim import Event, Resource, Simulator
+from repro.sim.core import Event, Simulator
+from repro.sim.resources import Resource
 
 __all__ = ["GlobalMemorySystem", "MemoryStats"]
 

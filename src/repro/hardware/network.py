@@ -22,7 +22,8 @@ import math
 from collections.abc import Generator
 from dataclasses import dataclass, field
 
-from repro.sim import Resource, Simulator, Store
+from repro.sim.core import Simulator
+from repro.sim.resources import Resource, Store
 
 __all__ = ["Packet", "DeltaNetwork", "NetworkStats"]
 

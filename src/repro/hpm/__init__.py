@@ -9,11 +9,7 @@
   :class:`repro.xylem.TimeAccounting`.
 """
 
-from repro.hpm.activity import ActivityBoard
-from repro.hpm.events import OS_EVENTS, RTL_EVENTS, EventType, TraceEvent
-from repro.hpm.monitor import CedarHpm
-from repro.hpm.statfx import Statfx
-from repro.hpm.traces import load_trace, load_trace_meta, save_trace, trace_summary
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ActivityBoard",
@@ -28,3 +24,14 @@ __all__ = [
     "save_trace",
     "trace_summary",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "activity": ("ActivityBoard",),
+        "events": ("OS_EVENTS", "RTL_EVENTS", "EventType", "TraceEvent"),
+        "monitor": ("CedarHpm",),
+        "statfx": ("Statfx",),
+        "traces": ("load_trace", "load_trace_meta", "save_trace", "trace_summary"),
+    },
+)

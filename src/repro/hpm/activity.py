@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.hardware.config import CedarConfig
-from repro.sim import Simulator
+from repro.sim.core import Simulator
 
 __all__ = ["ActivityBoard"]
 

@@ -12,7 +12,7 @@ simulated time for recording.
 from __future__ import annotations
 
 from repro.hpm.events import EventList, EventType
-from repro.sim import Simulator
+from repro.sim.core import Simulator
 
 __all__ = ["CedarHpm"]
 

@@ -27,7 +27,7 @@ tick-by-tick sampler.
 from __future__ import annotations
 
 from repro.hpm.activity import ActivityBoard
-from repro.sim import Simulator
+from repro.sim.core import Simulator
 
 __all__ = ["Statfx"]
 

@@ -9,50 +9,7 @@ run, and exporters producing a JSON run report and a Perfetto-loadable
 Chrome trace.  See ``docs/observability.md``.
 """
 
-from repro.obs.campaign import (
-    CAMPAIGN_LOG_SCHEMA,
-    CAMPAIGN_REPORT_SCHEMA,
-    CampaignTelemetry,
-    CellSpan,
-    ProgressReporter,
-    build_campaign_report,
-    campaign_chrome_trace,
-    load_campaign_log,
-    render_campaign_report,
-    save_campaign_report,
-    save_campaign_trace,
-    spans_from_log,
-)
-from repro.obs.exporters import (
-    REPORT_SCHEMA_VERSION,
-    build_run_report,
-    chrome_trace,
-    git_revision,
-    save_chrome_trace,
-    save_report,
-)
-from repro.obs.hazard import TieBreakAuditSink
-from repro.obs.hostclock import WallTimer, host_clock_s
-from repro.obs.instrument import (
-    Observability,
-    collect_hpm_metrics,
-    collect_run_metrics,
-)
-from repro.obs.profile import ProcessProfiler, ProcessProfileRecord, profile_key
-from repro.obs.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    Timeseries,
-    validate_name,
-)
-from repro.obs.tracing import (
-    KernelTraceBuffer,
-    KernelTraceRecord,
-    MultiSink,
-    TraceSink,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CAMPAIGN_LOG_SCHEMA",
@@ -93,3 +50,44 @@ __all__ = [
     "spans_from_log",
     "validate_name",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "campaign": (
+            "CAMPAIGN_LOG_SCHEMA",
+            "CAMPAIGN_REPORT_SCHEMA",
+            "CampaignTelemetry",
+            "CellSpan",
+            "ProgressReporter",
+            "build_campaign_report",
+            "campaign_chrome_trace",
+            "load_campaign_log",
+            "render_campaign_report",
+            "save_campaign_report",
+            "save_campaign_trace",
+            "spans_from_log",
+        ),
+        "exporters": (
+            "REPORT_SCHEMA_VERSION",
+            "build_run_report",
+            "chrome_trace",
+            "git_revision",
+            "save_chrome_trace",
+            "save_report",
+        ),
+        "hazard": ("TieBreakAuditSink",),
+        "hostclock": ("WallTimer", "host_clock_s"),
+        "instrument": ("Observability", "collect_hpm_metrics", "collect_run_metrics"),
+        "profile": ("ProcessProfiler", "ProcessProfileRecord", "profile_key"),
+        "registry": (
+            "Counter",
+            "Gauge",
+            "Histogram",
+            "MetricsRegistry",
+            "Timeseries",
+            "validate_name",
+        ),
+        "tracing": ("KernelTraceBuffer", "KernelTraceRecord", "MultiSink", "TraceSink"),
+    },
+)

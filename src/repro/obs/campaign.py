@@ -45,7 +45,7 @@ from repro.obs.hostclock import host_clock_s
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runner import RunResult
+    from repro.core.record import RunResult
     from repro.parallel.executor import CellSpec
 
 __all__ = [

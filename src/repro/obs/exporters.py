@@ -25,7 +25,7 @@ from repro.obs.instrument import collect_run_metrics
 from repro.obs.registry import MetricsRegistry
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runner import RunResult
+    from repro.core.record import RunResult
     from repro.obs.profile import ProcessProfiler
 
 __all__ = [

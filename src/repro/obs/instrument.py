@@ -5,7 +5,7 @@
 :class:`~repro.obs.registry.MetricsRegistry` and the optional kernel
 sinks (process profiler, kernel trace buffer).  After the run the
 collector functions fold every always-on counter the run's
-:class:`~repro.core.runner.RunResult` record carries -- the memory
+:class:`~repro.core.record.RunResult` record carries -- the memory
 ledger, the load tracker's statistics, the Xylem accounting ledger and
 fault counters, the runtime protocol counters, the activity board's
 busy times and the ``cedarhpm`` buffer -- into hierarchical metric
@@ -37,7 +37,7 @@ from repro.obs.registry import MetricsRegistry
 from repro.obs.tracing import KernelTraceBuffer, MultiSink, TraceSink
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runner import RunResult
+    from repro.core.record import RunResult
     from repro.hpm.events import EventList
 
 __all__ = [

@@ -18,7 +18,7 @@ three routes, chosen from its inputs alone:
 Every route runs the same :func:`~repro.parallel.executor.run_cell`, so
 the tables are byte-identical whichever route ran them; warm reruns
 skip simulation entirely.  A cell's result is the runner's own
-:class:`~repro.core.runner.RunResult`, a plain record that pickles
+:class:`~repro.core.record.RunResult`, a plain record that pickles
 as it is for the pool and the cache.
 
 * :class:`~repro.parallel.executor.CellSpec` /
@@ -37,30 +37,7 @@ as it is for the pool and the cache.
   recovery ledger.
 """
 
-from repro.parallel.cache import (
-    CACHE_SCHEMA,
-    ResultCache,
-    cell_key,
-    code_fingerprint,
-    default_cache_dir,
-)
-from repro.parallel.durable import (
-    RECOVERY_REPORT_SCHEMA,
-    CampaignInterrupted,
-    DurablePolicy,
-    RecoveryLedger,
-    backoff_s,
-    save_recovery_report,
-)
-from repro.parallel.executor import CellSpec, execute_cells, run_cell
-from repro.parallel.journal import (
-    JOURNAL_SCHEMA,
-    CampaignJournal,
-    JournalError,
-    JournalMismatchError,
-    JournalState,
-    load_journal,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CACHE_SCHEMA",
@@ -84,3 +61,33 @@ __all__ = [
     "run_cell",
     "save_recovery_report",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "cache": (
+            "CACHE_SCHEMA",
+            "ResultCache",
+            "cell_key",
+            "code_fingerprint",
+            "default_cache_dir",
+        ),
+        "durable": (
+            "RECOVERY_REPORT_SCHEMA",
+            "CampaignInterrupted",
+            "DurablePolicy",
+            "RecoveryLedger",
+            "backoff_s",
+            "save_recovery_report",
+        ),
+        "executor": ("CellSpec", "execute_cells", "run_cell"),
+        "journal": (
+            "JOURNAL_SCHEMA",
+            "CampaignJournal",
+            "JournalError",
+            "JournalMismatchError",
+            "JournalState",
+            "load_journal",
+        ),
+    },
+)

@@ -4,7 +4,7 @@ A sweep cell is fully determined by its inputs: the simulation is
 deterministic, so ``(app, P, scale, seed, campaign, watchdogs, code
 version)`` names its result uniquely.  :func:`cell_key` folds exactly
 those inputs into a BLAKE2 fingerprint; :class:`ResultCache` maps the
-fingerprint to a pickled :class:`~repro.core.runner.RunResult` record
+fingerprint to a pickled :class:`~repro.core.record.RunResult` record
 on disk.
 
 Invalidation rules
@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runner import RunResult
+    from repro.core.record import RunResult
     from repro.obs.registry import MetricsRegistry
     from repro.parallel.executor import CellSpec
 

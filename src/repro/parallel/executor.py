@@ -3,21 +3,25 @@
 The unit of work is a :class:`CellSpec` -- one ``(app, P, scale, seed,
 campaign)`` point of a sweep, optionally bounded by the runaway
 watchdogs.  :func:`run_cell` executes one spec and returns its
-:class:`~repro.core.runner.RunResult`, a plain record that pickles for
-the pool and the cache; :func:`execute_cells` runs a list of specs behind the content-addressed
-:class:`~repro.parallel.cache.ResultCache` and is the only function
+:class:`~repro.core.record.RunResult`, a plain record that pickles for
+the pool and the cache; :func:`execute_cells` runs a list of specs
+behind the content-addressed :class:`~repro.parallel.cache.ResultCache`
+and is the only function
 that dispatches sweep cells.  It takes one of three routes, chosen from
 its inputs alone:
 
 * **in-process** -- ``jobs == 1``, or at most one cell left to simulate
   after cache hits, with no host-chaos plan and no cell deadline: each
   attempt runs :func:`_worker` in the calling process;
-* **pool** -- otherwise, a ``ProcessPoolExecutor`` of heartbeating
-  workers the coordinator can kill, respawn and speculate around (chaos
-  and deadlines need a killable worker, so they always take this route).
-  It starts no more workers than there are cells to simulate, and
-  dispatches them longest first by :func:`_cost_estimate`, so the
-  sweep's longest cells do not trail at the end;
+* **pool** -- otherwise, a :class:`~repro.parallel.pool.Pool` of
+  heartbeating workers the coordinator can kill, respawn and speculate
+  around (chaos and deadlines need a killable worker, so they always
+  take this route).  It starts no more workers than there are cells to
+  simulate, and dispatches them longest first by
+  :func:`~repro.parallel.pool.cost_estimate`, so the sweep's longest
+  cells do not trail at the end.  :mod:`repro.parallel.pool` is
+  imported only here, and it imports the simulation stack before the
+  workers fork;
 * **journaled** -- either of the above with a write-ahead
   :class:`~repro.parallel.journal.CampaignJournal`: cells are journaled
   before dispatch, SIGINT/SIGTERM checkpoint the campaign, and cache
@@ -30,7 +34,7 @@ same-seed attempts, and everything done to recover is totalled in a
 
 Determinism: every cell is an independent, seeded simulation; results
 are keyed by cell -- never by completion order -- so every route yields
-byte-identical tables.  Every attempt's
+byte-identical tables.  Under telemetry or a journal every attempt's
 :class:`~repro.obs.campaign.CellSpan` carries the result fingerprint
 (:func:`~repro.analyze.race.fingerprint_result`), so equivalence is
 checkable across serial, pooled, cached and resumed runs.  Cells run
@@ -50,21 +54,15 @@ from __future__ import annotations
 
 import os
 import signal
-import tempfile
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from types import FrameType
 from typing import TYPE_CHECKING, Any
 
-from repro.analyze.race import fingerprint_result, plant_order_hazard
+from repro.core.record import DEFAULT_SCALE
 from repro.core.resilience import CellFailure
-from repro.core.runner import DEFAULT_SCALE
-from repro.obs.campaign import CellSpan, percentile
 from repro.obs.hostclock import WallTimer, host_clock_s
 from repro.parallel.cache import ResultCache, cell_key
 from repro.parallel.durable import (
@@ -72,18 +70,20 @@ from repro.parallel.durable import (
     DurablePolicy,
     RecoveryLedger,
     backoff_s,
-    start_heartbeat,
-    stale_workers,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.runner import PreRunHook, RunResult
+    from concurrent.futures import Future
+
+    from repro.core.record import RunResult
+    from repro.core.runner import PreRunHook
     from repro.faults.host import HostChaosPlan
     from repro.faults.spec import CampaignSpec
-    from repro.obs.campaign import CampaignTelemetry
+    from repro.obs.campaign import CampaignTelemetry, CellSpan
     from repro.obs.instrument import Observability
     from repro.obs.registry import MetricsRegistry
     from repro.parallel.journal import CampaignJournal
+    from repro.parallel.pool import Pool
 
 __all__ = ["CellSpec", "execute_cells", "run_cell"]
 
@@ -175,13 +175,14 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
     collected, and skipping the per-event metrics harvest keeps the
     sink-free cell on the fast path end to end.
     """
-    from repro.analyze.sanitize import DeterminismSink
-    from repro.obs.instrument import Observability
+    sink = None
+    if spec.fingerprint_schedule:
+        from repro.analyze.sanitize import DeterminismSink
+        from repro.obs.instrument import Observability
 
-    sink = DeterminismSink(order_capacity=0) if spec.fingerprint_schedule else None
-    if obs is None and sink is not None:
-        obs = Observability()
-    if sink is not None and obs is not None:
+        sink = DeterminismSink(order_capacity=0)
+        if obs is None:
+            obs = Observability()
         obs.extra_sinks.append(sink)
     common = {
         "statfx_interval_ns": spec.statfx_interval_ns,
@@ -219,7 +220,11 @@ def run_cell(spec: CellSpec, obs: "Observability | None" = None) -> "RunResult":
             from repro.apps import resolve_app
 
             model, config = resolve_app(spec.app)(), None
-        hazard = plant_order_hazard() if spec.order_hazard else None
+        hazard = None
+        if spec.order_hazard:
+            from repro.analyze.race import plant_order_hazard
+
+            hazard = plant_order_hazard()
         result = run_application(
             model,
             spec.n_processors,
@@ -252,12 +257,13 @@ def _chain(*hooks: "PreRunHook | None") -> "PreRunHook | None":
 def _worker(payload: tuple) -> tuple:
     """Run one cell attempt; never raises an ``Exception``.
 
-    *payload* is ``(spec, attempt, submit_s, ship_metrics, fault)``;
-    returns ``("ok", result, span)`` or ``("err", error_type, message,
-    span)`` where *span* is the attempt's
+    *payload* is ``(spec, attempt, submit_s, ship_metrics, fingerprint,
+    fault)``; returns ``("ok", result, span)`` or ``("err", error_type,
+    message, span)`` where *span* is the attempt's
     :class:`~repro.obs.campaign.CellSpan`, carrying the result's
-    fingerprint and, when *ship_metrics* is set, the run's
-    metric registry (only then is one harvested).  Catching inside the
+    :func:`~repro.analyze.race.fingerprint_result` digest when
+    *fingerprint* is set and the run's metric registry when
+    *ship_metrics* is set (only then is either computed).  Catching inside the
     worker keeps exotic exception types (whose constructors don't
     round-trip through pickle) from wedging the result pipe, and makes
     a failed cell cost exactly its own attempt.
@@ -269,7 +275,9 @@ def _worker(payload: tuple) -> tuple:
     the simulation and before the result is returned, so the whole
     attempt is lost however fast the cell is.
     """
-    spec, attempt, submit_s, ship_metrics, fault = payload
+    from repro.obs.campaign import CellSpan
+
+    spec, attempt, submit_s, ship_metrics, fingerprint, fault = payload
     if fault is not None:
         from repro.faults.host import apply_host_fault
 
@@ -291,9 +299,12 @@ def _worker(payload: tuple) -> tuple:
         fields = {
             "run_wall_s": result.wall_s,
             "schedule_hash": result.schedule_hash,
-            "result_fingerprint": fingerprint_result(result).digest,
             "kernel_stats": dict(result.kernel_stats),
         }
+        if fingerprint:
+            from repro.analyze.race import fingerprint_result
+
+            fields["result_fingerprint"] = fingerprint_result(result).digest
     span = CellSpan(
         app=spec.app,
         n_processors=spec.n_processors,
@@ -311,46 +322,6 @@ def _worker(payload: tuple) -> tuple:
     return (*outcome, span)
 
 
-def _cost_estimate(app: str, scale: float) -> "int | None":
-    """A deterministic rank of a cell's simulation cost, ``None`` if unknown.
-
-    The loop iterations *app* simulates at *scale*: a cell's event
-    count, and so its host time, grows with them far more than with P.
-    A name the cell's own attempt will reject has no estimate.
-    """
-    from repro.apps import resolve_app
-    from repro.runtime.loops import ParallelLoop
-
-    try:
-        phases = resolve_app(app)().phases(scale)
-    except ValueError:
-        return None
-    return sum(
-        phase.total_iterations for phase in phases if isinstance(phase, ParallelLoop)
-    )
-
-
-def _longest_first(specs: "list[CellSpec]") -> "list[CellSpec]":
-    """*specs* in dispatch order: highest :func:`_cost_estimate` first.
-
-    Input order breaks ties, and cells without an estimate (scenario
-    cells among them) follow the ranked ones in input order.  Results
-    are keyed by spec, so the order changes only when each cell
-    finishes, never what it returns.
-    """
-    estimates = {
-        key: _cost_estimate(*key)
-        for key in {(spec.app, spec.scale) for spec in specs if spec.scenario is None}
-    }
-    costs = [
-        (estimates[spec.app, spec.scale] if spec.scenario is None else None, spec)
-        for spec in specs
-    ]
-    ranked = [(cost, spec) for cost, spec in costs if cost is not None]
-    ranked.sort(key=lambda pair: -pair[0])
-    return [spec for _, spec in ranked] + [spec for cost, spec in costs if cost is None]
-
-
 def _observe(
     metrics: "MetricsRegistry | None", attr: str, name: str, value: int | float
 ) -> None:
@@ -364,13 +335,15 @@ def _observe(
         metrics.histogram(name, _CELL_WALL_BOUNDARIES).observe(value)
 
 
-# -- the two kinds of slot -----------------------------------------------------
+# -- the in-process slot (the pool's is repro.parallel.pool.Pool) ----------------
 
 
 class _InProcess:
     """The in-process route: an attempt runs to completion on submit."""
 
     def submit(self, payload: tuple) -> "Future | None":
+        from concurrent.futures import Future
+
         future: Future = Future()
         future.set_result(_worker(payload))
         return future
@@ -386,68 +359,6 @@ class _InProcess:
 
     def close(self) -> None:
         pass
-
-
-def _pool_init(hb_dir: str, interval_s: float) -> None:
-    """Pool initializer: ignore SIGINT, start the heartbeat thread.
-
-    SIGINT belongs to the coordinator (it checkpoints); a worker that
-    dies of the operator's ^C would just be one more death to recover
-    from, so it is ignored here.
-    """
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    start_heartbeat(os.path.join(hb_dir, f"hb-{os.getpid()}"), interval_s)
-
-
-class _Pool:
-    """The pool route: heartbeating workers the coordinator can kill."""
-
-    def __init__(self, jobs: int, heartbeat_interval_s: float) -> None:
-        self.jobs = jobs
-        self.interval_s = heartbeat_interval_s
-        self.hb_dir = tempfile.mkdtemp(prefix="cedar-hb-")
-        self.executor: ProcessPoolExecutor | None = None
-        self.respawn()
-
-    def submit(self, payload: tuple) -> "Future | None":
-        """Dispatch one attempt; ``None`` if the pool broke since the last poll."""
-        assert self.executor is not None
-        try:
-            return self.executor.submit(_worker, payload)
-        except BrokenProcessPool:
-            return None
-
-    def stale(self, now_s: float, timeout_s: float) -> list[int]:
-        return stale_workers(self.hb_dir, now_s, timeout_s)
-
-    def kill(self) -> None:
-        """Tear the pool down: cancel queued work, SIGKILL every worker."""
-        if self.executor is not None:
-            self.executor.shutdown(wait=False, cancel_futures=True)
-        for entry in Path(self.hb_dir).glob("hb-*"):
-            try:
-                os.kill(int(entry.name.split("-", 1)[1]), signal.SIGKILL)
-            except (IndexError, ValueError, OSError):
-                pass
-            try:
-                entry.unlink()
-            except OSError:
-                pass
-
-    def respawn(self) -> None:
-        self.kill()
-        self.executor = ProcessPoolExecutor(
-            max_workers=self.jobs,
-            initializer=_pool_init,
-            initargs=(self.hb_dir, self.interval_s),
-        )
-
-    def close(self) -> None:
-        self.kill()
-        try:
-            os.rmdir(self.hb_dir)
-        except OSError:
-            pass
 
 
 @dataclass
@@ -522,6 +433,9 @@ def execute_cells(
     if metrics is None and telemetry is not None:
         metrics = telemetry.registry
     ship = telemetry is not None
+    # Spans carry a result fingerprint only where one is read: the
+    # campaign log and the journal's done records.
+    fingerprint = ship or journal is not None
 
     results: "dict[CellSpec, RunResult]" = {}
     errors: "dict[CellSpec, tuple[str, str]]" = {}
@@ -547,6 +461,8 @@ def execute_cells(
         if hit is not None:
             results[spec] = hit
             if journal is not None:
+                from repro.analyze.race import fingerprint_result
+
                 journal.record_done(spec, hit, fingerprint_result(hit).digest)
                 if key in resumed_keys:
                     ledger.resumed_cells += 1
@@ -563,7 +479,9 @@ def execute_cells(
     workers = max(1, min(jobs, len(uncached)))
     in_process = not uncached or (workers == 1 and not killable)
     if not in_process:
-        uncached = _longest_first(uncached)
+        from repro.parallel import pool
+
+        uncached = pool.longest_first(uncached)
     pending: "deque[_Pending]" = deque(
         _Pending(spec=spec, attempt=1, eligible_s=0.0) for spec in uncached
     )
@@ -574,8 +492,10 @@ def execute_cells(
     depth = workers if in_process or policy.cell_deadline_s is not None else 2 * workers
     inflight: "dict[Future, _InFlight]" = {}
     live: "dict[CellSpec, list[Future]]" = {}
-    slots: "_InProcess | _Pool" = (
-        _InProcess() if in_process else _Pool(workers, policy.heartbeat_interval_s)
+    slots: "_InProcess | Pool" = (
+        _InProcess()
+        if in_process
+        else pool.Pool(workers, policy.heartbeat_interval_s)
     )
     stop = _StopFlag()
     previous_handlers: "dict[int, object]" = {}
@@ -597,7 +517,9 @@ def execute_cells(
         )
         if journal is not None:
             journal.record_dispatch(entry.spec, entry.attempt)
-        future = slots.submit((entry.spec, entry.attempt, submit_s, ship, fault))
+        future = slots.submit(
+            (entry.spec, entry.attempt, submit_s, ship, fingerprint, fault)
+        )
         if future is None:
             return False
         inflight[future] = _InFlight(
@@ -790,6 +712,8 @@ def execute_cells(
             or len(recent_walls) < policy.straggler_min_samples
         ):
             return
+        from repro.obs.campaign import percentile
+
         p95 = percentile(list(recent_walls), 0.95)
         if p95 is None:
             return
@@ -859,6 +783,8 @@ def execute_cells(
                         )
                     )
                     continue
+                from concurrent.futures import FIRST_COMPLETED, wait
+
                 finished, _ = wait(
                     list(inflight),
                     timeout=policy.poll_interval_s,

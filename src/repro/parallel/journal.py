@@ -42,7 +42,7 @@ from repro.parallel.executor import CellSpec
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.resilience import CellFailure
-    from repro.core.runner import RunResult
+    from repro.core.record import RunResult
 
 __all__ = [
     "JOURNAL_SCHEMA",

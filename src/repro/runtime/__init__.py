@@ -6,10 +6,7 @@ SDOALL/CDOALL distribution, flat XDOALL distribution through a
 global-memory lock, and spin finish-barriers.
 """
 
-from repro.runtime.library import CedarFortranRuntime
-from repro.runtime.loops import LoopConstruct, ParallelLoop, Phase, SerialPhase
-from repro.runtime.params import RuntimeParams
-from repro.runtime.transform import merge_adjacent_loops, mergeable
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CedarFortranRuntime",
@@ -21,3 +18,13 @@ __all__ = [
     "merge_adjacent_loops",
     "mergeable",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "library": ("CedarFortranRuntime",),
+        "loops": ("LoopConstruct", "ParallelLoop", "Phase", "SerialPhase"),
+        "params": ("RuntimeParams",),
+        "transform": ("merge_adjacent_loops", "mergeable"),
+    },
+)

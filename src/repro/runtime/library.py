@@ -35,40 +35,14 @@ from repro.hpm.events import EventType
 from repro.hpm.monitor import CedarHpm
 from repro.runtime.loops import LoopConstruct, ParallelLoop, Phase, SerialPhase
 from repro.runtime.params import RuntimeParams
-from repro.sim import ArbitratedResource, DeadlockSuspected, Event, Resource, Simulator
+from repro.runtime.stats import RuntimeStats
+from repro.sim.core import Event, Simulator
+from repro.sim.errors import DeadlockSuspected
+from repro.sim.resources import ArbitratedResource, Resource
 from repro.xylem.kernel import XylemKernel
 from repro.xylem.task import ClusterTask, XylemProcess, create_process
 
 __all__ = ["CedarFortranRuntime", "RuntimeStats"]
-
-
-class RuntimeStats:
-    """Always-on counters of runtime-library protocol activity.
-
-    Harvested into the ``runtime.*`` namespace of the ``repro.obs``
-    metrics registry after a run.
-    """
-
-    __slots__ = (
-        "loops_posted",
-        "helper_joins",
-        "sdoall_pickups",
-        "xdoall_pickups",
-        "barriers",
-        "serial_sections",
-        "mc_loops",
-        "detaches",
-    )
-
-    def __init__(self) -> None:
-        self.loops_posted = 0
-        self.helper_joins = 0
-        self.sdoall_pickups = 0
-        self.xdoall_pickups = 0
-        self.barriers = 0
-        self.serial_sections = 0
-        self.mc_loops = 0
-        self.detaches = 0
 
 
 class _CombiningNode:

@@ -173,7 +173,7 @@ def _check_parallel(
     run to run.
     """
     from repro.analyze.race import fingerprint_result
-    from repro.core.runner import RunResult
+    from repro.core.record import RunResult
     from repro.parallel.cache import ResultCache
     from repro.parallel.executor import execute_cells
 

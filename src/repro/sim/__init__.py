@@ -7,34 +7,7 @@ hardware model (:mod:`repro.hardware`), the Xylem OS model
 scheduled by a single :class:`Simulator`.
 """
 
-from repro.sim.core import (
-    PENDING,
-    AllOf,
-    AnyOf,
-    Condition,
-    Event,
-    Process,
-    Simulator,
-    Timeout,
-)
-from repro.sim.errors import (
-    DeadlockSuspected,
-    EmptySchedule,
-    Interrupt,
-    RunawaySimulation,
-    SimulationError,
-    StopSimulation,
-)
-from repro.sim.resources import (
-    ArbitratedResource,
-    Gate,
-    KeyedRequest,
-    PriorityRequest,
-    PriorityResource,
-    Request,
-    Resource,
-    Store,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "AllOf",
@@ -60,3 +33,37 @@ __all__ = [
     "StopSimulation",
     "Timeout",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "core": (
+            "PENDING",
+            "AllOf",
+            "AnyOf",
+            "Condition",
+            "Event",
+            "Process",
+            "Simulator",
+            "Timeout",
+        ),
+        "errors": (
+            "DeadlockSuspected",
+            "EmptySchedule",
+            "Interrupt",
+            "RunawaySimulation",
+            "SimulationError",
+            "StopSimulation",
+        ),
+        "resources": (
+            "ArbitratedResource",
+            "Gate",
+            "KeyedRequest",
+            "PriorityRequest",
+            "PriorityResource",
+            "Request",
+            "Resource",
+            "Store",
+        ),
+    },
+)

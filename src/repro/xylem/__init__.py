@@ -8,14 +8,7 @@ protected by kernel locks (with emergent spin time), and asynchronous
 system traps -- all feeding a per-cluster time-accounting ledger.
 """
 
-from repro.xylem.accounting import TimeAccounting
-from repro.xylem.categories import OsActivity, TimeCategory, activity_category
-from repro.xylem.kernel import ClusterState, XylemKernel
-from repro.xylem.locks import CriticalSections, KernelLock
-from repro.xylem.params import XylemParams
-from repro.xylem.scheduler import BackgroundWorkload
-from repro.xylem.task import ClusterTask, TaskKind, XylemProcess, create_process
-from repro.xylem.vm import FaultStats, VirtualMemory
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BackgroundWorkload",
@@ -35,3 +28,17 @@ __all__ = [
     "activity_category",
     "create_process",
 ]
+
+__getattr__, __dir__ = lazy_exports(
+    __name__,
+    {
+        "accounting": ("FaultStats", "TimeAccounting"),
+        "categories": ("OsActivity", "TimeCategory", "activity_category"),
+        "kernel": ("ClusterState", "XylemKernel"),
+        "locks": ("CriticalSections", "KernelLock"),
+        "params": ("XylemParams",),
+        "scheduler": ("BackgroundWorkload",),
+        "task": ("ClusterTask", "TaskKind", "XylemProcess", "create_process"),
+        "vm": ("VirtualMemory",),
+    },
+)

@@ -5,7 +5,9 @@ that monitors the utilisation of each cluster, classifying time into
 user, system, interrupt and kernel-lock spin time (Section 5), and the
 Table 2 detail from the instrumented OS routines.  In the model, every
 OS activity debits its cost here as it happens, so both views come from
-the same ledger.
+the same ledger.  :class:`FaultStats`, the virtual memory's page-fault
+counters, lives here too: both are plain records a run's result
+carries, so unpickling one loads no simulator code.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 from repro.hardware.config import CedarConfig
 from repro.xylem.categories import OsActivity, TimeCategory, activity_category
 
-__all__ = ["TimeAccounting"]
+__all__ = ["FaultStats", "TimeAccounting"]
 
 
 class TimeAccounting:
@@ -109,3 +111,15 @@ class TimeAccounting:
     def table2_ns(self) -> dict[OsActivity, int]:
         """Machine-wide per-activity totals (the Table 2 rows)."""
         return {activity: self.activity_total_ns(activity) for activity in OsActivity}
+
+
+class FaultStats:
+    """Counters of fault activity."""
+
+    __slots__ = ("sequential", "concurrent", "joined", "evictions")
+
+    def __init__(self) -> None:
+        self.sequential = 0
+        self.concurrent = 0
+        self.joined = 0
+        self.evictions = 0

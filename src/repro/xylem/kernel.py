@@ -31,7 +31,9 @@ from collections.abc import Generator
 from repro.hardware.config import CedarConfig
 from repro.hpm.events import EventType
 from repro.hpm.monitor import CedarHpm
-from repro.sim import ArbitratedResource, Gate, SimulationError, Simulator
+from repro.sim.core import Simulator
+from repro.sim.errors import SimulationError
+from repro.sim.resources import ArbitratedResource, Gate
 from repro.xylem.accounting import TimeAccounting
 from repro.xylem.categories import OsActivity
 from repro.xylem.locks import CriticalSections

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections.abc import Generator
 
-from repro.sim import Resource, Simulator
+from repro.sim.core import Simulator
+from repro.sim.resources import Resource
 from repro.xylem.accounting import TimeAccounting
 from repro.xylem.categories import OsActivity
 

@@ -25,24 +25,12 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Generator, Iterable
 
-from repro.sim import Event, Simulator
-from repro.xylem.accounting import TimeAccounting
+from repro.sim.core import Event, Simulator
+from repro.xylem.accounting import FaultStats, TimeAccounting
 from repro.xylem.categories import OsActivity
 from repro.xylem.params import XylemParams
 
 __all__ = ["VirtualMemory", "FaultStats"]
-
-
-class FaultStats:
-    """Counters of fault activity."""
-
-    __slots__ = ("sequential", "concurrent", "joined", "evictions")
-
-    def __init__(self) -> None:
-        self.sequential = 0
-        self.concurrent = 0
-        self.joined = 0
-        self.evictions = 0
 
 
 class _InFlightFault:

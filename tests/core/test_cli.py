@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
+import inspect
+import json
 import os
+import pickle
+import pickletools
 import subprocess
 import sys
 from pathlib import Path
@@ -10,18 +14,182 @@ import pytest
 import repro
 from repro.cli import build_parser, main
 
+#: Modules a warm ``tables`` run must not load: the simulator and the
+#: runner that assembles it, the workload models, the sanitizers, the
+#: fault planes and the pool.  Served results are plain records and the
+#: tables read only them.
+SIMULATOR_MODULES = (
+    "repro.core.runner",
+    "repro.sim",
+    "repro.hardware.machine",
+    "repro.runtime.library",
+    "repro.xylem.kernel",
+    "repro.apps",
+    "repro.scenario",
+    "repro.analyze",
+    "repro.faults",
+    "concurrent.futures.process",
+    "multiprocessing",
+)
+
+
+def _simulator_modules(modules):
+    """The names in *modules* that :data:`SIMULATOR_MODULES` rules out."""
+    return sorted(
+        m
+        for m in modules
+        if any(m == ban or m.startswith(ban + ".") for ban in SIMULATOR_MODULES)
+    )
+
+
+def _fill_cache(directory, cells):
+    """Fill a cache at *directory* with *cells* (``{app: {P: RunResult}}``).
+
+    Keyed as ``tables --scale 0.002`` keys them, so a warm ``tables``
+    over *directory* simulates nothing.
+    """
+    from repro.parallel.cache import ResultCache
+    from repro.parallel.executor import CellSpec
+
+    cache = ResultCache(directory)
+    for app, by_config in cells.items():
+        for n_proc, result in by_config.items():
+            spec = CellSpec(app=app, n_processors=n_proc, scale=0.002, seed=1994)
+            assert cache.put(spec.key(), result) is not None
+
+
+def _run_and_list_modules(code: str) -> tuple[str, dict]:
+    """Run *code* in a fresh interpreter; return its stdout and ``report``.
+
+    *code* must bind a JSON-able dict ``report``; the names of the
+    modules loaded once *code* has run are added to it as ``modules``.
+    """
+    code += (
+        "\nimport json, sys"
+        "\nreport['modules'] = sorted(sys.modules)"
+        "\nprint(json.dumps(report))"
+    )
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(proc.stdout.splitlines()[-1])
+
 
 def test_importing_the_cli_leaves_numpy_unimported():
     # numpy is most of the CLI's import time; only the code paths that
     # draw from its generators import it, when they run.
-    code = "import sys, repro.cli\nprint(sorted(m for m in sys.modules if m.split('.')[0] == 'numpy'))"
-    src = str(Path(repro.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    _, report = _run_and_list_modules("import repro.cli\nreport = {}")
+    assert [m for m in report["modules"] if m.split(".")[0] == "numpy"] == []
+
+
+def test_a_warm_tables_run_loads_no_simulator_code(tmp_path, default_paper_cells):
+    cache = tmp_path / "cache"
+    _fill_cache(cache, default_paper_cells)
+    # The benchmark's warm pass: default --jobs, no --log.
+    stdout, report = _run_and_list_modules(
+        f"""
+import repro.cli
+from repro.parallel.cache import ResultCache
+
+hits = []
+get = ResultCache.get
+
+def counting_get(self, key):
+    result = get(self, key)
+    hits.append(result is not None)
+    return result
+
+ResultCache.get = counting_get
+repro.cli.main(["tables", "--scale", "0.002", "--cache-dir", {str(cache)!r}])
+report = {{"hits": hits}}
+"""
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert "Table 1" in stdout
+    assert report["hits"] == [True] * 25
+    assert _simulator_modules(report["modules"]) == []
+
+
+def _pickled_modules(payload: bytes) -> set[str]:
+    """The module of every global *payload* references, read by pickletools.
+
+    ``STACK_GLOBAL`` takes its module and name from the two values
+    pushed before it: strings, or memo references to strings.
+    """
+    memo: dict[int, object] = {}
+    pushed: list[object] = []
+    modules = set()
+    for opcode, arg, _ in pickletools.genops(payload):
+        if opcode.name in ("SHORT_BINUNICODE", "BINUNICODE", "BINUNICODE8", "UNICODE"):
+            pushed.append(arg)
+        elif opcode.name in ("BINGET", "LONG_BINGET", "GET"):
+            pushed.append(memo.get(arg))
+        elif opcode.name == "MEMOIZE":
+            memo[len(memo)] = pushed[-1] if pushed else None
+        elif opcode.name in ("BINPUT", "LONG_BINPUT", "PUT"):
+            memo[arg] = pushed[-1] if pushed else None
+        elif opcode.name == "STACK_GLOBAL":
+            modules.add(pushed[-2])
+            pushed.append(None)
+        elif opcode.name in ("GLOBAL", "INST"):
+            modules.add(arg.split(" ")[0])
+            pushed.append(None)
+        else:
+            pushed.append(None)
+    return modules
+
+
+@pytest.fixture(scope="module")
+def campaign_cell():
+    """FLO52 P 4 under the smoke campaign: its result carries a fault ledger."""
+    from repro.faults import load_campaign
+    from repro.parallel.executor import CellSpec, run_cell
+
+    smoke = Path(repro.__file__).resolve().parents[2] / "examples/campaigns/smoke.json"
+    return run_cell(CellSpec("FLO52", 4, scale=0.002, campaign=load_campaign(smoke)))
+
+
+@pytest.mark.parametrize("cell", ["paper", "campaign"])
+def test_a_cached_result_references_only_record_modules(
+    cell, tmp_path, default_paper_cells, campaign_cell
+):
+    from repro.parallel.cache import ResultCache
+
+    result = default_paper_cells["ADM"][8] if cell == "paper" else campaign_cell
+    entry = ResultCache(tmp_path / "cache").put("0" * 32, result)
+    modules = _pickled_modules(pickle.loads(entry.read_bytes())["payload"])
+    assert "repro.core.record" in modules
+    if cell == "campaign":
+        assert result.fault_ledger.records
+        assert "repro.faults.ledger" in modules
+    # Neither the modules themselves nor what they import may be ruled
+    # out, except the fault ledger's own package.
+    _, report = _run_and_list_modules(
+        "import importlib\n"
+        f"for name in {sorted(modules)!r}:\n"
+        "    importlib.import_module(name)\n"
+        "report = {}"
+    )
+    loaded = set(report["modules"]) - {"repro.faults", "repro.faults.ledger"}
+    assert _simulator_modules(loaded) == []
+
+
+def test_library_and_resume_default_to_one_job():
+    from repro.core.resilience import resilient_sweep, resume_sweep
+    from repro.parallel.executor import execute_cells
+
+    defaults = {
+        fn.__name__: inspect.signature(fn).parameters["jobs"].default
+        for fn in (execute_cells, resilient_sweep, resume_sweep)
+    }
+    defaults["resume CLI"] = build_parser().parse_args(["resume", "j.journal"]).jobs
+    assert defaults == dict.fromkeys(defaults, 1)
 
 
 def test_parser_requires_command():

@@ -11,7 +11,7 @@ from __future__ import annotations
 import pytest
 
 from repro.analyze.race import fingerprint_result
-from repro.parallel import CellSpec, ResultCache, execute_cells, executor
+from repro.parallel import CellSpec, ResultCache, execute_cells, pool
 from repro.parallel.durable import DurablePolicy
 
 SCALE = 0.002
@@ -23,7 +23,7 @@ def _spec(app: str, n_processors: int = 4, scale: float = SCALE) -> CellSpec:
 
 
 class _NoPool:
-    """Stands in for ``_Pool`` where none may be built."""
+    """Stands in for ``Pool`` where none may be built."""
 
     def __init__(self, *args: object) -> None:
         raise AssertionError("execute_cells built a worker pool")
@@ -31,7 +31,7 @@ class _NoPool:
 
 def test_cost_estimates_rank_the_paper_apps_as_they_cost():
     estimates = {
-        app: executor._cost_estimate(app, 0.02)
+        app: pool.cost_estimate(app, 0.02)
         for app in ("FLO52", "ARC2D", "MDG", "OCEAN", "ADM")
     }
     assert estimates == {
@@ -41,27 +41,27 @@ def test_cost_estimates_rank_the_paper_apps_as_they_cost():
         "OCEAN": 968,
         "FLO52": 964,
     }
-    assert executor._cost_estimate("NOPE", 0.02) is None
+    assert pool.cost_estimate("NOPE", 0.02) is None
 
 
 def test_longest_first_keeps_input_order_for_ties_and_unknowns():
     flo_1, flo_4, adm_4 = _spec("FLO52", 1), _spec("FLO52", 4), _spec("ADM", 4)
     unknown = _spec("NOPE")
     scenario = CellSpec(app="ADM", n_processors=4, scenario="{}")
-    order = executor._longest_first([scenario, unknown, flo_1, flo_4, adm_4])
+    order = pool.longest_first([scenario, unknown, flo_1, flo_4, adm_4])
     assert order == [adm_4, flo_1, flo_4, scenario, unknown]
 
 
 def test_pool_submits_adm_before_flo52_and_matches_grid_order(monkeypatch):
     specs = [_spec("FLO52"), _spec("ADM")]
     submitted = []
-    submit = executor._Pool.submit
+    submit = pool.Pool.submit
 
     def recording_submit(self, payload):
         submitted.append(payload[0])
         return submit(self, payload)
 
-    monkeypatch.setattr(executor._Pool, "submit", recording_submit)
+    monkeypatch.setattr(pool.Pool, "submit", recording_submit)
     pooled, failures = execute_cells(specs, jobs=2)
     assert not failures
     assert submitted == [specs[1], specs[0]]
@@ -78,7 +78,7 @@ def test_cached_and_single_cell_runs_build_no_pool(monkeypatch, tmp_path):
     specs = [_spec("FLO52", 1), _spec("FLO52", 4)]
     execute_cells(specs, jobs=1, cache=cache)
 
-    monkeypatch.setattr(executor, "_Pool", _NoPool)
+    monkeypatch.setattr(pool, "Pool", _NoPool)
     warm, failures = execute_cells(specs, jobs=4, cache=cache)
     assert not failures and set(warm) == set(specs)
 
@@ -88,7 +88,7 @@ def test_cached_and_single_cell_runs_build_no_pool(monkeypatch, tmp_path):
 
 
 def test_a_deadline_still_takes_a_killable_worker_for_one_cell(monkeypatch):
-    monkeypatch.setattr(executor, "_Pool", _NoPool)
+    monkeypatch.setattr(pool, "Pool", _NoPool)
     with pytest.raises(AssertionError, match="built a worker pool"):
         execute_cells(
             [_spec("FLO52")], jobs=4, policy=DurablePolicy(cell_deadline_s=60.0)
